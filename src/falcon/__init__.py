@@ -21,7 +21,7 @@ from .encoder import (
     save_weights,
 )
 from .image_crop import CropPlan, TileSet, crop_tiles, load_ppm, patchify, plan_crop
-from .numerics import SplitMix64, gelu, init_uniform, layer_norm, matmul, softmax_rows
+from .numerics import SplitMix64, gelu, init_uniform, layer_norm, softmax_rows
 from .oracle import FlopReport, count_flops, encode_reference, finite_diff_grad
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "layer_norm",
     "load_ppm",
     "load_weights",
-    "matmul",
     "parameter_gradients",
     "patchify",
     "plan_crop",

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compressors, encoder, falt, image_crop, oracle
-from .errors import (
-    ArchiveError,
-    BoundsError,
-    ConfigError,
-    FalconError,
-    ImageError,
-)
+from .errors import BoundsError, ConfigError, FalconError, ImageError
 from .numerics import SplitMix64
 
 EXIT_OK = 0
@@ -58,6 +52,8 @@ class RunConfig:
     thumbnail: bool = True
     reatten: bool = True
     verify_mode: bool = False
+    # Accepted and validated so existing scripts and config files keep
+    # working; tiles always run sequentially, so nothing reads it.
     threads: int = 1
     project: bool = False
     d_llm: int = 128
@@ -188,9 +184,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
     if not args.dry_run:
         weights = _get_weights(rc, cfg, args.weights)
         tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
-        f_hr, _ = encoder.encode(
-            tiles, weights, cfg, thumbnail=rc.thumbnail, threads=rc.threads
-        )
+        f_hr, _ = encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail)
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(
@@ -223,7 +217,6 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
         weights,
         cfg,
         thumbnail=rc.thumbnail,
-        threads=rc.threads,
         record_trace=True,
         trace_layers={args.layer},
         trace_heads={args.head},
@@ -363,9 +356,6 @@ def main(argv=None) -> int:
     except BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDEX
-    except (ArchiveError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FalconError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

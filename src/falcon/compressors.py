@@ -14,23 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, LayerWeights, _multi_head_attention
 from .errors import ShapeError
-from .numerics import SplitMix64, gelu, init_uniform, layer_norm, softmax_rows
+from .numerics import SplitMix64, gelu, init_uniform, layer_norm
+from .oracle import attention_macs, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
 _LN_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class CompressorSpec:
-    kind: str
-    target_tokens: int = 64
-
-    def __post_init__(self):
-        if self.kind not in COMPRESSOR_KINDS:
-            raise ShapeError(f"unknown compressor kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +100,9 @@ def pixel_shuffle_compress(feats: np.ndarray, proj: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class AbstractorBlock:
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-
-@dataclass
 class AbstractorWeights:
     heads: int
-    blocks: list[AbstractorBlock]
+    blocks: list[LayerWeights]
 
 
 def init_abstractor(
@@ -134,7 +111,7 @@ def init_abstractor(
     blocks = []
     for _ in range(depth):
         blocks.append(
-            AbstractorBlock(
+            LayerWeights(
                 ln1_gamma=np.ones(d, dtype=dtype),
                 ln1_beta=np.zeros(d, dtype=dtype),
                 wq=init_uniform((d, d), d, d, rng).astype(dtype),
@@ -148,22 +125,6 @@ def init_abstractor(
             )
         )
     return AbstractorWeights(heads=heads, blocks=blocks)
-
-
-def _cross_attention(queries, feats, blk: AbstractorBlock, heads: int, collect=None):
-    q = queries @ blk.wq
-    k = feats @ blk.wk
-    v = feats @ blk.wv
-    dk = q.shape[1] // heads
-    scale = 1.0 / math.sqrt(dk)
-    outs = []
-    for h in range(heads):
-        cols = slice(h * dk, (h + 1) * dk)
-        attn = softmax_rows((q[:, cols] @ k[:, cols].T) * scale)
-        if collect is not None:
-            collect(h, attn)
-        outs.append(attn @ v[:, cols])
-    return np.hstack(outs) @ blk.wo
 
 
 def abstractor_compress(
@@ -181,7 +142,9 @@ def abstractor_compress(
         raise ShapeError(f"feature/query widths disagree: {feats.shape} vs {q.shape}")
     for blk in aw.blocks:
         normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta, _LN_EPS)
-        q = q + _cross_attention(normed, feats, blk, aw.heads, collect)
+        q = q + _multi_head_attention(
+            normed, feats, blk.wq, blk.wk, blk.wv, blk.wo, aw.heads, collect
+        )
         normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta, _LN_EPS)
         q = q + gelu(normed @ blk.w1) @ blk.w2
     return q
@@ -190,11 +153,6 @@ def abstractor_compress(
 # ---------------------------------------------------------------------------
 # Structural comparison (token parity, parameters, FLOPs)
 # ---------------------------------------------------------------------------
-
-
-def _attention_ffn_macs(n_tokens: int, d: int) -> int:
-    """Multiply-adds of one transformer layer on n_tokens rows of width d."""
-    return 4 * n_tokens * d**2 + 2 * n_tokens**2 * d + 8 * n_tokens * d**2
 
 
 def comparison_row(
@@ -213,9 +171,10 @@ def comparison_row(
     separately (it is shared across tiles, so it is quoted in total for a
     full load of ``n_tiles`` tiles plus the thumbnail).
     """
-    spec = CompressorSpec(kind, target_tokens)
+    if kind not in COMPRESSOR_KINDS:
+        raise ShapeError(f"unknown compressor kind {kind!r}")
     n = cfg.n_image_tokens
-    m = cfg.registers if kind == "registers" else spec.target_tokens
+    m = cfg.registers if kind == "registers" else target_tokens
     d = cfg.width
     row = {"kind": kind, "tokens_per_tile": m}
     if kind == "pool":
@@ -227,15 +186,16 @@ def comparison_row(
     elif kind == "abstractor":
         block_params = 4 * d * d + 8 * d * d + 4 * d
         row["params"] = m * d + abstractor_depth * block_params
-        block_flops = 2 * m * d**2 + 2 * n * d**2 + 2 * m * n * d + 8 * m * d**2
+        block_flops = attention_macs(m, n, d) + ffn_macs(m, d, 4)
         row["flops_per_tile"] = abstractor_depth * block_flops
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * (4 * d * d + 2 * d)
-        marginal = _attention_ffn_macs(n + cfg.registers, d) - _attention_ffn_macs(n, d)
-        row["flops_per_tile"] = cfg.layers * marginal
+
+        def layer_macs(rows):
+            return attention_macs(rows, rows, d) + ffn_macs(rows, d, cfg.ffn_mult)
+
+        row["flops_per_tile"] = cfg.layers * (layer_macs(n + cfg.registers) - layer_macs(n))
         t = (cfg.max_tiles if n_tiles is None else n_tiles) + (1 if thumbnail else 0)
         reg_tokens = cfg.registers * t
-        row["reatten_flops_total"] = cfg.layers * (
-            4 * reg_tokens * d**2 + 2 * reg_tokens**2 * d
-        )
+        row["reatten_flops_total"] = cfg.layers * attention_macs(reg_tokens, reg_tokens, d)
     return row

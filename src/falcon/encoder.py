@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,11 +310,14 @@ def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail
     return states
 
 
-def _multi_head_attention(x, wq, wk, wv, wo, heads: int, collect=None):
-    """Pre-normed input -> multi-head softmax attention -> output projection."""
+def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
+    """Multi-head softmax attention of query rows ``x`` over key/value rows
+    ``kv``, then the output projection. Self-attention passes the same
+    pre-normed rows as both; ``collect(head, attn)`` sees each softmax matrix.
+    """
     q = x @ wq
-    k = x @ wk
-    v = x @ wv
+    k = kv @ wk
+    v = kv @ wv
     width = ad.value_of(q).shape[1]
     dk = width // heads
     scale = 1.0 / math.sqrt(dk)
@@ -332,7 +334,7 @@ def _multi_head_attention(x, wq, wk, wv, wo, heads: int, collect=None):
 def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
     """Residual pre-norm self-attention over all N+M rows jointly, unmasked."""
     normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta, cfg.ln_eps)
-    return x + _multi_head_attention(normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
+    return x + _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
 
 
 def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
@@ -351,7 +353,9 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
     m = cfg.registers
     regs = ad.vstack([s[n:] for s in states])
     normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta, cfg.ln_eps)
-    exchanged = regs + _multi_head_attention(normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect)
+    exchanged = regs + _multi_head_attention(
+        normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect
+    )
     return [
         ad.vstack([s[:n], exchanged[i * m : (i + 1) * m]]) for i, s in enumerate(states)
     ]
@@ -363,14 +367,7 @@ def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
     return x + ad.gelu(normed @ lw.w1) @ lw.w2
 
 
-def _map_tiles(fn, states, threads: int):
-    if threads <= 1 or len(states) <= 1:
-        return [fn(k, s) for k, s in enumerate(states)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(states)), states))
-
-
-def _self_attn_collector(trace, layer, tile, trace_layers, trace_heads, trace_full):
+def _self_attn_collector(trace, layer, tile, trace_layers, trace_heads):
     if trace is None:
         return None
     if trace_layers is not None and layer not in trace_layers:
@@ -387,15 +384,15 @@ def _self_attn_collector(trace, layer, tile, trace_layers, trace_heads, trace_fu
     return collect
 
 
-def _run_layers(states, w, cfg, trace, threads, trace_layers, trace_heads, trace_full):
+def _run_layers(states, w, cfg, trace, trace_layers, trace_heads):
     for layer in range(cfg.layers):
         lw = w.layers[layer]
-
-        def attn_fn(k, s, _lw=lw, _layer=layer):
-            collect = _self_attn_collector(trace, _layer, k, trace_layers, trace_heads, trace_full)
-            return self_attention_block(s, _lw, cfg, collect)
-
-        states = _map_tiles(attn_fn, states, threads)
+        states = [
+            self_attention_block(
+                s, lw, cfg, _self_attn_collector(trace, layer, k, trace_layers, trace_heads)
+            )
+            for k, s in enumerate(states)
+        ]
 
         reatten_collect = None
         if trace is not None and trace.reatten_rows is not None:
@@ -405,11 +402,7 @@ def _run_layers(states, w, cfg, trace, threads, trace_layers, trace_heads, trace
                     trace.reatten_rows[(_layer, head)] = attn.copy()
 
         states = reatten(states, w.reatten[layer], cfg, cfg.reatten_enabled, reatten_collect)
-
-        def ffn_fn(k, s, _lw=lw):
-            return ffn_block(s, _lw, cfg)
-
-        states = _map_tiles(ffn_fn, states, threads)
+        states = [ffn_block(s, lw, cfg) for s in states]
     return states
 
 
@@ -419,7 +412,6 @@ def encode(
     cfg: EncoderConfig,
     *,
     thumbnail: bool = True,
-    threads: int = 1,
     record_trace: bool = False,
     trace_layers=None,
     trace_heads=None,
@@ -429,9 +421,8 @@ def encode(
 
     The output stacks each tile's M register rows in tile order, thumbnail
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
-    Image-token outputs are discarded. Per-tile blocks may run on a thread
-    pool; the exchange step is a per-layer barrier, and results are
-    bit-identical to sequential execution.
+    Image-token outputs are discarded. Tiles run one after another; the
+    exchange step joins them once per layer.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
     trace = None
@@ -442,7 +433,7 @@ def encode(
             full_rows={} if trace_full else None,
             reatten_rows={} if trace_full else None,
         )
-    states = _run_layers(states, w, cfg, trace, threads, trace_layers, trace_heads, trace_full)
+    states = _run_layers(states, w, cfg, trace, trace_layers, trace_heads)
     f_hr = ad.vstack([s[cfg.n_image_tokens :] for s in states])
     return f_hr, trace
 
@@ -456,7 +447,7 @@ def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, t
     params = {name: ad.Var(tensor) for name, tensor in weights_to_dict(w, cfg).items()}
     var_weights = weights_from_dict(params, cfg)
     states = embed_tiles(tiles, var_weights, cfg, thumbnail=thumbnail)
-    states = _run_layers(states, var_weights, cfg, None, 1, None, None, False)
+    states = _run_layers(states, var_weights, cfg, None, None, None)
     loss = ad.total(ad.vstack([s[cfg.n_image_tokens :] for s in states]))
     loss.backward()
     grads = {

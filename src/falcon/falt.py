@@ -14,6 +14,7 @@ Entries keep insertion order, which callers use as the canonical order.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -72,13 +73,15 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise ArchiveError("entry name is not valid UTF-8") from exc
         (ndim,) = struct.unpack("<B", take(1))
+        if ndim == 0:
+            raise ArchiveError(f"entry {name!r} has ndim 0")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         (code,) = struct.unpack("<B", take(1))
         if code not in _CODE_DTYPES:
             raise ArchiveError(f"unknown dtype code {code} for entry {name!r}")
         dtype = _CODE_DTYPES[code]
-        n_elem = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        payload = take(n_elem * dtype.itemsize)
+        # Python ints, so a huge product is refused by take() instead of wrapping.
+        payload = take(math.prod(dims) * dtype.itemsize)
         array = np.frombuffer(payload, dtype=dtype).reshape(dims)
         entries[name] = array.astype(dtype.newbyteorder("="))
     if pos != len(view):

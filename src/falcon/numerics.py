@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 
 # SplitMix64 constants (state increment and the two mixing multipliers).
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -24,17 +24,6 @@ _MASK_64 = (1 << 64) - 1
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays in their common dtype."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

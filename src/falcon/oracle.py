@@ -248,27 +248,38 @@ class FlopReport:
         }
 
 
+def attention_macs(n_q: int, n_kv: int, d: int) -> int:
+    """Multiply-adds of one multi-head attention of width d: Q and the output
+    projection on n_q rows, K and V on n_kv rows, logits and mixing n_q x n_kv.
+    """
+    return 2 * n_q * d**2 + 2 * n_kv * d**2 + 2 * n_q * n_kv * d
+
+
+def ffn_macs(n: int, d: int, mult: int) -> int:
+    """Multiply-adds of a two-layer MLP d -> mult*d -> d on n rows."""
+    return 2 * n * d * (mult * d)
+
+
 def count_flops(
     cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
 ) -> FlopReport:
     """Closed-form multiply-add counts for a full encode.
 
-    Per tile per layer: self-attention 4(N+M)D^2 + 2(N+M)^2 D and FFN
-    8(N+M)D^2. The exchange step per layer runs on M*T rows, T counting the
-    thumbnail. Projector counts are included when a target width is given.
+    Per tile per layer: self-attention over N+M rows and the FFN with
+    ``cfg.ffn_mult`` hidden width. The exchange step per layer runs on M*T
+    rows, T counting the thumbnail. Projector counts are included when a
+    target width is given.
     """
     if n_tiles < 1:
         raise ConfigError(f"n_tiles must be >= 1, got {n_tiles}")
     t = n_tiles + (1 if thumbnail else 0)
     tokens = cfg.n_tokens
     d = cfg.width
-    self_attention = cfg.layers * t * (4 * tokens * d**2 + 2 * tokens**2 * d)
-    ffn = cfg.layers * t * (8 * tokens * d**2)
+    self_attention = cfg.layers * t * attention_macs(tokens, tokens, d)
+    ffn = cfg.layers * t * ffn_macs(tokens, d, cfg.ffn_mult)
     reg_tokens = cfg.registers * t
     reatten = (
-        cfg.layers * (4 * reg_tokens * d**2 + 2 * reg_tokens**2 * d)
-        if cfg.reatten_enabled
-        else 0
+        cfg.layers * attention_macs(reg_tokens, reg_tokens, d) if cfg.reatten_enabled else 0
     )
     projector = reg_tokens * (d * d_llm + d_llm * d_llm) if d_llm else 0
     total = self_attention + reatten + ffn + projector

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ from falcon.cli import main
 from conftest import make_ppm
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def validate_schema(payload, name):
@@ -257,6 +259,17 @@ class TestCompare:
         assert rows["abstractor"]["params"] > rows["pool"]["params"]
         assert "reatten_flops_total" in rows["registers"]
 
+    def test_output_matches_golden_bytes(self, capsys):
+        # Recorded from the release before the MAC formulas moved into
+        # oracle.attention_macs/ffn_macs. With --reatten off the exchange
+        # total stays nonzero: it quotes the cost of the step, not this run.
+        golden = json.loads((GOLDEN_DIR / "compare.json").read_text())
+        assert len(golden) == 8
+        for flags, expected in golden.items():
+            code, out = run(capsys, "compare", "--preset", *flags.split())
+            assert code == 0
+            assert out == json.dumps(expected, indent=2) + "\n", flags
+
 
 class TestSelftest:
     def test_passes_without_gradient_check(self, capsys):
@@ -302,3 +315,14 @@ class TestSelftest:
         code, out = run(capsys, "selftest", "--weights", str(bad), "--verify-mode", "off")
         assert code == 3
         assert out == ""  # fails before emitting any check results
+
+    def test_overflowing_dims_archive_exits_3(self, capsys, tmp_path):
+        # 2^31 * 2^31 * 4 wraps to 0 in int64; the archive has no payload.
+        bad = tmp_path / "overflow.falt"
+        entry = b"x" + struct.pack("<B3IB", 3, 2**31, 2**31, 4, 0)
+        bad.write_bytes(b"FALT" + struct.pack("<HIH", 1, 1, 1) + entry)
+        code = main(["selftest", "--weights", str(bad), "--verify-mode", "off"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

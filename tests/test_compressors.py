@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from falcon import compressors as cmp
 from falcon import encoder as enc
 from falcon.errors import ShapeError
-from falcon.numerics import SplitMix64, gelu
+from falcon.numerics import SplitMix64, gelu, layer_norm, softmax_rows
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,44 @@ class TestPixelShuffle:
         assert np.abs(combo - parts).max() < 1e-5
 
 
+def _cross_attention_reference(queries, feats, blk, heads):
+    """Per-head cross-attention written out on its own, independent of the
+    encoder's attention kernel that the abstractor runs on."""
+    q = queries @ blk.wq
+    k = feats @ blk.wk
+    v = feats @ blk.wv
+    dk = q.shape[1] // heads
+    scale = 1.0 / math.sqrt(dk)
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        attn = softmax_rows((q[:, cols] @ k[:, cols].T) * scale)
+        outs.append(attn @ v[:, cols])
+    return np.hstack(outs) @ blk.wo
+
+
+def _abstractor_reference(feats, queries, aw):
+    q = queries
+    for blk in aw.blocks:
+        normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta, 1e-6)
+        q = q + _cross_attention_reference(normed, feats, blk, aw.heads)
+        normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta, 1e-6)
+        q = q + gelu(normed @ blk.w1) @ blk.w2
+    return q
+
+
 class TestAbstractor:
+    def test_bitwise_equal_to_reference(self):
+        for dtype in (np.float32, np.float64):
+            for d, heads, n_q, n_feats, depth in ((8, 2, 4, 12, 2), (24, 3, 5, 30, 3)):
+                aw = cmp.init_abstractor(d, heads, SplitMix64(d), depth=depth, dtype=dtype)
+                rng = np.random.default_rng(d)
+                feats = rng.normal(size=(n_feats, d)).astype(dtype)
+                queries = rng.normal(size=(n_q, d)).astype(dtype)
+                got = cmp.abstractor_compress(feats, queries, aw)
+                assert got.dtype == dtype
+                assert np.array_equal(got, _abstractor_reference(feats, queries, aw))
+
     def test_uniform_attention_receives_mean_feature(self):
         d = 8
         aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(6), dtype=np.float64)

@@ -230,24 +230,6 @@ class TestEncode:
             )
             assert solo.tobytes() == joint[i * m : (i + 1) * m].tobytes()
 
-    def test_threads_do_not_change_bytes(self, tiny_cfg, tiny_weights):
-        tiles = random_tiles(tiny_cfg, 4, seed=11)
-        one, _ = enc.encode(tiles, tiny_weights, tiny_cfg, threads=1)
-        eight, _ = enc.encode(tiles, tiny_weights, tiny_cfg, threads=8)
-        assert one.tobytes() == eight.tobytes()
-
-    def test_threads_do_not_change_trace(self, tiny_cfg, tiny_weights):
-        tiles = random_tiles(tiny_cfg, 4, seed=11)
-        _, seq = enc.encode(
-            tiles, tiny_weights, tiny_cfg, threads=1, record_trace=True, trace_full=True
-        )
-        _, par = enc.encode(
-            tiles, tiny_weights, tiny_cfg, threads=8, record_trace=True, trace_full=True
-        )
-        assert set(seq.full_rows) == set(par.full_rows)
-        for key, rows in seq.full_rows.items():
-            assert rows.tobytes() == par.full_rows[key].tobytes()
-
     def test_permutation_equivariance(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=12)
         base, _ = enc.encode(tiles, tiny_weights, tiny_cfg)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,20 @@ def test_unsupported_dtype_rejected():
 def test_payload_is_little_endian():
     data = falt.dumps({"x": np.array([1.0], dtype=np.float32)})
     assert data[-4:] == np.array([1.0], dtype="<f4").tobytes()
+
+
+def _single_entry(ndim_dims: bytes, payload: bytes = b"") -> bytes:
+    return b"FALT" + struct.pack("<HIH", 1, 1, 1) + b"x" + ndim_dims + b"\x00" + payload
+
+
+def test_overflowing_dims_rejected():
+    # The int64 product of these dims wraps to 0, which once matched the
+    # empty payload and failed later in reshape.
+    data = _single_entry(struct.pack("<B3I", 3, 2**31, 2**31, 4))
+    with pytest.raises(ArchiveError):
+        falt.loads(data)
+
+
+def test_zero_ndim_rejected():
+    with pytest.raises(ArchiveError):
+        falt.loads(_single_entry(struct.pack("<B", 0), np.float32(1.0).tobytes()))

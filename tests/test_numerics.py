@@ -7,55 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from falcon import numerics
-from falcon.errors import ConfigError, NumericError, ShapeError
+from falcon.errors import ConfigError, NumericError
 
 finite_matrices = arrays(
     np.float64,
     st.tuples(st.integers(1, 5), st.integers(1, 6)),
     elements=st.floats(-50, 50, allow_nan=False),
 )
-
-
-def _matmul_loops(a, b):
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[3.0, 5.0], [7.0, 9.0]])
-        assert np.array_equal(numerics.matmul(np.eye(2), a), a)
-        assert np.array_equal(numerics.matmul(a, np.eye(2)), a)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = np.array([[19.0, 22.0], [43.0, 50.0]])
-        assert np.array_equal(_matmul_loops(a, b), expected)
-        assert np.array_equal(numerics.matmul(a, b), expected)
-
-    def test_zero_annihilation(self):
-        out = numerics.matmul(np.zeros((3, 4)), np.ones((4, 2)))
-        assert np.array_equal(out, np.zeros((3, 2)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            numerics.matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            numerics.matmul(np.ones(3), np.ones((3, 2)))
-
-    @given(finite_matrices)
-    def test_matches_loop_oracle(self, a):
-        b = np.ascontiguousarray(a.T)
-        assert np.allclose(numerics.matmul(a, b), _matmul_loops(a, b), atol=1e-9)
 
 
 class TestSoftmaxRows:

@@ -113,11 +113,13 @@ class TestCountFlops:
         assert (b.self_attention + b.ffn) > (a.self_attention + a.ffn)
 
     def test_matches_instrumented_reference(self, tiny_cfg, tiny_weights, tiny_tiles):
-        _, counts = oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg)
-        report = oracle.count_flops(tiny_cfg, len(tiny_tiles.tiles))
-        assert counts["self_attention"] == report.self_attention
-        assert counts["reatten"] == report.reatten
-        assert counts["ffn"] == report.ffn
+        narrow = enc.config_with_overrides(tiny_cfg, ffn_mult=2)
+        for cfg, w in ((tiny_cfg, tiny_weights), (narrow, enc.init_weights(narrow, 0))):
+            _, counts = oracle.encode_reference(tiny_tiles, w, cfg)
+            report = oracle.count_flops(cfg, len(tiny_tiles.tiles))
+            assert counts["self_attention"] == report.self_attention
+            assert counts["reatten"] == report.reatten
+            assert counts["ffn"] == report.ffn
 
     def test_instrumented_reference_without_thumbnail(self, tiny_cfg, tiny_weights, tiny_tiles):
         _, counts = oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg, thumbnail=False)
