@@ -3,7 +3,7 @@
 ``Var`` wraps an ndarray and records every operation applied to it; calling
 ``backward()`` on a scalar result accumulates gradients into all reachable
 ``Var`` leaves. The helpers at the bottom (``gelu``, ``softmax_rows``,
-``layer_norm``, ``vstack``, ``hstack``, ``total``) accept plain arrays or
+``layer_norm``, ``concat``, ``total``) accept plain arrays or
 ``Var`` objects, so the encoder forward is written once and serves both the
 plain fast path and the gradient path. Analytic gradients are validated
 against central finite differences by the verification suite.
@@ -11,11 +11,10 @@ against central finite differences by the verification suite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import numerics
+from .numerics import GELU_A, GELU_C
 
 
 def _accumulate(v, g):
@@ -140,9 +139,8 @@ def gelu(x):
     out = Var(numerics.gelu(v), (x,))
 
     def backward(g):
-        c = math.sqrt(2.0 / math.pi)
-        t = np.tanh(c * (v + 0.044715 * v**3))
-        du = c * (1.0 + 3.0 * 0.044715 * v * v)
+        t = np.tanh(GELU_C * (v + GELU_A * v**3))
+        du = GELU_C * (1.0 + 3.0 * GELU_A * v * v)
         _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du))
 
     out._backward = backward
@@ -187,39 +185,19 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     return out
 
 
-def vstack(parts):
+def concat(parts, axis):
+    """Join arrays along ``axis``; the gradient splits back at the seams."""
     parts = list(parts)
     if not any(isinstance(p, Var) for p in parts):
-        return np.vstack(parts)
+        return np.concatenate(parts, axis=axis)
     values = [value_of(p) for p in parts]
     parents = tuple(p for p in parts if isinstance(p, Var))
-    out = Var(np.vstack(values), parents)
+    out = Var(np.concatenate(values, axis=axis), parents)
+    seams = np.cumsum([v.shape[axis] for v in values[:-1]])
 
     def backward(g):
-        offset = 0
-        for part, value in zip(parts, values):
-            rows = value.shape[0]
-            _accumulate(part, g[offset : offset + rows])
-            offset += rows
-
-    out._backward = backward
-    return out
-
-
-def hstack(parts):
-    parts = list(parts)
-    if not any(isinstance(p, Var) for p in parts):
-        return np.hstack(parts)
-    values = [value_of(p) for p in parts]
-    parents = tuple(p for p in parts if isinstance(p, Var))
-    out = Var(np.hstack(values), parents)
-
-    def backward(g):
-        offset = 0
-        for part, value in zip(parts, values):
-            cols = value.shape[1]
-            _accumulate(part, g[:, offset : offset + cols])
-            offset += cols
+        for part, piece in zip(parts, np.split(g, seams, axis=axis)):
+            _accumulate(part, piece)
 
     out._backward = backward
     return out

@@ -13,10 +13,10 @@ error, 4 bad indices.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +60,12 @@ class RunConfig:
     out: str | None = None
 
 
-_RC_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-_BOOL_FIELDS = {"thumbnail", "reatten", "verify_mode", "project"}
+# Field -> the exact types a config-file value may have (a bool is not an int).
+_RC_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_BOOL_FIELDS = {name for name, types in _RC_TYPES.items() if types == (bool,)}
 
 
 def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
@@ -78,12 +82,17 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in file_cfg.items():
-            if key not in _RC_FIELDS:
+            if key not in _RC_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in _BOOL_FIELDS and not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a boolean")
+            if type(value) not in _RC_TYPES[key]:
+                allowed = " or ".join(
+                    "null" if t is type(None) else t.__name__ for t in _RC_TYPES[key]
+                )
+                raise ConfigError(
+                    f"config key {key!r} must be {allowed}, got {type(value).__name__}"
+                )
             setattr(rc, key, value)
-    for key in _RC_FIELDS:
+    for key in _RC_TYPES:
         value = getattr(args, key, None)
         if value is None:
             continue
@@ -100,6 +109,8 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown preset {rc.preset!r}")
     if rc.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {rc.threads}")
+    if rc.d_llm < 1:
+        raise ConfigError(f"d_llm must be >= 1, got {rc.d_llm}")
     return rc
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, LayerWeights, _multi_head_attention
+from .encoder import (
+    EncoderConfig, LayerWeights, _multi_head_attention, init_tensor, layer_specs, reatten_specs
+)
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu, init_uniform, layer_norm
 from .oracle import attention_macs, ffn_macs
@@ -22,6 +24,9 @@ from .oracle import attention_macs, ffn_macs
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
 _LN_EPS = 1e-6
+
+# Hidden width of the abstractor's FFN, as a multiple of the model width.
+ABSTRACTOR_FFN_MULT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +113,11 @@ class AbstractorWeights:
 def init_abstractor(
     d: int, heads: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
 ) -> AbstractorWeights:
-    blocks = []
-    for _ in range(depth):
-        blocks.append(
-            LayerWeights(
-                ln1_gamma=np.ones(d, dtype=dtype),
-                ln1_beta=np.zeros(d, dtype=dtype),
-                wq=init_uniform((d, d), d, d, rng).astype(dtype),
-                wk=init_uniform((d, d), d, d, rng).astype(dtype),
-                wv=init_uniform((d, d), d, d, rng).astype(dtype),
-                wo=init_uniform((d, d), d, d, rng).astype(dtype),
-                ln2_gamma=np.ones(d, dtype=dtype),
-                ln2_beta=np.zeros(d, dtype=dtype),
-                w1=init_uniform((d, 4 * d), d, 4 * d, rng).astype(dtype),
-                w2=init_uniform((4 * d, d), 4 * d, d, rng).astype(dtype),
-            )
-        )
+    specs = layer_specs(d, ABSTRACTOR_FFN_MULT)
+    blocks = [
+        LayerWeights(**{name: init_tensor(*spec, rng, dtype) for name, *spec in specs})
+        for _ in range(depth)
+    ]
     return AbstractorWeights(heads=heads, blocks=blocks)
 
 
@@ -155,6 +149,10 @@ def abstractor_compress(
 # ---------------------------------------------------------------------------
 
 
+def _param_count(specs) -> int:
+    return sum(math.prod(shape) for _, shape, *_ in specs)
+
+
 def comparison_row(
     kind: str,
     cfg: EncoderConfig,
@@ -184,12 +182,12 @@ def comparison_row(
         row["params"] = 9 * d * d
         row["flops_per_tile"] = m * 9 * d * d
     elif kind == "abstractor":
-        block_params = 4 * d * d + 8 * d * d + 4 * d
+        block_params = _param_count(layer_specs(d, ABSTRACTOR_FFN_MULT))
         row["params"] = m * d + abstractor_depth * block_params
-        block_flops = attention_macs(m, n, d) + ffn_macs(m, d, 4)
+        block_flops = attention_macs(m, n, d) + ffn_macs(m, d, ABSTRACTOR_FFN_MULT)
         row["flops_per_tile"] = abstractor_depth * block_flops
     else:  # registers
-        row["params"] = cfg.registers * d + cfg.layers * (4 * d * d + 2 * d)
+        row["params"] = cfg.registers * d + cfg.layers * _param_count(reatten_specs(d))
 
         def layer_macs(rows):
             return attention_macs(rows, rows, d) + ffn_macs(rows, d, cfg.ffn_mult)

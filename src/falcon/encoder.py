@@ -128,9 +128,38 @@ class EncoderWeights:
 # Canonical tensor naming, initialization, serialization
 # ---------------------------------------------------------------------------
 
-_LAYER_FIELDS = ("ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-                 "ln2_gamma", "ln2_beta", "w1", "w2")
-_REATTEN_FIELDS = ("ln_gamma", "ln_beta", "rq", "rk", "rv", "ro")
+
+def layer_specs(d: int, ffn_mult: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+    """(field, shape, fan_in, fan_out, init) of one transformer block of width d.
+
+    The encoder layers and the abstractor baseline's blocks share this
+    layout; its order is the archive order and the PRNG draw order.
+    """
+    f = ffn_mult * d
+    return [
+        ("ln1_gamma", (d,), d, d, "ones"),
+        ("ln1_beta", (d,), d, d, "zeros"),
+        ("wq", (d, d), d, d, "uniform"),
+        ("wk", (d, d), d, d, "uniform"),
+        ("wv", (d, d), d, d, "uniform"),
+        ("wo", (d, d), d, d, "uniform"),
+        ("ln2_gamma", (d,), d, d, "ones"),
+        ("ln2_beta", (d,), d, d, "zeros"),
+        ("w1", (d, f), d, f, "uniform"),
+        ("w2", (f, d), f, d, "uniform"),
+    ]
+
+
+def reatten_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+    """(field, shape, fan_in, fan_out, init) of one exchange block of width d."""
+    return [
+        ("ln_gamma", (d,), d, d, "ones"),
+        ("ln_beta", (d,), d, d, "zeros"),
+        ("rq", (d, d), d, d, "uniform"),
+        ("rk", (d, d), d, d, "uniform"),
+        ("rv", (d, d), d, d, "uniform"),
+        ("ro", (d, d), d, d, "uniform"),
+    ]
 
 
 def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, int, str]]:
@@ -140,49 +169,29 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
     during seeded initialization.
     """
     d = cfg.width
-    f = cfg.ffn_mult * d
     patch_dim = 3 * cfg.patch**2
     specs = [
         ("patch_embed", (patch_dim, d), patch_dim, d, "uniform"),
         ("pos_embed", (cfg.n_image_tokens, d), d, d, "uniform"),
         ("registers", (cfg.registers, d), d, d, "uniform"),
     ]
-    for l in range(cfg.layers):
-        specs += [
-            (f"layers.{l}.ln1_gamma", (d,), d, d, "ones"),
-            (f"layers.{l}.ln1_beta", (d,), d, d, "zeros"),
-            (f"layers.{l}.wq", (d, d), d, d, "uniform"),
-            (f"layers.{l}.wk", (d, d), d, d, "uniform"),
-            (f"layers.{l}.wv", (d, d), d, d, "uniform"),
-            (f"layers.{l}.wo", (d, d), d, d, "uniform"),
-            (f"layers.{l}.ln2_gamma", (d,), d, d, "ones"),
-            (f"layers.{l}.ln2_beta", (d,), d, d, "zeros"),
-            (f"layers.{l}.w1", (d, f), d, f, "uniform"),
-            (f"layers.{l}.w2", (f, d), f, d, "uniform"),
-        ]
-    for l in range(cfg.layers):
-        specs += [
-            (f"reatten.{l}.ln_gamma", (d,), d, d, "ones"),
-            (f"reatten.{l}.ln_beta", (d,), d, d, "zeros"),
-            (f"reatten.{l}.rq", (d, d), d, d, "uniform"),
-            (f"reatten.{l}.rk", (d, d), d, d, "uniform"),
-            (f"reatten.{l}.rv", (d, d), d, d, "uniform"),
-            (f"reatten.{l}.ro", (d, d), d, d, "uniform"),
-        ]
+    for prefix, block in (("layers", layer_specs(d, cfg.ffn_mult)), ("reatten", reatten_specs(d))):
+        for l in range(cfg.layers):
+            specs += [(f"{prefix}.{l}.{fname}", *rest) for fname, *rest in block]
     return specs
+
+
+def init_tensor(shape, fan_in: int, fan_out: int, kind: str, rng: SplitMix64, dtype) -> np.ndarray:
+    """One tensor of a spec entry; only "uniform" draws from ``rng``."""
+    if kind == "uniform":
+        return init_uniform(shape, fan_in, fan_out, rng).astype(dtype)
+    return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
 
 
 def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderWeights:
     """Seeded deterministic initialization in canonical tensor order."""
     rng = SplitMix64(seed)
-    entries: dict[str, np.ndarray] = {}
-    for name, shape, fan_in, fan_out, kind in tensor_specs(cfg):
-        if kind == "uniform":
-            entries[name] = init_uniform(shape, fan_in, fan_out, rng).astype(dtype)
-        elif kind == "ones":
-            entries[name] = np.ones(shape, dtype=dtype)
-        else:
-            entries[name] = np.zeros(shape, dtype=dtype)
+    entries = {name: init_tensor(*spec, rng, dtype) for name, *spec in tensor_specs(cfg)}
     return weights_from_dict(entries, cfg)
 
 
@@ -193,12 +202,10 @@ def weights_to_dict(w: EncoderWeights, cfg: EncoderConfig) -> dict[str, np.ndarr
         "pos_embed": w.pos_embed,
         "registers": w.registers,
     }
-    for l, lw in enumerate(w.layers):
-        for fname in _LAYER_FIELDS:
-            entries[f"layers.{l}.{fname}"] = getattr(lw, fname)
-    for l, rw in enumerate(w.reatten):
-        for fname in _REATTEN_FIELDS:
-            entries[f"reatten.{l}.{fname}"] = getattr(rw, fname)
+    for prefix, blocks in (("layers", w.layers), ("reatten", w.reatten)):
+        for l, block in enumerate(blocks):
+            for f in dataclasses.fields(block):
+                entries[f"{prefix}.{l}.{f.name}"] = getattr(block, f.name)
     return entries
 
 
@@ -215,20 +222,19 @@ def weights_from_dict(entries, cfg: EncoderConfig) -> EncoderWeights:
         actual = tuple(ad.value_of(entries[name]).shape)
         if actual != shape:
             raise ConfigError(f"tensor {name!r} has shape {actual}, expected {shape}")
-    layers = [
-        LayerWeights(**{fname: entries[f"layers.{l}.{fname}"] for fname in _LAYER_FIELDS})
-        for l in range(cfg.layers)
-    ]
-    reatten_ws = [
-        ReattenWeights(**{fname: entries[f"reatten.{l}.{fname}"] for fname in _REATTEN_FIELDS})
-        for l in range(cfg.layers)
-    ]
+
+    def blocks(prefix, cls):
+        return [
+            cls(**{f.name: entries[f"{prefix}.{l}.{f.name}"] for f in dataclasses.fields(cls)})
+            for l in range(cfg.layers)
+        ]
+
     return EncoderWeights(
         patch_embed=entries["patch_embed"],
         pos_embed=entries["pos_embed"],
         registers=entries["registers"],
-        layers=layers,
-        reatten=reatten_ws,
+        layers=blocks("layers", LayerWeights),
+        reatten=blocks("reatten", ReattenWeights),
     )
 
 
@@ -306,7 +312,7 @@ def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail
             raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
         tokens = patchify(normalize_pixels(tile.astype(dtype)), cfg.patch)
         image_rows = tokens @ w.patch_embed + w.pos_embed
-        states.append(ad.vstack([image_rows, w.registers]))
+        states.append(ad.concat([image_rows, w.registers], axis=0))
     return states
 
 
@@ -328,7 +334,7 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
         if collect is not None:
             collect(h, ad.value_of(attn))
         outs.append(attn @ v[:, cols])
-    return ad.hstack(outs) @ wo
+    return ad.concat(outs, axis=1) @ wo
 
 
 def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
@@ -351,13 +357,13 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
         raise StateError(f"tiles at mismatched layers: state shapes {sorted(shapes)}")
     n = cfg.n_image_tokens
     m = cfg.registers
-    regs = ad.vstack([s[n:] for s in states])
+    regs = ad.concat([s[n:] for s in states], axis=0)
     normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta, cfg.ln_eps)
     exchanged = regs + _multi_head_attention(
         normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect
     )
     return [
-        ad.vstack([s[:n], exchanged[i * m : (i + 1) * m]]) for i, s in enumerate(states)
+        ad.concat([s[:n], exchanged[i * m : (i + 1) * m]], axis=0) for i, s in enumerate(states)
     ]
 
 
@@ -382,28 +388,6 @@ def _self_attn_collector(trace, layer, tile, trace_layers, trace_heads):
             trace.full_rows[(layer, head, tile)] = attn.copy()
 
     return collect
-
-
-def _run_layers(states, w, cfg, trace, trace_layers, trace_heads):
-    for layer in range(cfg.layers):
-        lw = w.layers[layer]
-        states = [
-            self_attention_block(
-                s, lw, cfg, _self_attn_collector(trace, layer, k, trace_layers, trace_heads)
-            )
-            for k, s in enumerate(states)
-        ]
-
-        reatten_collect = None
-        if trace is not None and trace.reatten_rows is not None:
-            if trace_layers is None or layer in trace_layers:
-
-                def reatten_collect(head, attn, _layer=layer):
-                    trace.reatten_rows[(_layer, head)] = attn.copy()
-
-        states = reatten(states, w.reatten[layer], cfg, cfg.reatten_enabled, reatten_collect)
-        states = [ffn_block(s, lw, cfg) for s in states]
-    return states
 
 
 def encode(
@@ -433,22 +417,38 @@ def encode(
             full_rows={} if trace_full else None,
             reatten_rows={} if trace_full else None,
         )
-    states = _run_layers(states, w, cfg, trace, trace_layers, trace_heads)
-    f_hr = ad.vstack([s[cfg.n_image_tokens :] for s in states])
+    for layer in range(cfg.layers):
+        lw = w.layers[layer]
+        states = [
+            self_attention_block(
+                s, lw, cfg, _self_attn_collector(trace, layer, k, trace_layers, trace_heads)
+            )
+            for k, s in enumerate(states)
+        ]
+
+        reatten_collect = None
+        if trace is not None and trace.reatten_rows is not None:
+            if trace_layers is None or layer in trace_layers:
+
+                def reatten_collect(head, attn, _layer=layer):
+                    trace.reatten_rows[(_layer, head)] = attn.copy()
+
+        states = reatten(states, w.reatten[layer], cfg, cfg.reatten_enabled, reatten_collect)
+        states = [ffn_block(s, lw, cfg) for s in states]
+    f_hr = ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
     return f_hr, trace
 
 
 def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True):
     """Analytic gradients of loss = sum(F_hr) w.r.t. every trainable tensor.
 
-    Returns (loss value, canonical name -> gradient array). Runs the same
-    forward as ``encode`` with the weights wrapped as autodiff variables.
+    Returns (loss value, canonical name -> gradient array). Runs ``encode``
+    with the weights wrapped as autodiff variables.
     """
     params = {name: ad.Var(tensor) for name, tensor in weights_to_dict(w, cfg).items()}
     var_weights = weights_from_dict(params, cfg)
-    states = embed_tiles(tiles, var_weights, cfg, thumbnail=thumbnail)
-    states = _run_layers(states, var_weights, cfg, None, None, None)
-    loss = ad.total(ad.vstack([s[cfg.n_image_tokens :] for s in states]))
+    f_hr, _ = encode(tiles, var_weights, cfg, thumbnail=thumbnail)
+    loss = ad.total(f_hr)
     loss.backward()
     grads = {
         name: (v.grad if v.grad is not None else np.zeros_like(v.value))

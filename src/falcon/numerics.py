@@ -22,8 +22,8 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK_64 = (1 << 64) - 1
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_A = 0.044715
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_A = 0.044715
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -59,7 +59,7 @@ def gelu(x):
     a platform erf implementation. Works elementwise on scalars and arrays.
     """
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:

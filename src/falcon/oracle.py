@@ -9,7 +9,7 @@ counter, which is what the closed-form FLOP formulas are validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -237,15 +237,7 @@ class FlopReport:
     tokens_post: int
 
     def as_dict(self) -> dict:
-        return {
-            "self_attention": self.self_attention,
-            "reatten": self.reatten,
-            "ffn": self.ffn,
-            "projector": self.projector,
-            "total": self.total,
-            "tokens_pre": self.tokens_pre,
-            "tokens_post": self.tokens_post,
-        }
+        return asdict(self)
 
 
 def attention_macs(n_q: int, n_kv: int, d: int) -> int:

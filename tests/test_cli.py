@@ -165,11 +165,42 @@ class TestEncode:
         )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_config_key_exits_3(self, capsys, small_ppm, tmp_path):
+    def test_unknown_config_key_exits_3(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # Unknown keys and values of the wrong JSON type; a bool is not an int.
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"presett": "tiny"}))
-        code, _ = run(capsys, "encode", small_ppm, "--config", str(cfg_path))
-        assert code == 3
+        bad_configs = (
+            {"presett": "tiny"},
+            {"layers": "2"},
+            {"threads": "2"},
+            {"layers": 2.0},
+            {"seed": 1.5},
+            {"d_llm": "64", "project": True},
+            {"layers": True},
+            {"out": True},
+        )
+        for bad in bad_configs:
+            cfg_path.write_text(json.dumps(bad))
+            for argv in (("encode", small_ppm, "--preset", "tiny"), ("compare",)):
+                code = main([*argv, "--config", str(cfg_path)])
+                captured = capsys.readouterr()
+                assert code == 3, (bad, argv)
+                assert captured.out == "", (bad, argv)
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "f_hr.falt").exists()
+
+    def test_nonpositive_d_llm_exits_3(self, capsys, small_ppm, tmp_path):
+        for d_llm in ("-5", "0"):
+            for extra in (("--dry-run",), ("--out", str(tmp_path / "o.falt"))):
+                code = main(
+                    ["encode", small_ppm, "--preset", "tiny", "--project", "--d-llm", d_llm,
+                     *extra]
+                )
+                captured = capsys.readouterr()
+                assert code == 3, (d_llm, extra)
+                assert captured.out == ""
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o.falt").exists()
 
     def test_mismatched_weights_exit_3(self, capsys, small_ppm, tmp_path):
         other = encoder.config_with_overrides(encoder.PRESETS["tiny"], registers=3)

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from falcon import compressors as cmp
 from falcon import encoder as enc
+from falcon import falt
 from falcon.errors import ShapeError
 from falcon.numerics import SplitMix64, gelu, layer_norm, softmax_rows
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +164,18 @@ class TestAbstractor:
                 assert got.dtype == dtype
                 assert np.array_equal(got, _abstractor_reference(feats, queries, aw))
 
+    def test_init_draw_stream_matches_recorded_bytes(self):
+        # Recorded before the abstractor's blocks were built from the shared
+        # block spec list: the draw order wq, wk, wv, wo, w1, w2 and every
+        # byte must stay as they were.
+        entries = {}
+        for depth in (1, 3):
+            aw = cmp.init_abstractor(4, 2, SplitMix64(11), depth=depth, dtype=np.float64)
+            for b, blk in enumerate(aw.blocks):
+                for f in dataclasses.fields(blk):
+                    entries[f"depth{depth}.{b}.{f.name}"] = getattr(blk, f.name)
+        assert falt.dumps(entries) == (GOLDEN_DIR / "abstractor_init_f64.falt").read_bytes()
+
     def test_uniform_attention_receives_mean_feature(self):
         d = 8
         aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(6), dtype=np.float64)
@@ -220,6 +238,13 @@ class TestComparisonRows:
 
         row = cmp.comparison_row("registers", paper_cfg, n_tiles=16, thumbnail=True)
         assert row["reatten_flops_total"] == count_flops(paper_cfg, 16, thumbnail=True).reatten
+
+    def test_abstractor_params_count_initialized_tensors(self):
+        cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)
+        row = cmp.comparison_row("abstractor", cfg, target_tokens=5, abstractor_depth=3)
+        aw = cmp.init_abstractor(12, 3, SplitMix64(0), depth=3)
+        tensors = [getattr(b, f.name) for b in aw.blocks for f in dataclasses.fields(b)]
+        assert row["params"] == 5 * 12 + sum(t.size for t in tensors)
 
     def test_unknown_kind_rejected(self, paper_cfg):
         with pytest.raises(ShapeError):

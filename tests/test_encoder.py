@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from falcon import autodiff as ad
 from falcon import encoder as enc
 from falcon import falt, oracle
 from falcon.errors import BoundsError, ConfigError, StateError
@@ -258,6 +259,23 @@ class TestEncode:
         f_hr, _ = enc.encode(tiny_tiles, tiny_weights_f64, tiny_cfg)
         assert loss == pytest.approx(float(f_hr.sum()), rel=1e-12)
         assert set(grads) == {name for name, *_ in enc.tensor_specs(tiny_cfg)}
+
+
+class TestConcat:
+    def test_gradient_splits_at_seams(self):
+        rng = np.random.default_rng(3)
+        for axis in (0, 1):
+            parts = [ad.Var(rng.normal(size=(2, 3))), rng.normal(size=(2, 3)),
+                     ad.Var(rng.normal(size=(2, 3)))]
+            joined = ad.concat(parts, axis)
+            assert np.array_equal(
+                joined.value, np.concatenate([ad.value_of(p) for p in parts], axis)
+            )
+            weight = rng.normal(size=joined.value.shape)
+            ad.total(joined * weight).backward()
+            first, _, last = np.split(weight, 3, axis=axis)
+            assert np.array_equal(parts[0].grad, first)
+            assert np.array_equal(parts[2].grad, last)
 
 
 class TestReattenInit:
