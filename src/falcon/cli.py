@@ -356,8 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing does not change the parser, and building it costs
+# milliseconds per call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         rc = resolve_run_config(args, args.defaults)
         return args.func(rc, args)

@@ -28,9 +28,14 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def dumps(entries: dict[str, np.ndarray]) -> bytes:
-    """Serialize named arrays; insertion order is preserved on disk."""
-    chunks = [MAGIC, struct.pack("<HI", VERSION, len(entries))]
+def _chunks(entries: dict[str, np.ndarray]) -> list:
+    """The archive as a list of header bytes and payload arrays, in file order.
+
+    Every entry is checked and every header packed here, before any byte is
+    written. Payloads are the entries' own buffers when they are already
+    C-contiguous little-endian arrays; only other layouts are copied.
+    """
+    chunks = [MAGIC + struct.pack("<HI", VERSION, len(entries))]
     for name, array in entries.items():
         array = np.ascontiguousarray(array)
         if array.dtype not in _DTYPE_CODES:
@@ -38,13 +43,18 @@ def dumps(entries: dict[str, np.ndarray]) -> bytes:
         if array.ndim == 0 or array.ndim > 255:
             raise ArchiveError(f"unsupported ndim {array.ndim} for entry {name!r}")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", array.ndim))
-        chunks.append(struct.pack(f"<{array.ndim}I", *array.shape))
-        chunks.append(struct.pack("<B", _DTYPE_CODES[array.dtype]))
-        chunks.append(array.astype(array.dtype.newbyteorder("<")).tobytes(order="C"))
-    return b"".join(chunks)
+        chunks.append(
+            struct.pack("<H", len(encoded))
+            + encoded
+            + struct.pack(f"<B{array.ndim}IB", array.ndim, *array.shape, _DTYPE_CODES[array.dtype])
+        )
+        chunks.append(np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")))
+    return chunks
+
+
+def dumps(entries: dict[str, np.ndarray]) -> bytes:
+    """Serialize named arrays; insertion order is preserved on disk."""
+    return b"".join(_chunks(entries))
 
 
 def loads(data: bytes) -> dict[str, np.ndarray]:
@@ -90,8 +100,11 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
 
 
 def save(path: str, entries: dict[str, np.ndarray]) -> None:
+    """Write the archive entry by entry; a rejected entry leaves ``path`` untouched."""
+    chunks = _chunks(entries)
     with open(path, "wb") as f:
-        f.write(dumps(entries))
+        for chunk in chunks:
+            f.write(chunk)
 
 
 def load(path: str) -> dict[str, np.ndarray]:

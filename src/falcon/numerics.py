@@ -22,6 +22,13 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK_64 = (1 << 64) - 1
 
+# Bulk draws run in chunks of this many outputs, so each chunk's working
+# arrays stay in L2 and no full-size temporary is built.
+_CHUNK = 32768
+# k * GOLDEN_GAMMA (mod 2**64) for k = 1.._CHUNK: one chunk's state offsets.
+_CHUNK_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+_CHUNK_STEPS.flags.writeable = False
+
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 
@@ -59,7 +66,17 @@ def gelu(x):
     a platform erf implementation. Works elementwise on scalars and arrays.
     """
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
+    # In place, in the expression's own operation order, so the bytes match it.
+    t = np.asarray(GELU_A * x)
+    t *= x
+    t *= x
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -90,13 +107,22 @@ class SplitMix64:
 
     def fill_u64(self, n: int) -> np.ndarray:
         """Draw n outputs as a uint64 array, advancing the state n steps."""
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        z = z ^ (z >> np.uint64(31))
+        out = np.empty(n, dtype=np.uint64)
+        tmp = np.empty(min(n, _CHUNK), dtype=np.uint64)
+        for start in range(0, n, _CHUNK):
+            z = out[start : start + _CHUNK]
+            t = tmp[: len(z)]
+            # State after `start` steps, plus k * GOLDEN_GAMMA for step k of the chunk.
+            base = (self.state + start * GOLDEN_GAMMA) & _MASK_64
+            np.add(_CHUNK_STEPS[: len(z)], np.uint64(base), out=z)
+            for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+                np.right_shift(z, np.uint64(shift), out=t)
+                z ^= t
+                z *= np.uint64(mix)
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
         self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
-        return z
+        return out
 
 
 def init_uniform(
@@ -111,6 +137,14 @@ def init_uniform(
     if fan_in < 1 or fan_out < 1:
         raise ConfigError(f"fan_in and fan_out must be >= 1, got {fan_in}, {fan_out}")
     n = int(np.prod(shape))
-    u = (rng.fill_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    return (u * (2.0 * a) - a).reshape(shape)
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _CHUNK):
+        u = out[start : start + _CHUNK]
+        z = rng.fill_u64(len(u))
+        z >>= np.uint64(11)
+        u[...] = z
+        u *= 2.0**-53
+        u *= 2.0 * a
+        u -= a
+    return out.reshape(shape)

@@ -1,12 +1,16 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from falcon import encoder, falt
+import falcon
+from falcon import cli, encoder, falt
 from falcon.cli import main
 
 from conftest import make_ppm
@@ -357,3 +361,31 @@ class TestSelftest:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestParser:
+    def test_parser_is_built_once_and_reused(self, capsys, small_ppm, tmp_path, monkeypatch):
+        def fail():
+            raise AssertionError("build_parser called again")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        monkeypatch.delenv("FALCON_SEED", raising=False)
+        for bad in (["encode"], ["encode", small_ppm, "--preset", "huge"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        out = tmp_path / "t.falt"
+        argv = ["encode", small_ppm, "--preset", "tiny", "--seed", "4", "--project"]
+        argv += ["--out", str(out)]
+        code, stdout = run(capsys, *argv)
+        archive = out.read_bytes()
+        out.unlink()
+        env = {k: v for k, v in os.environ.items() if k != "FALCON_SEED"}
+        src = str(Path(falcon.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "falcon.cli", *argv], capture_output=True, env=env, check=False
+        )
+        assert (code, stdout) == (fresh.returncode, fresh.stdout.decode())
+        assert archive == out.read_bytes()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestWeights:
         falt.save(str(path), entries)
         with pytest.raises(ConfigError):
             enc.load_weights(str(path), tiny_cfg)
+
+    @pytest.mark.parametrize(
+        "dtype, digest",
+        [
+            (np.float32, "2273ac55f0a0a69174cb9d8f64a51e66af826c59fa8015c49a8a6a70fbe2c0fb"),
+            (np.float64, "e7d0fcd59912127d4a66003805e16c68ae2e9db656093c51895a1eca14642d5d"),
+        ],
+    )
+    def test_paper_init_archive_matches_recorded_digest(self, dtype, digest):
+        # Recorded from the unchunked draw code; pins the whole paper-width
+        # draw stream (every tensor crosses many draw chunks) and its archive.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=1)
+        entries = enc.weights_to_dict(enc.init_weights(cfg, seed=3, dtype=dtype), cfg)
+        assert hashlib.sha256(falt.dumps(entries)).hexdigest() == digest
 
 
 class TestEmbedTiles:

@@ -79,3 +79,46 @@ def test_overflowing_dims_rejected():
 def test_zero_ndim_rejected():
     with pytest.raises(ArchiveError):
         falt.loads(_single_entry(struct.pack("<B", 0), np.float32(1.0).tobytes()))
+
+
+_BASE = np.arange(24, dtype=np.float64).reshape(4, 6) / 7
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"a": np.ones((3, 4), np.float32) / 3, "b": np.arange(5, dtype=np.float32)},
+        {"a": _BASE},
+        {"strided": _BASE[1::2, ::3], "f32": _BASE.astype(np.float32)[:, 1]},
+        {"fortran": np.asfortranarray(_BASE)},
+        {"zero": np.zeros((0, 4), np.float32)},
+        {},
+    ],
+    ids=["float32", "float64", "strided", "fortran", "zero-size", "empty"],
+)
+def test_save_writes_dumps_bytes(tmp_path, entries):
+    path = tmp_path / "t.falt"
+    falt.save(str(path), entries)
+    data = falt.dumps(entries)
+    assert path.read_bytes() == data
+    back = falt.load(str(path))
+    assert list(back) == list(entries)
+    for name, t in entries.items():
+        assert back[name].tobytes() == np.ascontiguousarray(t).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"ok": np.ones(2, np.float32), "y": np.ones(3, np.int32)},
+        {"ok": np.ones(2, np.float32), "x" * 70000: np.ones(2, np.float32)},
+    ],
+    ids=["dtype", "long-name"],
+)
+def test_rejected_save_keeps_existing_archive(tmp_path, bad):
+    path = tmp_path / "t.falt"
+    falt.save(str(path), {"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
+    before = path.read_bytes()
+    with pytest.raises((ArchiveError, struct.error)):
+        falt.save(str(path), bad)
+    assert path.read_bytes() == before

@@ -104,6 +104,34 @@ class TestGelu:
         assert out.shape == (3,)
         assert out[1] == 0.0
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(-9, 9, 400, dtype=np.float32).reshape(20, 20),
+            np.linspace(-9, 9, 400, dtype=np.float64).reshape(20, 20),
+            np.linspace(-9, 9, 400, dtype=np.float64).reshape(20, 20)[1::3, ::2],
+            np.linspace(-9, 9, 400, dtype=np.float32).reshape(20, 20).T,
+            np.float32(0.7),
+            np.asarray(-1.3),
+            -2.5,
+        ],
+    )
+    def test_bytes_match_literal_expression(self, x):
+        c, a = numerics.GELU_C, numerics.GELU_A
+        xa = np.asarray(x)
+        expected = 0.5 * xa * (1 + np.tanh(c * (xa + a * xa * xa * xa)))
+        got = numerics.gelu(x)
+        assert type(got) is type(expected)
+        assert np.asarray(got).dtype == np.asarray(expected).dtype
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_does_not_modify_input(self):
+        x = np.linspace(-3, 3, 13, dtype=np.float32)
+        before = x.copy()
+        numerics.gelu(x)
+        assert x.tobytes() == before.tobytes()
+
 
 def _splitmix64_reference(seed, n):
     # Independent transcription kept separate from the library code.
@@ -147,6 +175,25 @@ class TestSplitMix64:
         assert bulk.tolist() == singles
         assert a.state == b.state
 
+    @pytest.mark.parametrize("seed", [0, 99, 12345, 2**64 - 1])
+    def test_bulk_matches_single_steps_across_chunks(self, seed):
+        chunk = numerics._CHUNK
+        ref = numerics.SplitMix64(seed)
+        singles, states = [], [ref.state]
+        for _ in range(2 * chunk + 3):
+            singles.append(ref.next_u64())
+            states.append(ref.state)
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            rng = numerics.SplitMix64(seed)
+            bulk = rng.fill_u64(n)
+            assert bulk.dtype == np.uint64 and bulk.shape == (n,)
+            assert bulk.tolist() == singles[:n]
+            assert rng.state == states[n]
+        # A second bulk draw continues the stream where the first stopped.
+        rng = numerics.SplitMix64(seed)
+        rng.fill_u64(chunk + 1)
+        assert rng.fill_u64(chunk + 2).tolist() == singles[chunk + 1 :]
+
 
 class TestInitUniform:
     def test_range(self):
@@ -167,6 +214,20 @@ class TestInitUniform:
         a = math.sqrt(6.0 / 20.0)
         sigma = a / math.sqrt(3.0)
         assert abs(t.mean()) < 3.0 * sigma / math.sqrt(n)
+
+    def test_matches_one_shot_formula_across_chunks(self):
+        chunk = numerics._CHUNK
+        shape = (3, chunk // 2 + 1)  # 1.5 chunks plus 3 draws
+        n = 3 * (chunk // 2 + 1)
+        a = math.sqrt(6.0 / (5 + 7))
+        z = numerics.SplitMix64(21).fill_u64(n)
+        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        expected = (u * (2.0 * a) - a).reshape(shape)
+        rng = numerics.SplitMix64(21)
+        got = numerics.init_uniform(shape, 5, 7, rng)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == expected.tobytes()
+        assert rng.state == numerics.SplitMix64(21 + n * numerics.GOLDEN_GAMMA).state
 
     def test_fan_validated(self):
         with pytest.raises(ConfigError):
