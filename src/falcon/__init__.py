@@ -8,7 +8,6 @@ a loop-based oracle with gradient checks, and a CLI.
 """
 
 from .encoder import (
-    AttentionTrace,
     EncoderConfig,
     EncoderWeights,
     PRESETS,
@@ -27,7 +26,6 @@ from .oracle import FlopReport, count_flops, encode_reference, finite_diff_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionTrace",
     "CropPlan",
     "EncoderConfig",
     "EncoderWeights",

@@ -195,7 +195,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
     if not args.dry_run:
         weights = _get_weights(rc, cfg, args.weights)
         tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
-        f_hr, _ = encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail)
+        f_hr = encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail)
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(
@@ -223,16 +223,15 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
     plan = image_crop.plan_crop(h, w, cfg.tile, cfg.max_tiles)
     weights = _get_weights(rc, cfg, args.weights)
     tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
-    _, trace = encoder.encode(
-        tiles,
-        weights,
-        cfg,
-        thumbnail=rc.thumbnail,
-        record_trace=True,
-        trace_layers={args.layer},
-        trace_heads={args.head},
-    )
-    heat = encoder.extract_register_attention(trace, args.layer, args.head, args.register, plan)
+    n = cfg.n_image_tokens
+    tile_rows = []
+
+    def collect(layer, tile, head, attn):
+        if tile is not None and (layer, head) == (args.layer, args.head):
+            tile_rows.append(attn[n:, :n].copy())
+
+    encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail, collect=collect)
+    heat = encoder.extract_register_attention(tile_rows, args.register, plan)
     out = rc.out or "heatmap.pgm"
     with open(out, "wb") as f:
         f.write(image_crop.write_pgm(image_crop.heatmap_to_u8(heat)))

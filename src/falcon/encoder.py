@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -243,7 +244,13 @@ def save_weights(path: str, w: EncoderWeights, cfg: EncoderConfig) -> None:
 
 
 def load_weights(path: str, cfg: EncoderConfig) -> EncoderWeights:
-    return weights_from_dict(falt.load(path), cfg)
+    """Read an archive; names and shapes must match ``cfg``, every entry be finite."""
+    entries = falt.load(path)
+    w = weights_from_dict(entries, cfg)
+    for name, tensor in entries.items():
+        if not np.isfinite(tensor).all():
+            raise ConfigError(f"tensor {name!r} has non-finite entries")
+    return w
 
 
 def init_reatten_from_vit(w: EncoderWeights) -> EncoderWeights:
@@ -269,24 +276,6 @@ def init_reatten_from_vit(w: EncoderWeights) -> EncoderWeights:
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AttentionTrace:
-    """Recorded attention rows for visualization and invariant checks.
-
-    ``register_rows`` maps (layer, head, tile) to the M x N slice of the
-    softmax rows where registers query image tokens; each entry is a piece
-    of a full softmax row over N+M keys, so its row sums are <= 1. The
-    ``full_rows`` / ``reatten_rows`` maps hold complete softmax matrices and
-    are populated only on request (test instrumentation).
-    """
-
-    n_image_tokens: int
-    n_registers: int
-    register_rows: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
-    full_rows: dict[tuple[int, int, int], np.ndarray] | None = None
-    reatten_rows: dict[tuple[int, int], np.ndarray] | None = None
 
 
 def _weights_dtype(w: EncoderWeights):
@@ -373,70 +362,37 @@ def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
     return x + ad.gelu(normed @ lw.w1) @ lw.w2
 
 
-def _self_attn_collector(trace, layer, tile, trace_layers, trace_heads):
-    if trace is None:
-        return None
-    if trace_layers is not None and layer not in trace_layers:
-        return None
-    n = trace.n_image_tokens
-
-    def collect(head, attn):
-        if trace_heads is not None and head not in trace_heads:
-            return
-        trace.register_rows[(layer, head, tile)] = attn[n:, :n].copy()
-        if trace.full_rows is not None:
-            trace.full_rows[(layer, head, tile)] = attn.copy()
-
-    return collect
+def _at(collect, layer: int, tile: int | None):
+    """``collect`` with the (layer, tile) of one attention call bound; None stays None."""
+    return None if collect is None else partial(collect, layer, tile)
 
 
 def encode(
-    tiles: TileSet,
-    w: EncoderWeights,
-    cfg: EncoderConfig,
-    *,
-    thumbnail: bool = True,
-    record_trace: bool = False,
-    trace_layers=None,
-    trace_heads=None,
-    trace_full: bool = False,
+    tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, *, thumbnail: bool = True, collect=None
 ):
-    """Run the full encoder; returns (register outputs, optional trace).
+    """Run the full encoder; returns the register outputs.
 
     The output stacks each tile's M register rows in tile order, thumbnail
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
     Image-token outputs are discarded. Tiles run one after another; the
     exchange step joins them once per layer.
+
+    ``collect(layer, tile, head, attn)``, when given, sees every softmax
+    matrix in forward order: (N+M, N+M) for the self-attention of state
+    ``tile`` (thumbnail last), (M*T, M*T) with ``tile=None`` for the
+    exchange step. ``attn`` is the working array; copy what you keep.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
-    trace = None
-    if record_trace:
-        trace = AttentionTrace(
-            cfg.n_image_tokens,
-            cfg.registers,
-            full_rows={} if trace_full else None,
-            reatten_rows={} if trace_full else None,
-        )
     for layer in range(cfg.layers):
         lw = w.layers[layer]
         states = [
-            self_attention_block(
-                s, lw, cfg, _self_attn_collector(trace, layer, k, trace_layers, trace_heads)
-            )
-            for k, s in enumerate(states)
+            self_attention_block(s, lw, cfg, _at(collect, layer, k)) for k, s in enumerate(states)
         ]
-
-        reatten_collect = None
-        if trace is not None and trace.reatten_rows is not None:
-            if trace_layers is None or layer in trace_layers:
-
-                def reatten_collect(head, attn, _layer=layer):
-                    trace.reatten_rows[(_layer, head)] = attn.copy()
-
-        states = reatten(states, w.reatten[layer], cfg, cfg.reatten_enabled, reatten_collect)
+        states = reatten(
+            states, w.reatten[layer], cfg, cfg.reatten_enabled, _at(collect, layer, None)
+        )
         states = [ffn_block(s, lw, cfg) for s in states]
-    f_hr = ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
-    return f_hr, trace
+    return ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
 
 
 def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True):
@@ -447,7 +403,7 @@ def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, t
     """
     params = {name: ad.Var(tensor) for name, tensor in weights_to_dict(w, cfg).items()}
     var_weights = weights_from_dict(params, cfg)
-    f_hr, _ = encode(tiles, var_weights, cfg, thumbnail=thumbnail)
+    f_hr = encode(tiles, var_weights, cfg, thumbnail=thumbnail)
     loss = ad.total(f_hr)
     loss.backward()
     grads = {
@@ -458,30 +414,28 @@ def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, t
 
 
 def extract_register_attention(
-    trace: AttentionTrace, layer: int, head: int, register: int, plan: CropPlan
+    tile_rows: list[np.ndarray], register: int, plan: CropPlan
 ) -> np.ndarray:
     """Stitch one register's image-token attention into the crop grid.
 
-    Each tile's N-entry row reshapes to (tile/p, tile/p); tiles are placed
-    at their grid position. The thumbnail is excluded.
+    ``tile_rows[k]`` is tile k's M x N slice of its softmax matrix (register
+    queries, image-token keys). Each tile's N-entry row reshapes to
+    (tile/p, tile/p) and is placed at its grid position; slices beyond
+    ``plan.n_tiles`` (the thumbnail) are ignored.
     """
-    if not 0 <= register < trace.n_registers:
-        raise BoundsError(f"register {register} out of range [0, {trace.n_registers})")
-    side = math.isqrt(trace.n_image_tokens)
-    if side * side != trace.n_image_tokens:
-        raise BoundsError(f"non-square token count {trace.n_image_tokens}")
-    first = trace.register_rows.get((layer, head, 0))
-    if first is None:
-        raise BoundsError(f"no recorded attention for layer {layer}, head {head}")
-    grid = np.zeros((plan.rows * side, plan.cols * side), dtype=first.dtype)
+    if len(tile_rows) < plan.n_tiles:
+        raise BoundsError(f"{len(tile_rows)} attention slices for {plan.n_tiles} tiles")
+    n_registers, n = tile_rows[0].shape
+    if not 0 <= register < n_registers:
+        raise BoundsError(f"register {register} out of range [0, {n_registers})")
+    side = math.isqrt(n)
+    if side * side != n:
+        raise BoundsError(f"non-square token count {n}")
+    grid = np.zeros((plan.rows * side, plan.cols * side), dtype=tile_rows[0].dtype)
     for k in range(plan.n_tiles):
-        rows = trace.register_rows.get((layer, head, k))
-        if rows is None:
-            raise BoundsError(f"no recorded attention for layer {layer}, head {head}, tile {k}")
         r, c = divmod(k, plan.cols)
-        grid[r * side : (r + 1) * side, c * side : (c + 1) * side] = rows[register].reshape(
-            side, side
-        )
+        rows = tile_rows[k][register].reshape(side, side)
+        grid[r * side : (r + 1) * side, c * side : (c + 1) * side] = rows
     return grid
 
 

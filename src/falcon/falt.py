@@ -37,7 +37,7 @@ def _chunks(entries: dict[str, np.ndarray]) -> list:
     """
     chunks = [MAGIC + struct.pack("<HI", VERSION, len(entries))]
     for name, array in entries.items():
-        array = np.ascontiguousarray(array)
+        array = np.asarray(array)  # keeps 0-d entries 0-d, so they are refused below
         if array.dtype not in _DTYPE_CODES:
             raise ArchiveError(f"unsupported dtype {array.dtype} for entry {name!r}")
         if array.ndim == 0 or array.ndim > 255:

@@ -81,11 +81,11 @@ def test_03_oracle_equivalence(capsys):
     start = time.perf_counter()
     tiles = oracle.fixture_tiles(TINY, 2, seed=0)
     w32 = enc.init_weights(TINY, 0, np.float32)
-    f32, _ = enc.encode(tiles, w32, TINY)
+    f32 = enc.encode(tiles, w32, TINY)
     ref32, _ = oracle.encode_reference(tiles, w32, TINY)
     err32 = float(np.max(np.abs(f32.astype(np.float64) - ref32)))
     w64 = enc.init_weights(TINY, 0, np.float64)
-    f64, _ = enc.encode(tiles, w64, TINY)
+    f64 = enc.encode(tiles, w64, TINY)
     ref64, _ = oracle.encode_reference(tiles, w64, TINY)
     err64 = float(np.max(np.abs(f64 - ref64)))
     elapsed = time.perf_counter() - start
@@ -118,8 +118,8 @@ def test_05_permutation_equivariance(capsys):
         w = enc.init_weights(TINY, seed, np.float32)
         tiles = random_tiles(TINY, 3, seed=seed)
         perm = list(np.random.default_rng(seed).permutation(3))
-        base, _ = enc.encode(tiles, w, TINY)
-        swapped, _ = enc.encode(
+        base = enc.encode(tiles, w, TINY)
+        swapped = enc.encode(
             TileSet([tiles.tiles[i] for i in perm], tiles.global_thumb), w, TINY
         )
         m = TINY.registers
@@ -139,11 +139,11 @@ def test_06_reatten_off_independence(capsys):
     cfg = enc.config_with_overrides(TINY, reatten_enabled=False)
     w = enc.init_weights(cfg, 0, np.float32)
     tiles = random_tiles(cfg, 4, seed=6)
-    joint, _ = enc.encode(tiles, w, cfg, thumbnail=False)
+    joint = enc.encode(tiles, w, cfg, thumbnail=False)
     m = cfg.registers
     bitwise = True
     for i, tile in enumerate(tiles.tiles):
-        solo, _ = enc.encode(TileSet([tile], tiles.global_thumb), w, cfg, thumbnail=False)
+        solo = enc.encode(TileSet([tile], tiles.global_thumb), w, cfg, thumbnail=False)
         if solo.tobytes() != joint[i * m : (i + 1) * m].tobytes():
             bitwise = False
     elapsed = time.perf_counter() - start
@@ -248,17 +248,25 @@ def test_09_cross_thread_determinism(capsys, tmp_path):
 def test_10_attention_normalization(capsys):
     tiles = oracle.fixture_tiles(TINY, 4, seed=10)
     w = enc.init_weights(TINY, 10, np.float32)
-    _, trace = enc.encode(tiles, w, TINY, record_trace=True, trace_full=True)
+    n = TINY.n_image_tokens
+    full_rows, reatten_rows, register_rows = [], [], []
+
+    def collect(layer, tile, head, attn):
+        if tile is None:
+            reatten_rows.append(attn.copy())
+        else:
+            full_rows.append(attn.copy())
+            register_rows.append(attn[n:, :n].copy())
+
+    enc.encode(tiles, w, TINY, collect=collect)
     n_entries = TINY.layers * TINY.heads * (len(tiles.tiles) + 1)
-    self_rows_ok = len(trace.full_rows) == n_entries and all(
-        np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6 for rows in trace.full_rows.values()
+    self_rows_ok = len(full_rows) == n_entries and all(
+        np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6 for rows in full_rows
     )
-    reatten_ok = len(trace.reatten_rows) == TINY.layers * TINY.heads and all(
-        np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6 for rows in trace.reatten_rows.values()
+    reatten_ok = len(reatten_rows) == TINY.layers * TINY.heads and all(
+        np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6 for rows in reatten_rows
     )
-    heat_ok = all(
-        rows.min() >= 0.0 and rows.max() <= 1.0 for rows in trace.register_rows.values()
-    )
+    heat_ok = all(rows.min() >= 0.0 and rows.max() <= 1.0 for rows in register_rows)
     ok = self_rows_ok and reatten_ok and heat_ok
     with capsys.disabled():
         report(10, ok, "softmax rows sum to 1 at every layer/head/tile; heatmaps in [0,1]")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -217,6 +218,28 @@ class TestEncode:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "name, value", [("layers.1.w2", np.nan), ("layers.0.wq", np.inf)], ids=["nan", "inf"]
+    )
+    def test_non_finite_weights_exit_3(self, capsys, small_ppm, tmp_path, name, value):
+        cfg = encoder.PRESETS["tiny"]
+        entries = encoder.weights_to_dict(encoder.init_weights(cfg, 0), cfg)
+        entries[name][0, 0] = value
+        wpath = tmp_path / "bad.falt"
+        falt.save(str(wpath), entries)
+        out_path = tmp_path / "o.falt"
+        for argv in (
+            ["encode", small_ppm, "--preset", "tiny", "--out", str(out_path)],
+            ["selftest", "--verify-mode", "off"],
+        ):
+            argv += ["--weights", str(wpath)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and repr(name) in captured.err
+        assert not out_path.exists()
+
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
         wpath = tmp_path / "w.falt"
@@ -269,6 +292,25 @@ class TestAttnMap:
         header = b"P5\n4 6\n255\n"
         assert payload.startswith(header)
         assert payload[len(header):] == b"\x00" * 24
+
+    def test_output_matches_golden_bytes(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # sha256 of the PGM bytes and of the JSON report, recorded from the
+        # release before encode's attention callback replaced its trace object.
+        golden = json.loads((GOLDEN_DIR / "attn_map.json").read_text())
+        assert len(golden) == 32
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FALCON_SEED", raising=False)
+        for flags, expected in golden.items():
+            code, out = run(
+                capsys, "attn-map", small_ppm, "--preset", "tiny", "--out", "heat.pgm",
+                *flags.split(),
+            )
+            assert code == 0
+            got = {
+                "pgm": hashlib.sha256((tmp_path / "heat.pgm").read_bytes()).hexdigest(),
+                "json": hashlib.sha256(out.encode()).hexdigest(),
+            }
+            assert got == expected, flags
 
     def test_out_of_range_indices_exit_4(self, capsys, small_ppm, tmp_path):
         for flags in (("--layer", "9"), ("--head", "9"), ("--register", "9")):

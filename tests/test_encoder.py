@@ -26,6 +26,31 @@ def zero_logit_weights(cfg, seed=0, dtype=np.float32):
     return w
 
 
+def self_attention_rows(tiles, w, cfg):
+    """Copies of every self-attention softmax matrix of one encode."""
+    full_rows = []
+
+    def collect(layer, tile, head, attn):
+        if tile is not None:
+            full_rows.append(attn.copy())
+
+    enc.encode(tiles, w, cfg, collect=collect)
+    return full_rows
+
+
+def register_rows(tiles, w, cfg, layer, head):
+    """Per-state M x N register-to-image slices of one (layer, head)."""
+    n = cfg.n_image_tokens
+    rows = []
+
+    def collect(l, tile, h, attn):
+        if tile is not None and (l, h) == (layer, head):
+            rows.append(attn[n:, :n].copy())
+
+    enc.encode(tiles, w, cfg, collect=collect)
+    return rows
+
+
 class TestConfig:
     def test_presets(self):
         paper = enc.PRESETS["paper"]
@@ -131,16 +156,14 @@ class TestEmbedTiles:
 class TestSelfAttention:
     def test_zero_logits_give_uniform_attention(self, tiny_cfg, tiny_tiles):
         w = zero_logit_weights(tiny_cfg)
-        _, trace = enc.encode(tiny_tiles, w, tiny_cfg, record_trace=True, trace_full=True)
+        full_rows = self_attention_rows(tiny_tiles, w, tiny_cfg)
         n_keys = tiny_cfg.n_tokens
-        for rows in trace.full_rows.values():
+        for rows in full_rows:
             assert np.allclose(rows, 1.0 / n_keys, atol=1e-6)
 
     def test_attention_rows_sum_to_one(self, tiny_cfg, tiny_weights, tiny_tiles):
-        _, trace = enc.encode(
-            tiny_tiles, tiny_weights, tiny_cfg, record_trace=True, trace_full=True
-        )
-        for rows in trace.full_rows.values():
+        full_rows = self_attention_rows(tiny_tiles, tiny_weights, tiny_cfg)
+        for rows in full_rows:
             assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
 
     def test_block_matches_brute_force(self, tiny_cfg):
@@ -230,27 +253,27 @@ class TestEncode:
     def test_token_budget(self, tiny_cfg, tiny_weights):
         for n_tiles in (1, 2, 5, 16):
             tiles = random_tiles(tiny_cfg, n_tiles, seed=n_tiles)
-            f_hr, _ = enc.encode(tiles, tiny_weights, tiny_cfg)
+            f_hr = enc.encode(tiles, tiny_weights, tiny_cfg)
             assert f_hr.shape == (tiny_cfg.registers * (n_tiles + 1), tiny_cfg.width)
-            solo, _ = enc.encode(tiles, tiny_weights, tiny_cfg, thumbnail=False)
+            solo = enc.encode(tiles, tiny_weights, tiny_cfg, thumbnail=False)
             assert solo.shape == (tiny_cfg.registers * n_tiles, tiny_cfg.width)
 
     def test_reatten_off_independence_bitwise(self, tiny_cfg, tiny_weights):
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=False)
         tiles = random_tiles(cfg, 3, seed=8)
-        joint, _ = enc.encode(tiles, tiny_weights, cfg, thumbnail=False)
+        joint = enc.encode(tiles, tiny_weights, cfg, thumbnail=False)
         m = cfg.registers
         for i, tile in enumerate(tiles.tiles):
-            solo, _ = enc.encode(
+            solo = enc.encode(
                 TileSet([tile], tiles.global_thumb), tiny_weights, cfg, thumbnail=False
             )
             assert solo.tobytes() == joint[i * m : (i + 1) * m].tobytes()
 
     def test_permutation_equivariance(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=12)
-        base, _ = enc.encode(tiles, tiny_weights, tiny_cfg)
+        base = enc.encode(tiles, tiny_weights, tiny_cfg)
         perm = [3, 1, 0, 2]
-        swapped, _ = enc.encode(
+        swapped = enc.encode(
             TileSet([tiles.tiles[i] for i in perm], tiles.global_thumb),
             tiny_weights,
             tiny_cfg,
@@ -271,7 +294,7 @@ class TestEncode:
         self, tiny_cfg, tiny_weights_f64, tiny_tiles
     ):
         loss, grads = enc.parameter_gradients(tiny_tiles, tiny_weights_f64, tiny_cfg)
-        f_hr, _ = enc.encode(tiny_tiles, tiny_weights_f64, tiny_cfg)
+        f_hr = enc.encode(tiny_tiles, tiny_weights_f64, tiny_cfg)
         assert loss == pytest.approx(float(f_hr.sum()), rel=1e-12)
         assert set(grads) == {name for name, *_ in enc.tensor_specs(tiny_cfg)}
 
@@ -312,42 +335,75 @@ class TestReattenInit:
 
     def test_post_init_encode_differs_from_reatten_off(self, tiny_cfg, tiny_tiles):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))
-        on, _ = enc.encode(tiny_tiles, w, tiny_cfg)
-        off, _ = enc.encode(
+        on = enc.encode(tiny_tiles, w, tiny_cfg)
+        off = enc.encode(
             tiny_tiles, w, enc.config_with_overrides(tiny_cfg, reatten_enabled=False)
         )
         assert np.abs(on - off).max() > 1e-4
 
 
+class TestAttentionHook:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    def test_calls_in_forward_order(self, tiny_cfg, dtype, reatten_on, thumbnail):
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
+        w = enc.init_weights(cfg, seed=0, dtype=dtype)
+        tiles = random_tiles(cfg, 3, seed=21)
+        calls = []
+
+        def collect(layer, tile, head, attn):
+            calls.append((layer, tile, head, attn.shape, attn.dtype))
+
+        f_hr = enc.encode(tiles, w, cfg, thumbnail=thumbnail, collect=collect)
+        t = len(tiles.tiles) + thumbnail
+        rows, mt = cfg.n_tokens, cfg.registers * t
+        expected = []
+        for layer in range(cfg.layers):
+            expected += [
+                (layer, k, h, (rows, rows), np.dtype(dtype))
+                for k in range(t)
+                for h in range(cfg.heads)
+            ]
+            if reatten_on:
+                expected += [(layer, None, h, (mt, mt), np.dtype(dtype)) for h in range(cfg.heads)]
+        assert calls == expected
+        self_calls = [c for c in calls if c[1] is not None]
+        assert len(self_calls) == cfg.layers * cfg.heads * t
+        assert len(calls) - len(self_calls) == (cfg.layers * cfg.heads if reatten_on else 0)
+        assert f_hr.tobytes() == enc.encode(tiles, w, cfg, thumbnail=thumbnail).tobytes()
+
+
 class TestRegisterAttentionExtraction:
     def test_heatmap_dims_for_wide_plan(self):
         plan = plan_crop(1500, 2000, 384, 16)
-        trace = enc.AttentionTrace(576, 64)
-        for k in range(plan.n_tiles):
-            trace.register_rows[(0, 0, k)] = np.full((64, 576), 1.0 / 640, np.float32)
-        heat = enc.extract_register_attention(trace, 0, 0, 7, plan)
+        tile_rows = [np.full((64, 576), 1.0 / 640, np.float32) for _ in range(plan.n_tiles)]
+        heat = enc.extract_register_attention(tile_rows, 7, plan)
         assert heat.shape == (72, 120)
 
     def test_values_in_unit_interval(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=13)
         plan = plan_crop(64, 64, tiny_cfg.tile, tiny_cfg.max_tiles)
-        _, trace = enc.encode(tiles, tiny_weights, tiny_cfg, record_trace=True)
-        heat = enc.extract_register_attention(trace, 1, 0, 0, plan)
+        tile_rows = register_rows(tiles, tiny_weights, tiny_cfg, 1, 0)
+        heat = enc.extract_register_attention(tile_rows, 0, plan)
         assert heat.min() >= 0.0 and heat.max() <= 1.0
 
     def test_zero_logit_heatmap_uniform(self, tiny_cfg):
         w = zero_logit_weights(tiny_cfg)
         tiles = random_tiles(tiny_cfg, 4, seed=14)
         plan = plan_crop(64, 64, tiny_cfg.tile, tiny_cfg.max_tiles)
-        _, trace = enc.encode(tiles, w, tiny_cfg, record_trace=True)
-        heat = enc.extract_register_attention(trace, 0, 1, 2, plan)
+        tile_rows = register_rows(tiles, w, tiny_cfg, 0, 1)
+        heat = enc.extract_register_attention(tile_rows, 2, plan)
         assert np.allclose(heat, 1.0 / tiny_cfg.n_tokens, atol=1e-7)
 
     def test_bad_indices_rejected(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 1, seed=15)
         plan = plan_crop(32, 32, tiny_cfg.tile, tiny_cfg.max_tiles)
-        _, trace = enc.encode(tiles, tiny_weights, tiny_cfg, record_trace=True)
         with pytest.raises(BoundsError):
-            enc.extract_register_attention(trace, 0, 0, 99, plan)
+            enc.extract_register_attention(
+                register_rows(tiles, tiny_weights, tiny_cfg, 0, 0), 99, plan
+            )
         with pytest.raises(BoundsError):
-            enc.extract_register_attention(trace, 9, 0, 0, plan)
+            enc.extract_register_attention(
+                register_rows(tiles, tiny_weights, tiny_cfg, 9, 0), 0, plan
+            )

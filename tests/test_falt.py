@@ -112,8 +112,11 @@ def test_save_writes_dumps_bytes(tmp_path, entries):
     [
         {"ok": np.ones(2, np.float32), "y": np.ones(3, np.int32)},
         {"ok": np.ones(2, np.float32), "x" * 70000: np.ones(2, np.float32)},
+        {"ok": np.ones(2, np.float32), "s": np.float32(1.5)},
+        {"ok": np.ones(2, np.float32), "s": np.array(2.0)},
+        {"ok": np.ones(2, np.float32), "s": 1.5},
     ],
-    ids=["dtype", "long-name"],
+    ids=["dtype", "long-name", "numpy-scalar", "0-d-array", "python-float"],
 )
 def test_rejected_save_keeps_existing_archive(tmp_path, bad):
     path = tmp_path / "t.falt"
@@ -122,3 +125,5 @@ def test_rejected_save_keeps_existing_archive(tmp_path, bad):
     with pytest.raises((ArchiveError, struct.error)):
         falt.save(str(path), bad)
     assert path.read_bytes() == before
+    with pytest.raises((ArchiveError, struct.error)):
+        falt.dumps(bad)

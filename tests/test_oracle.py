@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from falcon import encoder as enc
-from falcon import oracle
+from falcon import numerics, oracle
 from falcon.errors import ConfigError, NumericError
 
 
@@ -33,13 +33,13 @@ class TestBruteForceAttention:
 
 class TestEncodeReference:
     def test_matches_main_encode_f32(self, tiny_cfg, tiny_weights, tiny_tiles):
-        main, _ = enc.encode(tiny_tiles, tiny_weights, tiny_cfg)
+        main = enc.encode(tiny_tiles, tiny_weights, tiny_cfg)
         ref, _ = oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg)
         assert np.abs(main.astype(np.float64) - ref).max() <= 1e-5
 
     def test_matches_main_encode_reatten_disabled(self, tiny_cfg, tiny_weights, tiny_tiles):
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=False)
-        main, _ = enc.encode(tiny_tiles, tiny_weights, cfg)
+        main = enc.encode(tiny_tiles, tiny_weights, cfg)
         ref, _ = oracle.encode_reference(tiny_tiles, tiny_weights, cfg)
         assert np.abs(main.astype(np.float64) - ref).max() <= 1e-5
 
@@ -156,3 +156,17 @@ class TestSelftest:
         names = {c["name"] for c in result["checks"]}
         assert "gradient_check" not in names
         assert result["gradient_check_skipped"]
+
+    def test_normalization_check_sees_exchange_matrices(self, tiny_cfg, monkeypatch):
+        # Only the exchange step's softmax has a row count other than N+M.
+        real = numerics.softmax_rows
+
+        def halve_exchange(x):
+            out = real(x)
+            return out if out.shape[0] == tiny_cfg.n_tokens else out * 0.5
+
+        monkeypatch.setattr(numerics, "softmax_rows", halve_exchange)
+        result = oracle.run_selftest(tiny_cfg, seed=0, verify_mode=False)
+        checks = {c["name"]: c["passed"] for c in result["checks"]}
+        assert checks["attention_normalization"] is False
+        assert not result["passed"]
