@@ -230,7 +230,9 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
         if tile is not None and (layer, head) == (args.layer, args.head):
             tile_rows.append(attn[n:, :n].copy())
 
-    encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail, collect=collect)
+    # Layers after --layer cannot change its attention, so they are not run.
+    shallow_cfg = encoder.config_with_overrides(cfg, layers=args.layer + 1)
+    encoder.encode(tiles, weights, shallow_cfg, thumbnail=rc.thumbnail, collect=collect)
     heat = encoder.extract_register_attention(tile_rows, args.register, plan)
     out = rc.out or "heatmap.pgm"
     with open(out, "wb") as f:

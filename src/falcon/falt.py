@@ -14,7 +14,9 @@ Entries keep insertion order, which callers use as the canonical order.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 
 import numpy as np
@@ -57,20 +59,21 @@ def dumps(entries: dict[str, np.ndarray]) -> bytes:
     return b"".join(_chunks(entries))
 
 
-def loads(data: bytes) -> dict[str, np.ndarray]:
-    """Parse an archive back into an ordered name -> array mapping."""
-    view = memoryview(data)
-    pos = 0
+def _read(f, size: int) -> dict[str, np.ndarray]:
+    """Parse an archive of ``size`` bytes from the binary stream ``f``.
 
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
+    Each payload is read straight into its own fresh array, after its size
+    has been checked against the bytes left, so hostile dims are refused
+    before anything is allocated.
+    """
+
+    def take(n: int) -> bytes:
+        chunk = f.read(n)
+        if len(chunk) != n:
             raise ArchiveError("truncated archive")
-        chunk = view[pos : pos + n]
-        pos += n
         return chunk
 
-    if bytes(take(4)) != MAGIC:
+    if take(4) != MAGIC:
         raise ArchiveError("bad magic; not a FALT archive")
     version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
@@ -79,7 +82,7 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = bytes(take(name_len)).decode("utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArchiveError("entry name is not valid UTF-8") from exc
         (ndim,) = struct.unpack("<B", take(1))
@@ -90,13 +93,28 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
         if code not in _CODE_DTYPES:
             raise ArchiveError(f"unknown dtype code {code} for entry {name!r}")
         dtype = _CODE_DTYPES[code]
-        # Python ints, so a huge product is refused by take() instead of wrapping.
-        payload = take(math.prod(dims) * dtype.itemsize)
-        array = np.frombuffer(payload, dtype=dtype).reshape(dims)
-        entries[name] = array.astype(dtype.newbyteorder("="))
-    if pos != len(view):
+        # Python ints, so a huge product is refused here instead of wrapping.
+        nbytes = math.prod(dims) * dtype.itemsize
+        if nbytes > size - f.tell():
+            raise ArchiveError("truncated archive")
+        try:
+            array = np.empty(dims, dtype.newbyteorder("="))
+        except ValueError as exc:  # a zero-size shape whose other dims overflow
+            raise ArchiveError(f"unsupported dims {dims} for entry {name!r}") from exc
+        # memoryview.cast refuses zero-size arrays, which have nothing to read.
+        if nbytes and f.readinto(memoryview(array).cast("B")) != nbytes:
+            raise ArchiveError("truncated archive")
+        if not dtype.isnative:
+            array.byteswap(inplace=True)
+        entries[name] = array
+    if f.tell() != size:
         raise ArchiveError("trailing bytes after last entry")
     return entries
+
+
+def loads(data: bytes) -> dict[str, np.ndarray]:
+    """Parse an archive back into an ordered name -> array mapping."""
+    return _read(io.BytesIO(data), len(data))
 
 
 def save(path: str, entries: dict[str, np.ndarray]) -> None:
@@ -108,9 +126,9 @@ def save(path: str, entries: dict[str, np.ndarray]) -> None:
 
 
 def load(path: str) -> dict[str, np.ndarray]:
+    """Read an archive from disk, each payload once, into its own array."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return _read(f, os.fstat(f.fileno()).st_size)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path!r}: {exc}") from exc
-    return loads(data)

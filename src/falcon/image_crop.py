@@ -128,6 +128,38 @@ def normalize_pixels(img: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _source_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of ``resize_bilinear``: per output index, the source taps
+    i0 = floor(src) and i1 = min(i0 + 1, in - 1) and the float32 weight
+    w = src - i0 of i1."""
+    src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(src).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return i0, i1, (src - i0).astype(np.float32)
+
+
+def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
+    """Bilinear blend of float32 ``img`` at the (i0, i1, w) taps ``ys``, ``xs``.
+
+    Separable: each source row the output needs is interpolated across once,
+    at the output columns only, then pairs of those rows are blended down.
+    The float32 expressions are those of the four-tap form, so the bytes are
+    too.
+    """
+    y0, y1, fy = ys
+    x0, x1, fx = xs
+    fy = fy.reshape((-1,) + (1,) * (img.ndim - 1))
+    fx = fx.reshape((-1,) + (1,) * (img.ndim - 2))
+    # The source rows in use and each one's slot among them. A mask, not
+    # np.unique: a sort would page numpy's sort kernels into the RSS.
+    used = np.zeros(img.shape[0], dtype=bool)
+    used[y0] = used[y1] = True
+    slot = np.cumsum(used) - 1
+    rows = np.flatnonzero(used)[:, None]
+    across = img[rows, x0] * (1.0 - fx) + img[rows, x1] * fx
+    return across[slot[y0]] * (1.0 - fy) + across[slot[y1]] * fy
+
+
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with half-pixel-center source coordinates.
 
@@ -138,27 +170,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ShapeError(f"output dimensions must be >= 1, got {out_h}x{out_w}")
     img = np.asarray(img, dtype=np.float32)
     in_h, in_w = img.shape[:2]
-    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = (ys - y0).astype(np.float32)
-    fx = (xs - x0).astype(np.float32)
-    if img.ndim == 3:
-        fy = fy[:, None, None]
-        fx = fx[None, :, None]
-    else:
-        fy = fy[:, None]
-        fx = fx[None, :]
-    v00 = img[y0[:, None], x0[None, :]]
-    v01 = img[y0[:, None], x1[None, :]]
-    v10 = img[y1[:, None], x0[None, :]]
-    v11 = img[y1[:, None], x1[None, :]]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bottom = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bottom * fy
+    return _blend(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w))
 
 
 def plan_crop(h: int, w: int, tile: int = 384, max_tiles: int = 16) -> CropPlan:
@@ -194,18 +206,22 @@ def plan_crop(h: int, w: int, tile: int = 384, max_tiles: int = 16) -> CropPlan:
 
 
 def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
-    """Resize the whole image to the grid, then split into row-major tiles.
+    """Resize the image to the grid and split it into row-major tiles.
 
-    Resizing before splitting avoids per-tile resampling seams. The global
-    thumbnail is produced for every input, including 1x1 plans.
+    Every band (row of tiles) is blended from its slice of the full-grid
+    source coordinates, so the tiles are exactly those of one whole-grid
+    resize, without seams, while only one band is held at a time. The
+    global thumbnail is produced for every input, including 1x1 plans.
     """
-    resized = resize_bilinear(img, plan.resize_h, plan.resize_w)
+    img = np.asarray(img, dtype=np.float32)
+    in_h, in_w = img.shape[:2]
     t = plan.tile
-    tiles = [
-        np.ascontiguousarray(resized[r * t : (r + 1) * t, c * t : (c + 1) * t])
-        for r in range(plan.rows)
-        for c in range(plan.cols)
-    ]
+    ys = _source_coords(plan.resize_h, in_h)
+    xs = _source_coords(plan.resize_w, in_w)
+    tiles = []
+    for r in range(plan.rows):
+        band = _blend(img, tuple(a[r * t : (r + 1) * t] for a in ys), xs)
+        tiles.extend(np.ascontiguousarray(band[:, c * t : (c + 1) * t]) for c in range(plan.cols))
     return TileSet(tiles=tiles, global_thumb=resize_bilinear(img, t, t))
 
 

@@ -405,7 +405,9 @@ def run_selftest(
     """Oracle equivalence, gradient check, and invariant suite on one config.
 
     Gradient checking runs only in verify mode (it needs float64); the
-    returned summary says so when skipped.
+    returned summary says so when skipped. Given ``weights``, every check
+    runs on them (cast to float64 for the float64 checks); otherwise on
+    ``init_weights(cfg, seed)``. The summary's ``weights`` says which.
     """
     tiles = fixture_tiles(cfg, 2, seed)
     w32 = weights if weights is not None else enc.init_weights(cfg, seed, np.float32)
@@ -426,7 +428,13 @@ def run_selftest(
     err32 = float(np.max(np.abs(f32.astype(np.float64) - ref)))
     checks.append(_check("oracle_equivalence_f32", err32 <= 1e-5, max_abs_err=err32, tolerance=1e-5))
 
-    w64 = enc.init_weights(cfg, seed, np.float64)
+    if weights is None:
+        w64 = enc.init_weights(cfg, seed, np.float64)
+    else:
+        w64 = enc.weights_from_dict(
+            {k: t.astype(np.float64, copy=False) for k, t in enc.weights_to_dict(weights, cfg).items()},
+            cfg,
+        )
     f64 = enc.encode(tiles, w64, cfg)
     ref64, _ = encode_reference(tiles, w64, cfg)
     err64 = float(np.max(np.abs(f64 - ref64)))
@@ -482,5 +490,6 @@ def run_selftest(
         "passed": all(c["passed"] for c in checks),
         "verify_mode": bool(verify_mode),
         "gradient_check_skipped": not verify_mode,
+        "weights": "seeded" if weights is None else "archive",
         "checks": checks,
     }

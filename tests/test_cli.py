@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import falcon
-from falcon import cli, encoder, falt
+from falcon import cli, encoder, falt, oracle
 from falcon.cli import main
 
 from conftest import make_ppm
@@ -240,6 +240,43 @@ class TestEncode:
             assert captured.err.count("\n") == 1 and repr(name) in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d[: len(d) // 2],
+            lambda d: d[:-1],
+            lambda d: d[:13],  # inside the first entry's name
+            lambda d: d + b"\x00",
+            lambda d: b"FALX" + d[4:],
+            lambda d: d[:4] + b"\x02" + d[5:],  # version
+            lambda d: d[:12] + b"\xff" + d[13:],  # first name byte, not UTF-8
+            lambda d: d[:23] + b"\x00" + d[24:],  # ndim 0
+            lambda d: d[:24] + struct.pack("<I", 2**31) + d[28:],  # dims beyond the file
+            lambda d: d[:24] + struct.pack("<II", 2**31, 2**31) + d[32:],  # dims overflow int64
+            lambda d: d[:32] + b"\x07" + d[33:],  # dtype code
+        ],
+        ids=[
+            "half", "minus-one", "mid-name", "trailing", "magic", "version", "utf8",
+            "ndim-0", "dims-beyond-file", "dims-overflow", "dtype-code",
+        ],
+    )
+    def test_fuzzed_weights_exit_3(self, capsys, small_ppm, tmp_path, corrupt):
+        cfg = encoder.PRESETS["tiny"]
+        wpath = tmp_path / "w.falt"
+        encoder.save_weights(str(wpath), encoder.init_weights(cfg, 0), cfg)
+        data = wpath.read_bytes()
+        # The first entry is patch_embed: its name at byte 12, ndim at 23, dims at 24-31.
+        assert data[12:23] == b"patch_embed" and data[23] == 2
+        wpath.write_bytes(corrupt(data))
+        out_path = tmp_path / "o.falt"
+        code = main(["encode", small_ppm, "--preset", "tiny", "--weights", str(wpath),
+                     "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
         wpath = tmp_path / "w.falt"
@@ -311,6 +348,25 @@ class TestAttnMap:
                 "json": hashlib.sha256(out.encode()).hexdigest(),
             }
             assert got == expected, flags
+
+    def test_runs_only_layers_up_to_requested(self, capsys, tmp_path, monkeypatch):
+        # 64x64 at tile 32: 4 tiles + thumbnail, so one FFN call per state per layer run.
+        ppm = tmp_path / "sq.ppm"
+        make_ppm(ppm, 64, 64, seed=2)
+        calls = []
+        ffn_block = encoder.ffn_block
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ffn_block(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "ffn_block", counting)
+        code, _ = run(
+            capsys, "attn-map", str(ppm), "--preset", "tiny", "--layers", "6",
+            "--layer", "0", "--head", "0", "--register", "0", "--out", str(tmp_path / "h.pgm"),
+        )
+        assert code == 0
+        assert len(calls) == 5
 
     def test_out_of_range_indices_exit_4(self, capsys, small_ppm, tmp_path):
         for flags in (("--layer", "9"), ("--head", "9"), ("--register", "9")):
@@ -403,6 +459,38 @@ class TestSelftest:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_f64_checks_run_on_the_archive(self, capsys, tmp_path):
+        cfg = encoder.PRESETS["tiny"]
+        wpath = tmp_path / "w5.falt"
+        encoder.save_weights(str(wpath), encoder.init_weights(cfg, 5), cfg)
+        reports = {}
+        for weights in ([], ["--weights", str(wpath)]):
+            code, out = run(capsys, "selftest", "--verify-mode", "off", "--seed", "0", *weights)
+            assert code == 0
+            payload = json.loads(out)
+            validate_schema(payload, "selftest")
+            reports[payload["weights"]] = {c["name"]: c["detail"] for c in payload["checks"]}
+        assert set(reports) == {"seeded", "archive"}
+        for name in ("oracle_equivalence_f32", "oracle_equivalence_f64"):
+            assert reports["seeded"][name]["max_abs_err"] != reports["archive"][name]["max_abs_err"]
+
+    def test_f64_archive_used_as_is(self, monkeypatch):
+        # A float64 archive reaches the float64 checks unchanged: no cast, no seeded init.
+        cfg = encoder.PRESETS["tiny"]
+        w = encoder.init_weights(cfg, 5, np.float64)
+        seen = []
+        encode = oracle.enc.encode
+
+        def spy(tiles, weights, *args, **kwargs):
+            seen.append(weights.patch_embed)
+            return encode(tiles, weights, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.enc, "encode", spy)
+        monkeypatch.setattr(oracle.enc, "init_weights", None)
+        result = oracle.run_selftest(cfg, seed=0, verify_mode=False, weights=w)
+        assert result["passed"] and result["weights"] == "archive"
+        assert all(p is w.patch_embed for p in seen)
 
 
 class TestParser:

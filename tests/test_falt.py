@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falcon import falt
 from falcon.errors import ArchiveError
@@ -76,6 +78,12 @@ def test_overflowing_dims_rejected():
         falt.loads(data)
 
 
+def test_zero_size_overflowing_dims_rejected():
+    # The payload is empty, but numpy cannot hold the other dims' product.
+    with pytest.raises(ArchiveError):
+        falt.loads(_single_entry(struct.pack("<B4I", 4, 0, 2**31, 2**31, 2**31)))
+
+
 def test_zero_ndim_rejected():
     with pytest.raises(ArchiveError):
         falt.loads(_single_entry(struct.pack("<B", 0), np.float32(1.0).tobytes()))
@@ -91,7 +99,7 @@ _BASE = np.arange(24, dtype=np.float64).reshape(4, 6) / 7
         {"a": _BASE},
         {"strided": _BASE[1::2, ::3], "f32": _BASE.astype(np.float32)[:, 1]},
         {"fortran": np.asfortranarray(_BASE)},
-        {"zero": np.zeros((0, 4), np.float32)},
+        {"zero": np.zeros((0, 4), np.float32), "z64": np.zeros((2, 0, 3)), "x": _BASE},
         {},
     ],
     ids=["float32", "float64", "strided", "fortran", "zero-size", "empty"],
@@ -101,10 +109,30 @@ def test_save_writes_dumps_bytes(tmp_path, entries):
     falt.save(str(path), entries)
     data = falt.dumps(entries)
     assert path.read_bytes() == data
-    back = falt.load(str(path))
-    assert list(back) == list(entries)
-    for name, t in entries.items():
-        assert back[name].tobytes() == np.ascontiguousarray(t).tobytes()
+    _assert_loads_back(path, entries)
+
+
+def _assert_loads_back(path, entries):
+    """``load`` and ``loads`` agree with ``entries``; every array is fresh and owns its data."""
+    for back in (falt.load(str(path)), falt.loads(path.read_bytes())):
+        assert list(back) == list(entries)
+        for name, t in entries.items():
+            got = back[name]
+            assert got.dtype == t.dtype and got.shape == t.shape
+            assert got.tobytes() == np.ascontiguousarray(t).tobytes()
+            assert got.base is None and got.flags.owndata
+            assert got.flags.aligned and got.flags.writeable and got.flags.c_contiguous
+            assert got.dtype.isnative
+
+
+def test_paper_archive_loads_back(tmp_path):
+    from falcon import encoder
+
+    cfg = encoder.config_with_overrides(encoder.PRESETS["paper"], layers=1)
+    entries = encoder.weights_to_dict(encoder.init_weights(cfg, 3), cfg)
+    path = tmp_path / "paper.falt"
+    falt.save(str(path), entries)
+    _assert_loads_back(path, entries)
 
 
 @pytest.mark.parametrize(
@@ -127,3 +155,68 @@ def test_rejected_save_keeps_existing_archive(tmp_path, bad):
     assert path.read_bytes() == before
     with pytest.raises((ArchiveError, struct.error)):
         falt.dumps(bad)
+
+
+def test_dims_beyond_file_refused_before_allocating(monkeypatch):
+    # 2^20 x 2^20 float32 is 4 TiB; refused from the header alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ArchiveError, match="truncated"):
+        falt.loads(_single_entry(struct.pack("<B2I", 2, 2**20, 2**20), b"\x00" * 16))
+
+
+_FUZZ_BASE = falt.dumps(
+    {
+        "w": np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+        "e": np.zeros((0, 2), np.float64),
+        "b": np.arange(3, dtype=np.float64),
+    }
+)
+
+
+def _hostile_header():
+    """One entry with arbitrary dims, dtype code and payload length."""
+    return st.builds(
+        lambda dims, code, payload: b"FALT"
+        + struct.pack("<HIH", 1, 1, 1)
+        + b"x"
+        + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, code)
+        + payload,
+        st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 8), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.binary(max_size=64),
+    )
+
+
+def _mutated():
+    truncated = st.integers(0, len(_FUZZ_BASE) - 1).map(lambda n: _FUZZ_BASE[:n])
+
+    def flip(bits):
+        data = bytearray(_FUZZ_BASE)
+        for bit in bits:
+            data[bit // 8] ^= 1 << (bit % 8)
+        return bytes(data)
+
+    flipped = st.lists(st.integers(0, 8 * len(_FUZZ_BASE) - 1), min_size=1, max_size=4).map(flip)
+    return truncated | flipped | _hostile_header() | st.binary(max_size=80)
+
+
+def _outcome(parse, arg):
+    try:
+        return {k: (v.dtype, v.shape, v.tobytes()) for k, v in parse(arg).items()}
+    except ArchiveError as exc:
+        return ("ArchiveError", str(exc))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.falt"
+
+
+@given(_mutated())
+def test_fuzzed_archives_raise_only_archive_error(fuzz_path, data):
+    # Each mutation either parses or raises ArchiveError, the same from bytes and from disk.
+    fuzz_path.write_bytes(data)
+    assert _outcome(falt.load, str(fuzz_path)) == _outcome(falt.loads, data)

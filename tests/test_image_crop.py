@@ -143,6 +143,85 @@ class TestCropTiles:
             assert np.abs(tile - value).max() < 1e-6
 
 
+def _four_tap_resize(img, out_h, out_w):
+    """Reference: the whole-grid bilinear resize that gathers all four taps per pixel."""
+    img = np.asarray(img, dtype=np.float32)
+    in_h, in_w = img.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = (ys - y0).astype(np.float32)
+    fx = (xs - x0).astype(np.float32)
+    if img.ndim == 3:
+        fy = fy[:, None, None]
+        fx = fx[None, :, None]
+    else:
+        fy = fy[:, None]
+        fx = fx[None, :]
+    v00 = img[y0[:, None], x0[None, :]]
+    v01 = img[y0[:, None], x1[None, :]]
+    v10 = img[y1[:, None], x0[None, :]]
+    v11 = img[y1[:, None], x1[None, :]]
+    top = v00 * (1.0 - fx) + v01 * fx
+    bottom = v10 * (1.0 - fx) + v11 * fx
+    return top * (1.0 - fy) + bottom * fy
+
+
+class TestFourTapReference:
+    """Band-by-band separable cropping gives the four-tap resize's exact bytes."""
+
+    @pytest.mark.parametrize(
+        "h, w, tile, max_tiles",
+        [
+            (1, 1, 32, 16),  # upsampling a single pixel, 1x1 plan
+            (100, 130, 96, 1),  # 1-tile plan, downsampling
+            (23, 41, 32, 16),  # upsampling onto a grid
+            (65, 97, 32, 16),
+            (200, 3000, 32, 16),  # extreme aspect ratios
+            (3000, 200, 32, 16),
+            (200, 3000, 384, 16),
+            (3000, 200, 384, 16),
+            (1450, 1620, 384, 16),  # 4x4 grid, 16 tiles
+            (700, 1100, 384, 16),  # 2x3 grid, mild upsampling
+            (384, 384, 384, 16),  # identity scale
+        ],
+    )
+    @pytest.mark.parametrize("channels", [(3,), ()], ids=["rgb", "2d"])
+    def test_tiles_and_thumbnail_match(self, h, w, tile, max_tiles, channels):
+        rng = np.random.default_rng(h * 7919 + w)
+        img = rng.random((h, w) + channels, dtype=np.float32)
+        plan = ic.plan_crop(h, w, tile, max_tiles)
+        ts = ic.crop_tiles(img, plan)
+        ref = _four_tap_resize(img, plan.resize_h, plan.resize_w)
+        t = plan.tile
+        assert len(ts.tiles) == plan.n_tiles
+        for k, got in enumerate(ts.tiles):
+            r, c = divmod(k, plan.cols)
+            assert got.flags.c_contiguous and got.dtype == np.float32
+            assert np.array_equal(got, ref[r * t : (r + 1) * t, c * t : (c + 1) * t])
+        assert np.array_equal(ts.global_thumb, _four_tap_resize(img, t, t))
+
+    def test_uint8_input(self):
+        rng = np.random.default_rng(5)
+        img = rng.integers(0, 256, size=(90, 150, 3), dtype=np.uint8)
+        plan = ic.plan_crop(90, 150, 32, 16)
+        ts = ic.crop_tiles(img, plan)
+        ref = _four_tap_resize(img, plan.resize_h, plan.resize_w)
+        assert np.array_equal(np.concatenate(ts.tiles[: plan.cols], axis=1), ref[:32])
+
+    @pytest.mark.parametrize(
+        "shape, out",
+        [((1, 1), (5, 3)), ((7, 300), (2, 19)), ((300, 7), (19, 2)), ((40, 60), (41, 59))],
+    )
+    def test_resize_2d_and_3d(self, shape, out):
+        rng = np.random.default_rng(shape[0] + 31 * shape[1])
+        for img in (rng.random(shape, dtype=np.float32), rng.random(shape + (3,), dtype=np.float32)):
+            assert np.array_equal(ic.resize_bilinear(img, *out), _four_tap_resize(img, *out))
+
+
 class TestPatchify:
     def test_paper_token_count(self):
         tile = np.zeros((384, 384, 3), dtype=np.float32)
