@@ -77,7 +77,7 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
         try:
             with open(config_path, "r", encoding="utf-8") as f:
                 file_cfg = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, JSON or digit count
             raise ConfigError(f"cannot read config file {config_path!r}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -111,6 +111,8 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
         raise ConfigError(f"threads must be >= 1, got {rc.threads}")
     if rc.d_llm < 1:
         raise ConfigError(f"d_llm must be >= 1, got {rc.d_llm}")
+    if rc.d_llm > encoder.MAX_SIZE:
+        raise ConfigError(f"d_llm must be <= {encoder.MAX_SIZE}")
     return rc
 
 
@@ -194,8 +196,12 @@ def cmd_encode(rc: RunConfig, args) -> int:
     }
     if not args.dry_run:
         weights = _get_weights(rc, cfg, args.weights)
-        tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
-        f_hr = encoder.encode(tiles, weights, cfg, thumbnail=rc.thumbnail)
+        f_hr = encoder.encode(
+            image_crop.crop_tiles(image_crop.to_float(img), plan),
+            weights,
+            cfg,
+            thumbnail=rc.thumbnail,
+        )
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(

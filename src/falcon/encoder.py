@@ -33,6 +33,12 @@ from .image_crop import CropPlan, TileSet, normalize_pixels, patchify
 from .numerics import SplitMix64, init_uniform
 
 
+# Largest value of any integer config field. A FALT archive stores each
+# tensor dim as uint32, and the bound keeps every FLOP count a float and a
+# JSON number can hold.
+MAX_SIZE = 2**32 - 1
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """All architecture hyperparameters of the encoder."""
@@ -55,6 +61,9 @@ class EncoderConfig:
             raise ConfigError(f"register count must be >= 1, got {self.registers}")
         if self.max_tiles < 1:
             raise ConfigError(f"max_tiles must be >= 1, got {self.max_tiles}")
+        for name in ("layers", "width", "heads", "patch", "tile", "registers", "max_tiles"):
+            if getattr(self, name) > MAX_SIZE:
+                raise ConfigError(f"{name} must be <= {MAX_SIZE}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.tile % self.patch != 0:
@@ -333,27 +342,24 @@ def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
 
 
 def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
-    """Cross-tile register exchange; identity when disabled.
+    """Cross-tile register exchange; returns the new register rows only.
 
-    Register rows of all tiles are concatenated in tile order, passed
-    through residual pre-norm multi-head self-attention, and scattered back.
-    Image-token rows are untouched.
+    Register rows of all tiles are concatenated in tile order and passed
+    through residual pre-norm multi-head self-attention. The result is one
+    (M*T, D) array, tile k's rows at [k*M, (k+1)*M); when disabled it is the
+    concatenated input rows unchanged. ``states`` is not modified: putting
+    the rows back next to each tile's image rows is the caller's job.
     """
-    if not enabled:
-        return states
     shapes = {tuple(ad.value_of(s).shape) for s in states}
     if len(shapes) != 1:
         raise StateError(f"tiles at mismatched layers: state shapes {sorted(shapes)}")
-    n = cfg.n_image_tokens
-    m = cfg.registers
-    regs = ad.concat([s[n:] for s in states], axis=0)
+    regs = ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
+    if not enabled:
+        return regs
     normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta, cfg.ln_eps)
-    exchanged = regs + _multi_head_attention(
+    return regs + _multi_head_attention(
         normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect
     )
-    return [
-        ad.concat([s[:n], exchanged[i * m : (i + 1) * m]], axis=0) for i, s in enumerate(states)
-    ]
 
 
 def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
@@ -383,16 +389,25 @@ def encode(
     exchange step. ``attn`` is the working array; copy what you keep.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
+    # The callee's frame owns its arguments (CPython >= 3.11): when the
+    # caller passes the TileSet as a temporary, as ``cli.cmd_encode`` does,
+    # its pixels are freed here, before layer 0.
+    del tiles
+    n, m = cfg.n_image_tokens, cfg.registers
+    # Each block's result replaces its input in the same slot, so only one
+    # generation of tile states is alive at a time.
     for layer in range(cfg.layers):
         lw = w.layers[layer]
-        states = [
-            self_attention_block(s, lw, cfg, _at(collect, layer, k)) for k, s in enumerate(states)
-        ]
-        states = reatten(
+        for k in range(len(states)):
+            states[k] = self_attention_block(states[k], lw, cfg, _at(collect, layer, k))
+        regs = reatten(
             states, w.reatten[layer], cfg, cfg.reatten_enabled, _at(collect, layer, None)
         )
-        states = [ffn_block(s, lw, cfg) for s in states]
-    return ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
+        for k in range(len(states)):
+            states[k] = ffn_block(
+                ad.concat([states[k][:n], regs[k * m : (k + 1) * m]], axis=0), lw, cfg
+            )
+    return ad.concat([s[n:] for s in states], axis=0)
 
 
 def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True):

@@ -16,6 +16,11 @@ from .errors import ConfigError, ImageError, ShapeError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
+# Largest image ``load_ppm`` accepts. ``cli.cmd_encode`` holds the uint8
+# image and its float32 copy through the crop, 15 bytes per pixel: about
+# 1 GiB at this cap.
+MAX_PIXELS = 1 << 26
+
 
 @dataclass(frozen=True)
 class CropPlan:
@@ -76,6 +81,8 @@ def load_ppm(data: bytes) -> np.ndarray:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageError(f"invalid dimensions {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise ImageError(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel cap")
     if maxval != 255:
         raise ImageError(f"only maxval 255 is supported, got {maxval}")
     # Exactly one whitespace byte separates the header from the payload.
@@ -188,8 +195,15 @@ def plan_crop(h: int, w: int, tile: int = 384, max_tiles: int = 16) -> CropPlan:
     ideal_c = w / tile
     best_key = None
     best = (1, 1)
+    # A grid whose rows or cols alone overshoot the ideal by more than the
+    # best distance so far cannot win, nor can any larger one, so the scan
+    # stops there: its cost follows the image, not max_tiles.
     for rows in range(1, max_tiles + 1):
+        if best_key is not None and rows - ideal_r > best_key[0]:
+            break
         for cols in range(1, max_tiles // rows + 1):
+            if best_key is not None and cols - ideal_c > best_key[0]:
+                break
             key = (abs(rows - ideal_r) + abs(cols - ideal_c), rows * cols, rows)
             if best_key is None or key < best_key:
                 best_key = key

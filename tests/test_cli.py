@@ -1,17 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import falcon
-from falcon import cli, encoder, falt, oracle
+from falcon import cli, encoder, falt, image_crop, oracle
 from falcon.cli import main
 
 from conftest import make_ppm
@@ -207,6 +212,37 @@ class TestEncode:
                 assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "o.falt").exists()
 
+    def test_hostile_config_values_exit_3(self, capsys, small_ppm, tmp_path):
+        # Sizes past the cap, a number past Python's digit limit and bytes
+        # that are not UTF-8: exit 3 with one stderr line, never a traceback.
+        cfg_path = tmp_path / "run.json"
+        for data in (
+            b'{"tile": 1%s, "patch": 1}' % (b"0" * 400),
+            b'{"width": %d, "heads": 1}' % 2**32,
+            b'{"max_tiles": %d}' % 2**32,
+            b'{"d_llm": %d, "project": true}' % 2**32,
+            b'{"seed": 1%s}' % (b"0" * 5000),
+            b"\xff\xfe{",
+        ):
+            cfg_path.write_bytes(data)
+            code = main(["encode", small_ppm, "--config", str(cfg_path), "--dry-run"])
+            captured = capsys.readouterr()
+            assert code == 3, data[:40]
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_pixel_cap_exits_2(self, capsys, tmp_path):
+        # A header-only file naming more pixels than the cap.
+        big = tmp_path / "big.ppm"
+        big.write_bytes(b"P6\n8193 8192\n255\n")
+        out = tmp_path / "o.falt"
+        for command in ("plan-crop", "encode"):
+            code = main([command, str(big), "--preset", "tiny", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "pixel cap" in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_mismatched_weights_exit_3(self, capsys, small_ppm, tmp_path):
         other = encoder.config_with_overrides(encoder.PRESETS["tiny"], registers=3)
         w = encoder.init_weights(other, 0)
@@ -277,6 +313,33 @@ class TestEncode:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_tiles_freed_before_layer_0(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # encode owns the TileSet that cmd_encode passes as a temporary, so
+        # the cropped pixels are gone when the first block runs.
+        refs = []
+        crop_tiles = image_crop.crop_tiles
+
+        def crop_and_watch(img, plan):
+            tiles = crop_tiles(img, plan)
+            refs.extend(weakref.ref(t) for t in [*tiles.tiles, tiles.global_thumb])
+            return tiles
+
+        alive_at_first_block = []
+        block = encoder.self_attention_block
+
+        def first_block(x, lw, cfg, *rest):
+            if not alive_at_first_block:
+                alive_at_first_block.append(sum(ref() is not None for ref in refs))
+            return block(x, lw, cfg, *rest)
+
+        monkeypatch.setattr(image_crop, "crop_tiles", crop_and_watch)
+        monkeypatch.setattr(encoder, "self_attention_block", first_block)
+        out = tmp_path / "f_hr.falt"
+        code, _ = run(capsys, "encode", small_ppm, "--preset", "tiny", "--out", str(out))
+        assert code == 0 and out.exists()
+        assert len(refs) == 7  # 6 tiles of the 96x64 image and the thumbnail
+        assert alive_at_first_block == [0]
+
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
         wpath = tmp_path / "w.falt"
@@ -288,6 +351,47 @@ class TestEncode:
             "--out", str(b),
         )
         assert a.read_bytes() == b.read_bytes()
+
+
+_CONFIG_KEYS = st.sampled_from(sorted(cli._RC_TYPES)) | st.text(max_size=6)
+_CONFIG_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**32 - 1, 2**32, 2**64, 10**400])
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(sorted(encoder.PRESETS))
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+)
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config_fuzz")
+    make_ppm(path / "img.ppm", 96, 64, seed=1)
+    return path
+
+
+@given(st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=5))
+def test_fuzzed_config_exits_0_or_3(config_fuzz_dir, config):
+    # Any JSON object as --config under encode --dry-run: a valid report
+    # (exit 0) or one stderr line (exit 3), never a traceback.
+    cfg_path = config_fuzz_dir / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            ["encode", str(config_fuzz_dir / "img.ppm"), "--config", str(cfg_path), "--dry-run"]
+        )
+    if code == 0:
+        validate_schema(json.loads(out.getvalue()), "encode")
+        assert err.getvalue() == ""
+    else:
+        assert code == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestAttnMap:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -189,9 +190,14 @@ class TestSelfAttention:
 
 class TestReatten:
     def test_disabled_is_bitwise_identity(self, tiny_cfg, tiny_weights, tiny_tiles):
+        # Disabled, the returned rows are the input register rows, bit for bit.
         states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg)
+        before = [s.copy() for s in states]
         out = enc.reatten(states, tiny_weights.reatten[0], tiny_cfg, enabled=False)
-        assert out is states
+        expected = np.concatenate([s[tiny_cfg.n_image_tokens :] for s in before], axis=0)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert all(np.array_equal(s, b) for s, b in zip(states, before))
 
     def test_uniform_attention_closed_form(self, tiny_cfg):
         # One tile, no thumbnail, zero q/k, identity v/o, pass-through affine:
@@ -207,23 +213,37 @@ class TestReatten:
         )
         rng = np.random.default_rng(9)
         state = rng.normal(size=(tiny_cfg.n_tokens, d))
-        (out,) = enc.reatten([state], rw, tiny_cfg, enabled=True)
+        before = state.copy()
+        out = enc.reatten([state], rw, tiny_cfg, enabled=True)
         n = tiny_cfg.n_image_tokens
         regs = state[n:]
         expected = regs + layer_norm(
             regs, rw.ln_gamma, rw.ln_beta, tiny_cfg.ln_eps
         ).mean(axis=0)
-        assert np.array_equal(out[:n], state[:n])
-        assert np.abs(out[n:] - expected).max() < 1e-10
+        # Image-token rows are untouched: the input state is left as it was.
+        assert np.array_equal(state, before)
+        assert out.shape == (tiny_cfg.registers, d)
+        assert np.abs(out - expected).max() < 1e-10
 
     def test_tile_permutation_equivariance(self, tiny_cfg, tiny_weights):
-        states = enc.embed_tiles(random_tiles(tiny_cfg, 3, seed=4), tiny_weights, tiny_cfg)
+        # After one self-attention block every tile's register rows differ,
+        # so a mismatched slice would show.
+        tiles = random_tiles(tiny_cfg, 3, seed=4)
+        states = [
+            enc.self_attention_block(s, tiny_weights.layers[0], tiny_cfg)
+            for s in enc.embed_tiles(tiles, tiny_weights, tiny_cfg, thumbnail=False)
+        ]
         rw = tiny_weights.reatten[0]
+        m = tiny_cfg.registers
+        assert not np.allclose(states[0][-m:], states[1][-m:])
         base = enc.reatten(states, rw, tiny_cfg)
         perm = [2, 0, 1]
         swapped = enc.reatten([states[i] for i in perm], rw, tiny_cfg)
+        assert swapped.shape == base.shape == (3 * m, tiny_cfg.width)
         for new_pos, old_pos in enumerate(perm):
-            assert np.abs(swapped[new_pos] - base[old_pos]).max() < 1e-5
+            got = swapped[new_pos * m : (new_pos + 1) * m]
+            want = base[old_pos * m : (old_pos + 1) * m]
+            assert np.abs(got - want).max() < 1e-5
 
     def test_mismatched_states_rejected(self, tiny_cfg, tiny_weights):
         a = np.zeros((8, 8), np.float32)
@@ -268,6 +288,36 @@ class TestEncode:
                 TileSet([tile], tiles.global_thumb), tiny_weights, cfg, thumbnail=False
             )
             assert solo.tobytes() == joint[i * m : (i + 1) * m].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    def test_one_generation_of_states(self, tiny_cfg, monkeypatch, dtype, reatten_on, thumbnail):
+        # Entering state k of a layer's block loop, the inputs of that loop's
+        # states 0..k-1 are already freed: each result replaced its input.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
+        w = enc.init_weights(cfg, seed=0, dtype=dtype)
+        inputs = {}  # (block, layer) -> weakrefs to that loop's inputs so far
+
+        def watch(block, fn):
+            def wrapper(x, lw, cfg, *rest):
+                layer = next(i for i, known in enumerate(w.layers) if known is lw)
+                earlier = inputs.setdefault((block, layer), [])
+                alive = [k for k, ref in enumerate(earlier) if ref() is not None]
+                assert not alive, f"{block} layer {layer}: inputs of states {alive} still alive"
+                earlier.append(weakref.ref(x))
+                return fn(x, lw, cfg, *rest)
+
+            return wrapper
+
+        monkeypatch.setattr(enc, "self_attention_block", watch("attention", enc.self_attention_block))
+        monkeypatch.setattr(enc, "ffn_block", watch("ffn", enc.ffn_block))
+        f_hr = enc.encode(random_tiles(cfg, 3, seed=1), w, cfg, thumbnail=thumbnail)
+        n_states = 3 + thumbnail
+        assert f_hr.dtype == dtype and f_hr.shape == (cfg.registers * n_states, cfg.width)
+        assert {key: len(refs) for key, refs in inputs.items()} == {
+            (block, layer): n_states for block in ("attention", "ffn") for layer in range(cfg.layers)
+        }
 
     def test_permutation_equivariance(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=12)

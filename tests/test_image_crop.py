@@ -38,6 +38,57 @@ class TestPpm:
         with pytest.raises(ImageError):
             ic.load_ppm(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
 
+    def test_pixel_cap_checked_from_header(self):
+        # Header-only files: over the cap is refused from the header alone;
+        # at the cap the header passes and the missing payload is reported.
+        assert ic.MAX_PIXELS == 2**26
+        with pytest.raises(ImageError, match="pixel cap"):
+            ic.load_ppm(b"P6\n8193 8192\n255\n")
+        with pytest.raises(ImageError, match="pixel cap"):
+            ic.load_ppm(b"P6\n1 %d\n255\n" % (2**26 + 1))
+        with pytest.raises(ImageError, match="truncated"):
+            ic.load_ppm(b"P6\n8192 8192\n255\n")
+
+
+_PPM_BASE = ic.write_ppm(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
+
+
+def _hostile_ppm():
+    """P6 headers with arbitrary tokens and separators, then a short payload."""
+    number = st.integers(-2, 2**40).map(lambda v: str(v).encode())
+    token = number | st.sampled_from([b"", b"1_0", b"+3", b"0x10", b"9" * 5000]) | st.binary(
+        max_size=4
+    )
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b" #\r", b""])
+    return st.builds(
+        lambda s, w, h, m, end, payload: b"P6" + s + w + s + h + s + m + end + payload,
+        sep, token, token, token | st.just(b"255"), sep, st.binary(max_size=64),
+    )
+
+
+def _mutated_ppm():
+    truncated = st.integers(0, len(_PPM_BASE) - 1).map(lambda n: _PPM_BASE[:n])
+
+    def flip(bits):
+        data = bytearray(_PPM_BASE)
+        for bit in bits:
+            data[bit // 8] ^= 1 << (bit % 8)
+        return bytes(data)
+
+    flipped = st.lists(st.integers(0, 8 * len(_PPM_BASE) - 1), min_size=1, max_size=4).map(flip)
+    return truncated | flipped | _hostile_ppm() | st.binary(max_size=80)
+
+
+@given(_mutated_ppm())
+def test_fuzzed_ppm_raises_only_image_error(data):
+    # Each mutation either parses to a uint8 image within the cap or raises ImageError.
+    try:
+        img = ic.load_ppm(data)
+    except ImageError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+    assert 1 <= img.shape[0] * img.shape[1] <= ic.MAX_PIXELS
+
 
 class TestResizeBilinear:
     def test_identity_scale(self):
@@ -102,6 +153,23 @@ class TestPlanCrop:
     def test_cap_respected(self, h, w, max_tiles):
         plan = ic.plan_crop(h, w, 384, max_tiles)
         assert 1 <= plan.n_tiles <= max_tiles
+
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 64), st.integers(1, 40))
+    def test_matches_exhaustive_search(self, h, w, tile, max_tiles):
+        # The planner stops scanning early; the grid is still the best of all.
+        keys = [
+            (abs(r - h / tile) + abs(c - w / tile), r * c, r, c)
+            for r in range(1, max_tiles + 1)
+            for c in range(1, max_tiles // r + 1)
+        ]
+        plan = ic.plan_crop(h, w, tile, max_tiles)
+        assert (plan.rows, plan.cols) == min(keys)[2:]
+
+    def test_huge_max_tiles_costs_what_the_image_needs(self):
+        # A full scan up to 2^32 - 1 tiles would not finish.
+        assert ic.plan_crop(64, 96, 32, 2**32 - 1).n_tiles == 6
+        plan = ic.plan_crop(64, 96, 1, 2**32 - 1)
+        assert (plan.rows, plan.cols) == (64, 96)
 
     @given(st.integers(1, 4000), st.integers(1, 4000), st.integers(16, 512))
     def test_scale_invariance(self, h, w, tile):
