@@ -340,6 +340,16 @@ class TestEncode:
         # Thumbnail block (last) is unchanged up to the same tolerance.
         assert np.abs(swapped[-m:] - base[-m:]).max() < 1e-5
 
+    def test_paper_forward_matches_recorded_digest(self):
+        # The tiny goldens run every kernel as one row block; at paper
+        # geometry softmax (640 x 640), layer norm (640 x 1024) and GeLU
+        # (640 x 4096) each span many blocks with a partial last one.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=1)
+        f_hr = enc.encode(random_tiles(cfg, 1, seed=0), enc.init_weights(cfg, seed=3), cfg)
+        assert f_hr.dtype == np.float32 and f_hr.shape == (2 * cfg.registers, cfg.width)
+        digest = hashlib.sha256(f_hr.tobytes()).hexdigest()
+        assert digest == "5cd3a8160bf3b2d3a52ae9b4061cf5626a6837681af1407c06bdeffe6b491ddd"
+
     def test_parameter_gradients_loss_matches_encode(
         self, tiny_cfg, tiny_weights_f64, tiny_tiles
     ):
