@@ -5,7 +5,10 @@
 ``Var`` leaves. The helpers at the bottom (``gelu``, ``softmax_rows``,
 ``layer_norm``, ``concat``, ``total``) accept plain arrays or
 ``Var`` objects, so the encoder forward is written once and serves both the
-plain fast path and the gradient path. Analytic gradients are validated
+plain fast path and the gradient path. ``out`` of ``gelu`` and
+``softmax_rows`` is written on the plain path only; a ``Var`` result is
+always new, just as ``a *= b`` rebinds a ``Var``, which has no in-place
+operators. Analytic gradients are validated
 against central finite differences by the verification suite.
 """
 
@@ -132,9 +135,9 @@ def value_of(x):
     return x.value if isinstance(x, Var) else x
 
 
-def gelu(x):
+def gelu(x, out=None):
     if not isinstance(x, Var):
-        return numerics.gelu(x)
+        return numerics.gelu(x, out)
     v = x.value
     out = Var(numerics.gelu(v), (x,))
 
@@ -147,9 +150,9 @@ def gelu(x):
     return out
 
 
-def softmax_rows(x):
+def softmax_rows(x, out=None):
     if not isinstance(x, Var):
-        return numerics.softmax_rows(x)
+        return numerics.softmax_rows(x, out)
     y = numerics.softmax_rows(x.value)
     out = Var(y, (x,))
 

@@ -137,10 +137,9 @@ def _working_dtype(rc: RunConfig):
 def _load_image(path: str) -> np.ndarray:
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return image_crop.load_ppm(f)
     except OSError as exc:
         raise ImageError(f"cannot read image {path!r}: {exc}") from exc
-    return image_crop.load_ppm(data)
 
 
 def _get_weights(rc: RunConfig, cfg: encoder.EncoderConfig, weights_path: str | None):
@@ -195,6 +194,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "out": None,
     }
     if not args.dry_run:
+        encoder.check_state_cap(cfg, n_states)
         weights = _get_weights(rc, cfg, args.weights)
         f_hr = encoder.encode(
             image_crop.crop_tiles(image_crop.to_float(img), plan),
@@ -227,6 +227,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
     img = _load_image(args.image)
     h, w = img.shape[:2]
     plan = image_crop.plan_crop(h, w, cfg.tile, cfg.max_tiles)
+    encoder.check_state_cap(cfg, plan.n_tiles + (1 if rc.thumbnail else 0))
     weights = _get_weights(rc, cfg, args.weights)
     tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
     n = cfg.n_image_tokens

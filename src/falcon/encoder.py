@@ -38,6 +38,11 @@ from .numerics import SplitMix64, init_uniform
 # JSON number can hold.
 MAX_SIZE = 2**32 - 1
 
+# Largest n_states * n_tokens * width that ``check_state_cap`` lets an
+# encode hold: 2^26 elements, 256 MiB of float32 tile states. The paper
+# preset at 16 tiles plus the thumbnail holds 17 * 640 * 1024 = 11.1M.
+MAX_STATE_ELEMENTS = 1 << 26
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -287,6 +292,16 @@ def init_reatten_from_vit(w: EncoderWeights) -> EncoderWeights:
 # ---------------------------------------------------------------------------
 
 
+def check_state_cap(cfg: EncoderConfig, n_states: int) -> None:
+    """Refuse a forward whose tile states would exceed ``MAX_STATE_ELEMENTS``."""
+    elements = n_states * cfg.n_tokens * cfg.width
+    if elements > MAX_STATE_ELEMENTS:
+        raise ConfigError(
+            f"{n_states} tile states of {cfg.n_tokens} x {cfg.width} hold {elements} "
+            f"elements, over the {MAX_STATE_ELEMENTS}-element cap"
+        )
+
+
 def _weights_dtype(w: EncoderWeights):
     return np.asarray(ad.value_of(w.patch_embed)).dtype
 
@@ -308,8 +323,9 @@ def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail
         tile = np.asarray(tile)
         if tile.shape != (cfg.tile, cfg.tile, 3):
             raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
-        tokens = patchify(normalize_pixels(tile.astype(dtype)), cfg.patch)
-        image_rows = tokens @ w.patch_embed + w.pos_embed
+        tokens = patchify(normalize_pixels(tile.astype(dtype, copy=False)), cfg.patch)
+        image_rows = tokens @ w.patch_embed
+        image_rows += w.pos_embed
         states.append(ad.concat([image_rows, w.registers], axis=0))
     return states
 
@@ -318,6 +334,9 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     """Multi-head softmax attention of query rows ``x`` over key/value rows
     ``kv``, then the output projection. Self-attention passes the same
     pre-normed rows as both; ``collect(head, attn)`` sees each softmax matrix.
+
+    On the plain path each head's logits are scaled and turned into its
+    softmax matrix in place; on a ``Var`` the same lines build new nodes.
     """
     q = x @ wq
     k = kv @ wk
@@ -328,7 +347,9 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     outs = []
     for h in range(heads):
         cols = slice(h * dk, (h + 1) * dk)
-        attn = ad.softmax_rows((q[:, cols] @ k[:, cols].T) * scale)
+        logits = q[:, cols] @ k[:, cols].T
+        logits *= scale
+        attn = ad.softmax_rows(logits, out=logits)
         if collect is not None:
             collect(h, ad.value_of(attn))
         outs.append(attn @ v[:, cols])
@@ -338,7 +359,9 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
 def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
     """Residual pre-norm self-attention over all N+M rows jointly, unmasked."""
     normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta, cfg.ln_eps)
-    return x + _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
+    out = _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
+    out += x
+    return out
 
 
 def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
@@ -357,15 +380,18 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
     if not enabled:
         return regs
     normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta, cfg.ln_eps)
-    return regs + _multi_head_attention(
-        normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect
-    )
+    out = _multi_head_attention(normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect)
+    out += regs
+    return out
 
 
 def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise."""
     normed = ad.layer_norm(x, lw.ln2_gamma, lw.ln2_beta, cfg.ln_eps)
-    return x + ad.gelu(normed @ lw.w1) @ lw.w2
+    hidden = normed @ lw.w1
+    out = ad.gelu(hidden, out=hidden) @ lw.w2
+    out += x
+    return out
 
 
 def _at(collect, layer: int, tile: int | None):

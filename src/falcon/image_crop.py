@@ -8,6 +8,7 @@ encoder just before patchification.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 # image and its float32 copy through the crop, 15 bytes per pixel: about
 # 1 GiB at this cap.
 MAX_PIXELS = 1 << 26
+
+# ``load_ppm`` reads a file's header in pieces of this many bytes (more only
+# for a header that does not fit).
+_HEADER_READ = 4096
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,16 @@ class TileSet:
 # ---------------------------------------------------------------------------
 
 
+class _ShortHeader(ImageError):
+    """The header runs past the end of the bytes read so far."""
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The header token at or after ``pos`` and the whitespace position ending it.
+
+    Every header token is followed by whitespace, so a token that reaches the
+    end of ``data`` is incomplete.
+    """
     n = len(data)
     while pos < n:
         c = data[pos]
@@ -61,13 +75,13 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
-    if start == pos:
-        raise ImageError("unexpected end of header")
+    if pos == n:
+        raise _ShortHeader("unexpected end of header")
     return data[start:pos], pos
 
 
-def load_ppm(data: bytes) -> np.ndarray:
-    """Parse a binary PPM (P6, maxval 255) into a uint8 (H, W, 3) array."""
+def _ppm_header(data: bytes) -> tuple[int, int, int]:
+    """(width, height, payload offset) of the P6 header at the start of ``data``."""
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
         raise ImageError(f"expected P6 magic, got {magic!r}")
@@ -86,14 +100,37 @@ def load_ppm(data: bytes) -> np.ndarray:
     if maxval != 255:
         raise ImageError(f"only maxval 255 is supported, got {maxval}")
     # Exactly one whitespace byte separates the header from the payload.
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise ImageError("missing whitespace after maxval")
-    pos += 1
-    n = width * height * 3
-    payload = data[pos : pos + n]
-    if len(payload) < n:
-        raise ImageError(f"truncated payload: expected {n} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    return width, height, pos + 1
+
+
+def load_ppm(data) -> np.ndarray:
+    """Parse a binary PPM (P6, maxval 255) into a uint8 (H, W, 3) array.
+
+    ``data`` is the file's bytes or a binary file object. The header is read
+    and checked first, then exactly its payload, so a header naming more
+    than ``MAX_PIXELS`` is refused before any payload byte is read.
+    """
+    f = io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    head = f.read(_HEADER_READ)
+    while True:
+        try:
+            width, height, start = _ppm_header(head)
+            break
+        except _ShortHeader:
+            more = f.read(max(len(head), _HEADER_READ))
+            if not more:
+                raise
+            head += more
+    img = np.empty((height, width, 3), dtype=np.uint8)
+    payload = memoryview(img).cast("B")
+    got = min(len(head) - start, len(payload))
+    payload[:got] = head[start : start + got]
+    while got < len(payload):
+        n = f.readinto(payload[got:])
+        if not n:
+            raise ImageError(f"truncated payload: expected {len(payload)} bytes, got {got}")
+        got += n
+    return img
 
 
 def write_ppm(img: np.ndarray) -> bytes:
@@ -127,7 +164,9 @@ def normalize_pixels(img: np.ndarray) -> np.ndarray:
     if img.dtype not in (np.float32, np.float64):
         img = img.astype(np.float32)
     half = img.dtype.type(0.5)
-    return (img - half) / half
+    out = img - half
+    out /= half
+    return out
 
 
 # ---------------------------------------------------------------------------

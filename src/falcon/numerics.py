@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 # SplitMix64 constants (state increment and the two mixing multipliers).
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -29,17 +29,61 @@ _CHUNK = 32768
 _CHUNK_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
 _CHUNK_STEPS.flags.writeable = False
 
+# softmax_rows, layer_norm and gelu make each pass over a block of about this
+# many bytes before the next, so the block and its temporary stay in L2
+# between passes. Every element still goes through the unblocked
+# expression's operations in its order, so the bytes do not depend on it.
+_BLOCK_BYTES = 1 << 18
+
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed with row-max subtraction for stability."""
+def _output(out, shape, dtype) -> np.ndarray:
+    """A fresh result array, or ``out`` once it is checked to be a usable one."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(
+            f"out must be a C-contiguous {dtype} array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def _row_blocks(*arrays):
+    """The arrays' rows, about ``_BLOCK_BYTES`` of the last array's at a time.
+
+    One tuple of same-row views per block, or just the arrays themselves
+    when one block holds them whole, so a small input pays for no views.
+    """
+    last = arrays[-1]
+    if last.nbytes <= _BLOCK_BYTES:
+        return (arrays,)
+    step = max(1, _BLOCK_BYTES // (last.shape[-1] * last.itemsize))
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    return (tuple(a[i : i + step] for a in rows) for i in range(0, len(rows[-1]), step))
+
+
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, computed with row-max subtraction for stability.
+
+    Each row needs a finite maximum: a NaN, a +inf or a row of only -inf
+    raises. A -inf next to finite entries gets probability 0. ``out`` may be
+    ``x`` itself; on an error nothing has been written to it.
+    """
     x = np.asarray(x)
-    if not np.isfinite(x).all():
-        raise NumericError("softmax_rows requires finite entries")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    if x.dtype.kind in "biu":
+        x = x.astype(np.float64)
+    peak = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all():
+        raise NumericError("softmax_rows requires a finite maximum in every row")
+    out = _output(out, x.shape, x.dtype)
+    for rows, top, e in _row_blocks(x, peak, out):
+        np.subtract(rows, top, out=e)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+    return out
 
 
 def layer_norm(
@@ -47,36 +91,65 @@ def layer_norm(
 ) -> np.ndarray:
     """Per-row mean/variance normalization followed by an affine map.
 
-    Variance uses the 1/D convention (not 1/(D-1)).
+    Variance uses the 1/D convention (not 1/(D-1)). Runs in the common dtype
+    of ``x``, ``gamma`` and ``beta``.
     """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = np.asarray(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (centered * inv) * gamma + beta
+    x = x.astype(np.result_type(x, gamma, beta), copy=False)
+    out = np.empty(x.shape, x.dtype)
+    n = x.shape[-1]
+    square = None
+    for rows, c in _row_blocks(x, out):
+        # (x - mean) is built in the output block, then scaled in place.
+        mu = rows.sum(axis=-1, keepdims=True)
+        mu /= n
+        np.subtract(rows, mu, out=c)
+        if square is None:
+            square = sq = np.empty_like(c)
+        else:  # only the last block can be shorter
+            sq = square[: len(c)]
+        np.multiply(c, c, out=sq)
+        var = sq.sum(axis=-1, keepdims=True)
+        var /= n
+        var += eps
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=var)
+        c *= var
+        c *= gamma
+        c += beta
+    return out
 
 
-def gelu(x):
+def gelu(x, out: np.ndarray | None = None):
     """GeLU via the tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
 
     The tanh form with the fixed 0.044715 constant avoids any dependence on
-    a platform erf implementation. Works elementwise on scalars and arrays.
+    a platform erf implementation. Works elementwise on scalars and arrays;
+    ``out`` may be ``x`` itself.
     """
     x = np.asarray(x)
-    # In place, in the expression's own operation order, so the bytes match it.
-    t = np.asarray(GELU_A * x)
-    t *= x
-    t *= x
-    t += x
-    t *= GELU_C
-    np.tanh(t, out=t)
-    t += 1.0
-    y = 0.5 * x
-    y *= t
-    return y
+    if x.dtype.kind in "biu":
+        x = x.astype(np.float64)
+    y = _output(out, x.shape, x.dtype)
+    scratch = None
+    for xb, yb in _row_blocks(x, y):
+        if scratch is None:
+            scratch = t = np.empty_like(yb)
+        else:  # only the last block can be shorter
+            t = scratch[: len(yb)]
+        # In the expression's own operation order, so the bytes match it.
+        np.multiply(GELU_A, xb, out=t)
+        t *= xb
+        t *= xb
+        t += xb
+        t *= GELU_C
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(0.5, xb, out=yb)
+        yb *= t
+    return y if out is not None or y.ndim else y[()]
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:

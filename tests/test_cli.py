@@ -243,6 +243,62 @@ class TestEncode:
             assert "pixel cap" in captured.err and captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_pixel_cap_refused_before_payload_is_read(self, capsys, tmp_path, monkeypatch):
+        # The header is read and checked on its own: the 1 MiB payload that
+        # follows an over-cap header is never read.
+        big = tmp_path / "big.ppm"
+        header = b"P6\n8193 8192\n255\n"
+        big.write_bytes(header + bytes(1 << 20))
+        positions = []
+        load_ppm = image_crop.load_ppm
+
+        def load_and_watch(f):
+            try:
+                return load_ppm(f)
+            finally:
+                positions.append(f.tell())
+
+        monkeypatch.setattr(image_crop, "load_ppm", load_and_watch)
+        code = main(["plan-crop", str(big), "--preset", "tiny"])
+        captured = capsys.readouterr()
+        assert code == 2 and "pixel cap" in captured.err and captured.err.count("\n") == 1
+        assert len(positions) == 1 and positions[0] <= image_crop._HEADER_READ
+
+    def test_truncated_payload_from_file_exits_2(self, capsys, tmp_path):
+        short = tmp_path / "short.ppm"
+        short.write_bytes(b"P6\n# c\n64 64\n255\n" + bytes(5000))
+        code = main(["plan-crop", str(short), "--preset", "tiny"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "truncated payload: expected 12288 bytes, got 5000" in captured.err
+
+    def test_state_cap_exits_3_before_crop(self, capsys, tmp_path, monkeypatch):
+        # --tile 1 --patch 1 turns a 40x40 image into 1600 tiles: 1601 states
+        # of 65 x 1024 elements pass encoder.MAX_STATE_ELEMENTS.
+        img = tmp_path / "img.ppm"
+        make_ppm(img, 40, 40, seed=3)
+
+        def no_crop(*args):
+            raise AssertionError("crop_tiles ran")
+
+        monkeypatch.setattr(image_crop, "crop_tiles", no_crop)
+        out = tmp_path / "o.falt"
+        for command, extra in (("encode", []), ("attn-map", ["--layer", "0", "--head", "0", "--register", "0"])):
+            code = main(
+                [command, str(img), "--preset", "paper", "--tile", "1", "--patch", "1",
+                 "--max-tiles", str(encoder.MAX_SIZE), "--out", str(out), *extra]
+            )
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "element cap" in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
+        # The dry run allocates no states, so it still reports the plan.
+        code, report = run(
+            capsys, "encode", str(img), "--preset", "paper", "--tile", "1", "--patch", "1",
+            "--max-tiles", str(encoder.MAX_SIZE), "--dry-run",
+        )
+        assert code == 0 and json.loads(report)["n_tiles"] == 1600
+
     def test_mismatched_weights_exit_3(self, capsys, small_ppm, tmp_path):
         other = encoder.config_with_overrides(encoder.PRESETS["tiny"], registers=3)
         w = encoder.init_weights(other, 0)

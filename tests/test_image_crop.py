@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,6 +50,25 @@ class TestPpm:
             ic.load_ppm(b"P6\n1 %d\n255\n" % (2**26 + 1))
         with pytest.raises(ImageError, match="truncated"):
             ic.load_ppm(b"P6\n8192 8192\n255\n")
+
+    def test_file_object_reads_header_then_payload(self):
+        img = np.arange(60, dtype=np.uint8).reshape(4, 5, 3)
+        # A comment longer than two header reads makes the header span three.
+        data = b"P6\n#" + b"c" * (2 * ic._HEADER_READ) + b"\n5 4\n255\n" + img.tobytes() + b"tail"
+        f = io.BytesIO(data)
+        assert np.array_equal(ic.load_ppm(f), img)
+        assert np.array_equal(ic.load_ppm(data), img)
+
+    def test_over_cap_header_reads_no_payload(self):
+        f = io.BytesIO(b"P6\n8193 8192\n255\n" + bytes(1 << 20))
+        with pytest.raises(ImageError, match="pixel cap"):
+            ic.load_ppm(f)
+        assert f.tell() <= ic._HEADER_READ
+
+    def test_header_without_end_rejected(self):
+        for data in (b"", b"P6", b"P6\n2 2\n255", b"P6\n2 2 # 255\n"):
+            with pytest.raises(ImageError, match="end of header"):
+                ic.load_ppm(data)
 
 
 _PPM_BASE = ic.write_ppm(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))

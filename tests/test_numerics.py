@@ -1,13 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from falcon import numerics
-from falcon.errors import ConfigError, NumericError
+from falcon.errors import ConfigError, NumericError, ShapeError
 
 finite_matrices = arrays(
     np.float64,
@@ -32,6 +33,24 @@ class TestSoftmaxRows:
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             numerics.softmax_rows(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.inf, 0.0], [0.0, np.nan], [-np.inf, -np.inf]],
+        ids=["plus-inf", "nan-after-max", "all-minus-inf"],
+    )
+    def test_rows_without_finite_max_rejected(self, row):
+        x = np.array([[1.0, 2.0], row])
+        before = x.copy()
+        with pytest.raises(NumericError):
+            numerics.softmax_rows(x, out=x)
+        assert np.array_equal(x, before, equal_nan=True)  # nothing written
+
+    def test_minus_inf_beside_finite_logits_gives_zero(self):
+        x = np.array([[0.0, -np.inf, math.log(3.0)], [-np.inf, 5.0, -np.inf]])
+        out = numerics.softmax_rows(x)
+        assert out[0, 1] == 0.0 and np.allclose(out[0], [0.25, 0.0, 0.75], atol=1e-12)
+        assert out[1].tolist() == [0.0, 1.0, 0.0]
 
     @given(finite_matrices)
     def test_rows_sum_to_one(self, x):
@@ -131,6 +150,119 @@ class TestGelu:
         before = x.copy()
         numerics.gelu(x)
         assert x.tobytes() == before.tobytes()
+
+
+# The unblocked expressions the row-blocked kernels replaced, written out.
+def softmax_expression(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_expression(x, gamma, beta, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (centered * inv) * gamma + beta
+
+
+def gelu_expression(x):
+    x = np.asarray(x)
+    return 0.5 * x * (1 + np.tanh(numerics.GELU_C * (x + numerics.GELU_A * x * x * x)))
+
+
+def same_bytes(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (
+        got.dtype == expected.dtype
+        and got.shape == expected.shape
+        and got.tobytes() == expected.tobytes()
+    )
+
+
+@st.composite
+def kernel_inputs(draw, max_abs=None):
+    """(x, block_bytes): a float32 or float64 array of 1-3 dims, and a block size
+    small enough that its rows span several blocks, usually with a partial last one."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(array_shapes(min_dims=1, max_dims=3, max_side=24))
+    width = 32 if dtype == np.float32 else 64
+    if max_abs is None:
+        elements = st.floats(width=width, allow_nan=False, allow_infinity=False)
+    else:
+        elements = st.floats(-max_abs, max_abs, width=width)
+    x = draw(arrays(dtype, shape, elements=elements))
+    itemsize = np.dtype(dtype).itemsize
+    row_bytes = shape[-1] * itemsize
+    block_bytes = draw(st.sampled_from([itemsize, 3 * itemsize, row_bytes, 2 * row_bytes + 1, 1 << 18]))
+    return x, block_bytes
+
+
+class TestBlockedKernelsMatchExpressions:
+    """Every row-blocked kernel gives the bytes of the expression it replaced."""
+
+    @given(kernel_inputs(max_abs=80.0))
+    def test_softmax_rows(self, case):
+        x, block_bytes = case
+        with mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
+            got = numerics.softmax_rows(x)
+            in_place = x.copy()
+            returned = numerics.softmax_rows(in_place, out=in_place)
+        expected = softmax_expression(x)
+        assert same_bytes(got, expected)
+        assert returned is in_place and same_bytes(in_place, expected)
+
+    @given(kernel_inputs(max_abs=1e4), st.data())
+    def test_layer_norm(self, case, data):
+        x, block_bytes = case
+        affine = arrays(x.dtype, x.shape[-1:], elements=st.floats(-4, 4, width=8 * x.itemsize))
+        gamma, beta = data.draw(affine), data.draw(affine)
+        eps = data.draw(st.sampled_from([1e-6, 1e-12, 0.5]))
+        before = x.copy()
+        with mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
+            got = numerics.layer_norm(x, gamma, beta, eps)
+        assert same_bytes(got, layer_norm_expression(x, gamma, beta, eps))
+        assert same_bytes(x, before)
+
+    @given(kernel_inputs())
+    def test_gelu(self, case):
+        # The full finite range, subnormals and overflowing cubes included.
+        x, block_bytes = case
+        with np.errstate(all="ignore"), mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
+            got = numerics.gelu(x)
+            in_place = x.copy()
+            returned = numerics.gelu(in_place, out=in_place)
+            expected = gelu_expression(x)
+        assert same_bytes(got, expected)
+        assert returned is in_place and same_bytes(in_place, expected)
+
+    @given(st.floats(allow_nan=False, width=32) | st.floats(allow_nan=False))
+    def test_gelu_scalars(self, v):
+        with np.errstate(all="ignore"):
+            for x in (v, np.float32(v), np.float64(v), np.asarray(v), np.asarray(np.float32(v))):
+                got, expected = numerics.gelu(x), gelu_expression(x)
+                assert type(got) is type(expected) and same_bytes(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_paper_shapes_at_module_block_size(self, dtype):
+        # At the real block size these shapes span 7 to 40 blocks, the last partial.
+        rng = np.random.default_rng(3)
+        logits = (rng.standard_normal((640, 640)) * 4).astype(dtype)
+        rows = rng.standard_normal((640, 1024)).astype(dtype)
+        hidden = (rng.standard_normal((333, 4096)) * 3).astype(dtype)
+        gamma, beta = rows[0] + 1, rows[1]
+        assert logits.nbytes > 6 * numerics._BLOCK_BYTES
+        assert same_bytes(numerics.softmax_rows(logits), softmax_expression(logits))
+        assert same_bytes(numerics.layer_norm(rows, gamma, beta), layer_norm_expression(rows, gamma, beta))
+        assert same_bytes(numerics.gelu(hidden), gelu_expression(hidden))
+
+    def test_out_must_fit(self):
+        x = np.ones((4, 3), np.float32)
+        for out in (np.empty((4, 3)), np.empty((3, 4), np.float32), np.empty((3, 4), np.float32).T):
+            with pytest.raises(ShapeError):
+                numerics.softmax_rows(x, out=out)
+            with pytest.raises(ShapeError):
+                numerics.gelu(x, out=out)
 
 
 def _splitmix64_reference(seed, n):
