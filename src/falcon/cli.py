@@ -6,8 +6,9 @@ tensors go to FALT archives, heatmaps to binary PGM. Every command is
 deterministic given (inputs, seed, flags); repeated runs produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 selftest failure, 2 input error, 3 config/weight
-error, 4 bad indices.
+Exit codes: 0 success, 1 selftest failure; a package error exits with its
+type's ``exit_code`` (``errors``): 2 input error, 3 config/weight error,
+4 bad indices. An ``OSError`` exits 2.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .numerics import SplitMix64
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
-EXIT_INPUT = 2
-EXIT_CONFIG = 3
-EXIT_INDEX = 4
 
 # Projector weights draw from their own stream so the encoder stream stays
 # stable whether or not projection is requested.
@@ -134,18 +132,35 @@ def _working_dtype(rc: RunConfig):
     return np.float64 if rc.verify_mode else np.float32
 
 
-def _load_image(path: str) -> np.ndarray:
+def _plan(cfg: encoder.EncoderConfig, path: str):
+    """The image at ``path`` and its crop plan."""
     try:
         with open(path, "rb") as f:
-            return image_crop.load_ppm(f)
+            img = image_crop.load_ppm(f)
     except OSError as exc:
         raise ImageError(f"cannot read image {path!r}: {exc}") from exc
+    return img, image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
 
 
-def _get_weights(rc: RunConfig, cfg: encoder.EncoderConfig, weights_path: str | None):
-    if weights_path:
-        return encoder.load_weights(weights_path, cfg)
-    return encoder.init_weights(cfg, rc.seed, _working_dtype(rc))
+def _forward(rc: RunConfig, args, cfg, img, plan, layers=None, collect=None):
+    """The size checks, the weights of the full ``cfg`` (an archive of every
+    layer serves a run of the first ``layers``) and the forward.
+
+    The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
+    """
+    encoder.check_state_cap(cfg, plan.n_tiles + (1 if rc.thumbnail else 0))
+    encoder.check_weight_cap(cfg)
+    if args.weights:
+        weights = encoder.load_weights(args.weights, cfg)
+    else:
+        weights = encoder.init_weights(cfg, rc.seed, _working_dtype(rc))
+    return encoder.encode(
+        image_crop.crop_tiles(image_crop.to_float(img), plan),
+        weights,
+        encoder.config_with_overrides(cfg, layers=layers),
+        thumbnail=rc.thumbnail,
+        collect=collect,
+    )
 
 
 def _emit(obj) -> None:
@@ -158,14 +173,11 @@ def _emit(obj) -> None:
 
 
 def cmd_plan_crop(rc: RunConfig, args) -> int:
-    cfg = encoder_config(rc)
-    img = _load_image(args.image)
-    h, w = img.shape[:2]
-    plan = image_crop.plan_crop(h, w, cfg.tile, cfg.max_tiles)
+    img, plan = _plan(encoder_config(rc), args.image)
     _emit(
         {
-            "h": h,
-            "w": w,
+            "h": img.shape[0],
+            "w": img.shape[1],
             "rows": plan.rows,
             "cols": plan.cols,
             "n_tiles": plan.n_tiles,
@@ -178,9 +190,7 @@ def cmd_plan_crop(rc: RunConfig, args) -> int:
 
 def cmd_encode(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    img = _load_image(args.image)
-    h, w = img.shape[:2]
-    plan = image_crop.plan_crop(h, w, cfg.tile, cfg.max_tiles)
+    img, plan = _plan(cfg, args.image)
     n_states = plan.n_tiles + (1 if rc.thumbnail else 0)
     report = oracle.count_flops(
         cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=rc.d_llm if rc.project else None
@@ -194,14 +204,9 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "out": None,
     }
     if not args.dry_run:
-        encoder.check_state_cap(cfg, n_states)
-        weights = _get_weights(rc, cfg, args.weights)
-        f_hr = encoder.encode(
-            image_crop.crop_tiles(image_crop.to_float(img), plan),
-            weights,
-            cfg,
-            thumbnail=rc.thumbnail,
-        )
+        if rc.project:
+            encoder.check_weight_cap(cfg, rc.d_llm)
+        f_hr = _forward(rc, args, cfg, img, plan)
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(
@@ -224,12 +229,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
         raise BoundsError(f"head {args.head} out of range [0, {cfg.heads})")
     if not 0 <= args.register < cfg.registers:
         raise BoundsError(f"register {args.register} out of range [0, {cfg.registers})")
-    img = _load_image(args.image)
-    h, w = img.shape[:2]
-    plan = image_crop.plan_crop(h, w, cfg.tile, cfg.max_tiles)
-    encoder.check_state_cap(cfg, plan.n_tiles + (1 if rc.thumbnail else 0))
-    weights = _get_weights(rc, cfg, args.weights)
-    tiles = image_crop.crop_tiles(image_crop.to_float(img), plan)
+    img, plan = _plan(cfg, args.image)
     n = cfg.n_image_tokens
     tile_rows = []
 
@@ -238,8 +238,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
             tile_rows.append(attn[n:, :n].copy())
 
     # Layers after --layer cannot change its attention, so they are not run.
-    shallow_cfg = encoder.config_with_overrides(cfg, layers=args.layer + 1)
-    encoder.encode(tiles, weights, shallow_cfg, thumbnail=rc.thumbnail, collect=collect)
+    _forward(rc, args, cfg, img, plan, layers=args.layer + 1, collect=collect)
     heat = encoder.extract_register_attention(tile_rows, args.register, plan)
     out = rc.out or "heatmap.pgm"
     with open(out, "wb") as f:
@@ -282,6 +281,7 @@ def cmd_compare(rc: RunConfig, args) -> int:
 
 def cmd_selftest(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
+    encoder.check_weight_cap(cfg)
     weights = None
     if args.weights:
         weights = encoder.load_weights(args.weights, cfg)
@@ -374,18 +374,9 @@ def main(argv=None) -> int:
     try:
         rc = resolve_run_config(args, args.defaults)
         return args.func(rc, args)
-    except ImageError as exc:
+    except (FalconError, OSError) as exc:  # an OSError is an input error, as ImageError is
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDEX
-    except FalconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", ImageError.exit_code)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,12 @@ MAX_SIZE = 2**32 - 1
 # preset at 16 tiles plus the thumbnail holds 17 * 640 * 1024 = 11.1M.
 MAX_STATE_ELEMENTS = 1 << 26
 
+# Largest element count ``check_weight_cap`` lets a run allocate for the
+# encoder weights, and apart for the projector's two matrices: 2^29
+# elements, 2 GiB of float32. The paper preset at 24 layers holds
+# 404,242,432.
+MAX_WEIGHT_ELEMENTS = 1 << 29
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -177,6 +183,17 @@ def reatten_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
     ]
 
 
+def _stem_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+    """(name, shape, fan_in, fan_out, init) of the tensors outside the layers."""
+    d = cfg.width
+    patch_dim = 3 * cfg.patch**2
+    return [
+        ("patch_embed", (patch_dim, d), patch_dim, d, "uniform"),
+        ("pos_embed", (cfg.n_image_tokens, d), d, d, "uniform"),
+        ("registers", (cfg.registers, d), d, d, "uniform"),
+    ]
+
+
 def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, int, str]]:
     """Canonical (name, shape, fan_in, fan_out, init) list.
 
@@ -184,12 +201,7 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
     during seeded initialization.
     """
     d = cfg.width
-    patch_dim = 3 * cfg.patch**2
-    specs = [
-        ("patch_embed", (patch_dim, d), patch_dim, d, "uniform"),
-        ("pos_embed", (cfg.n_image_tokens, d), d, d, "uniform"),
-        ("registers", (cfg.registers, d), d, d, "uniform"),
-    ]
+    specs = _stem_specs(cfg)
     for prefix, block in (("layers", layer_specs(d, cfg.ffn_mult)), ("reatten", reatten_specs(d))):
         for l in range(cfg.layers):
             specs += [(f"{prefix}.{l}.{fname}", *rest) for fname, *rest in block]
@@ -299,6 +311,30 @@ def check_state_cap(cfg: EncoderConfig, n_states: int) -> None:
         raise ConfigError(
             f"{n_states} tile states of {cfg.n_tokens} x {cfg.width} hold {elements} "
             f"elements, over the {MAX_STATE_ELEMENTS}-element cap"
+        )
+
+
+def weight_elements(cfg: EncoderConfig) -> int:
+    """Element count of ``tensor_specs(cfg)``, without building the list."""
+
+    def count(specs):
+        return sum(math.prod(shape) for _, shape, *_ in specs)
+
+    block = layer_specs(cfg.width, cfg.ffn_mult) + reatten_specs(cfg.width)
+    return count(_stem_specs(cfg)) + cfg.layers * count(block)
+
+
+def check_weight_cap(cfg: EncoderConfig, d_llm: int | None = None) -> None:
+    """Refuse, before they are allocated, weights over ``MAX_WEIGHT_ELEMENTS``:
+    the encoder's of ``cfg`` or, given ``d_llm``, the projector's from
+    ``cfg.width`` to ``d_llm``."""
+    if d_llm is None:
+        what, elements = "encoder weights", weight_elements(cfg)
+    else:
+        what, elements = "projector weights", d_llm * (cfg.width + d_llm)
+    if elements > MAX_WEIGHT_ELEMENTS:
+        raise ConfigError(
+            f"{what} of {elements} elements exceed the {MAX_WEIGHT_ELEMENTS}-element cap"
         )
 
 

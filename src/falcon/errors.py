@@ -1,12 +1,15 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: image problems exit 2, configuration or
-weight-archive problems exit 3, bad layer/head/register indices exit 4.
+The CLI exits with the ``exit_code`` of the error it catches: image problems
+exit 2, configuration or weight-archive problems exit 3, bad
+layer/head/register indices exit 4.
 """
 
 
 class FalconError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
 
 
 class ShapeError(FalconError):
@@ -28,9 +31,13 @@ class StateError(FalconError):
 class BoundsError(FalconError):
     """Layer, head, or register index outside the valid range."""
 
+    exit_code = 4
+
 
 class ImageError(FalconError):
     """Malformed, truncated, or unreadable image file."""
+
+    exit_code = 2
 
 
 class ArchiveError(FalconError):

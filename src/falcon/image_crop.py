@@ -22,8 +22,9 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 # 1 GiB at this cap.
 MAX_PIXELS = 1 << 26
 
-# ``load_ppm`` reads a file's header in pieces of this many bytes (more only
-# for a header that does not fit).
+# ``load_ppm`` reads a file's header, comments included, in one read of this
+# many bytes and refuses a header that does not end within them, so a header
+# costs at most this much whatever the file holds.
 _HEADER_READ = 4096
 
 
@@ -52,10 +53,6 @@ class TileSet:
 # ---------------------------------------------------------------------------
 
 
-class _ShortHeader(ImageError):
-    """The header runs past the end of the bytes read so far."""
-
-
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """The header token at or after ``pos`` and the whitespace position ending it.
 
@@ -76,7 +73,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
     if pos == n:
-        raise _ShortHeader("unexpected end of header")
+        raise ImageError(f"unexpected end of header: it must end within {_HEADER_READ} bytes")
     return data[start:pos], pos
 
 
@@ -106,21 +103,14 @@ def _ppm_header(data: bytes) -> tuple[int, int, int]:
 def load_ppm(data) -> np.ndarray:
     """Parse a binary PPM (P6, maxval 255) into a uint8 (H, W, 3) array.
 
-    ``data`` is the file's bytes or a binary file object. The header is read
-    and checked first, then exactly its payload, so a header naming more
-    than ``MAX_PIXELS`` is refused before any payload byte is read.
+    ``data`` is the file's bytes or a binary file object. The header,
+    comments included, must end within its first ``_HEADER_READ`` bytes. It
+    is read and checked first, then exactly its payload, so a header naming
+    more than ``MAX_PIXELS`` is refused before any payload byte is read.
     """
     f = io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
     head = f.read(_HEADER_READ)
-    while True:
-        try:
-            width, height, start = _ppm_header(head)
-            break
-        except _ShortHeader:
-            more = f.read(max(len(head), _HEADER_READ))
-            if not more:
-                raise
-            head += more
+    width, height, start = _ppm_header(head)
     img = np.empty((height, width, 3), dtype=np.uint8)
     payload = memoryview(img).cast("B")
     got = min(len(head) - start, len(payload))

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -264,6 +266,27 @@ class TestEncode:
         assert code == 2 and "pixel cap" in captured.err and captured.err.count("\n") == 1
         assert len(positions) == 1 and positions[0] <= image_crop._HEADER_READ
 
+    def test_long_header_refused_after_one_read(self, capsys, tmp_path, monkeypatch):
+        # 1 MiB of comment, then a valid header and payload: the header does
+        # not end within the one header read, so the rest is never read.
+        long = tmp_path / "long.ppm"
+        long.write_bytes(b"P6\n#" + b"c" * (1 << 20) + b"\n2 1\n255\n" + bytes(6))
+        positions = []
+        load_ppm = image_crop.load_ppm
+
+        def load_and_watch(f):
+            try:
+                return load_ppm(f)
+            finally:
+                positions.append(f.tell())
+
+        monkeypatch.setattr(image_crop, "load_ppm", load_and_watch)
+        code = main(["plan-crop", str(long), "--preset", "tiny"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "end of header" in captured.err and captured.err.count("\n") == 1
+        assert positions == [image_crop._HEADER_READ]
+
     def test_truncated_payload_from_file_exits_2(self, capsys, tmp_path):
         short = tmp_path / "short.ppm"
         short.write_bytes(b"P6\n# c\n64 64\n255\n" + bytes(5000))
@@ -298,6 +321,38 @@ class TestEncode:
             "--max-tiles", str(encoder.MAX_SIZE), "--dry-run",
         )
         assert code == 0 and json.loads(report)["n_tiles"] == 1600
+
+    def test_weight_cap_exits_3_before_allocating(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # Over-cap encoder or projector weights are refused from the config
+        # alone; the dry run allocates nothing and still reports.
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("weights allocated")
+
+        for owner, name in ((encoder, "init_weights"), (encoder, "load_weights"),
+                            (encoder, "encode"), (cli.compressors, "init_projector"),
+                            (oracle, "run_selftest")):
+            monkeypatch.setattr(owner, name, no_alloc)
+        out = tmp_path / "o.out"
+        wide = ["--preset", "tiny", "--width", "100000", "--heads", "1"]
+        projected = ["--preset", "tiny", "--project", "--d-llm"]
+        for argv in (
+            ["encode", small_ppm, *wide],
+            ["attn-map", small_ppm, *wide, "--layer", "0", "--head", "0", "--register", "0"],
+            ["selftest", *wide],
+            ["encode", small_ppm, "--preset", "tiny", "--layers", str(encoder.MAX_SIZE)],
+            ["encode", small_ppm, *projected, str(encoder.MAX_SIZE)],
+            ["encode", small_ppm, *projected, "200000"],
+        ):
+            code = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert "element cap" in captured.err and captured.err.count("\n") == 1, argv
+        assert not out.exists()
+        code, report = run(capsys, "encode", small_ppm, *projected, str(encoder.MAX_SIZE),
+                           "--dry-run")
+        assert code == 0 and json.loads(report)["flops"]
+        code, _ = run(capsys, "compare", *wide)
+        assert code == 0
 
     def test_mismatched_weights_exit_3(self, capsys, small_ppm, tmp_path):
         other = encoder.config_with_overrides(encoder.PRESETS["tiny"], registers=3)
@@ -370,8 +425,8 @@ class TestEncode:
         assert not out_path.exists()
 
     def test_tiles_freed_before_layer_0(self, capsys, small_ppm, tmp_path, monkeypatch):
-        # encode owns the TileSet that cmd_encode passes as a temporary, so
-        # the cropped pixels are gone when the first block runs.
+        # encode owns the TileSet that encode and attn-map pass as a
+        # temporary, so the cropped pixels are gone when the first block runs.
         refs = []
         crop_tiles = image_crop.crop_tiles
 
@@ -390,11 +445,17 @@ class TestEncode:
 
         monkeypatch.setattr(image_crop, "crop_tiles", crop_and_watch)
         monkeypatch.setattr(encoder, "self_attention_block", first_block)
-        out = tmp_path / "f_hr.falt"
-        code, _ = run(capsys, "encode", small_ppm, "--preset", "tiny", "--out", str(out))
-        assert code == 0 and out.exists()
-        assert len(refs) == 7  # 6 tiles of the 96x64 image and the thumbnail
-        assert alive_at_first_block == [0]
+        for command, extra in (
+            ("encode", []),
+            ("attn-map", ["--layer", "1", "--head", "0", "--register", "0"]),
+        ):
+            refs.clear()
+            alive_at_first_block.clear()
+            out = tmp_path / command
+            code, _ = run(capsys, command, small_ppm, "--preset", "tiny", "--out", str(out), *extra)
+            assert code == 0 and out.exists(), command
+            assert len(refs) == 7, command  # 6 tiles of the 96x64 image and the thumbnail
+            assert alive_at_first_block == [0], command
 
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
@@ -653,7 +714,43 @@ class TestSelftest:
         assert all(p is w.patch_embed for p in seen)
 
 
+_COMMON_OPTIONS = [
+    "--config", "--preset", "--seed", "--layers", "--width", "--heads", "--patch", "--tile",
+    "--registers", "--max-tiles", "--thumbnail", "--reatten", "--verify-mode", "--threads",
+    "--out",
+]
+
+
 class TestParser:
+    def test_option_surface_is_pinned(self):
+        # Every option string of every subcommand (positionals by name) and
+        # every field of the two config dataclasses. A change that adds,
+        # renames or drops a knob edits these lists and says so in CHANGES.md.
+        sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: [s for a in p._actions for s in (a.option_strings or [a.dest])]
+            for name, p in sub.choices.items()
+        }
+        help_ = ["-h", "--help"]
+        assert surface == {
+            "plan-crop": [*help_, "image", *_COMMON_OPTIONS],
+            "encode": [*help_, "image", "--weights", "--project", "--d-llm", "--dry-run",
+                       *_COMMON_OPTIONS],
+            "attn-map": [*help_, "image", "--weights", "--layer", "--head", "--register",
+                         *_COMMON_OPTIONS],
+            "compare": [*help_, *_COMMON_OPTIONS],
+            "selftest": [*help_, "--weights", *_COMMON_OPTIONS],
+        }
+        assert [f.name for f in dataclasses.fields(cli.RunConfig)] == [
+            "preset", "seed", "layers", "width", "heads", "patch", "tile", "registers",
+            "max_tiles", "thumbnail", "reatten", "verify_mode", "threads", "project", "d_llm",
+            "out",
+        ]
+        assert [f.name for f in dataclasses.fields(encoder.EncoderConfig)] == [
+            "layers", "width", "heads", "patch", "tile", "registers", "max_tiles", "ffn_mult",
+            "ln_eps", "reatten_enabled",
+        ]
+
     def test_parser_is_built_once_and_reused(self, capsys, small_ppm, tmp_path, monkeypatch):
         def fail():
             raise AssertionError("build_parser called again")

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falcon import image_crop as ic
@@ -53,11 +53,29 @@ class TestPpm:
 
     def test_file_object_reads_header_then_payload(self):
         img = np.arange(60, dtype=np.uint8).reshape(4, 5, 3)
-        # A comment longer than two header reads makes the header span three.
-        data = b"P6\n#" + b"c" * (2 * ic._HEADER_READ) + b"\n5 4\n255\n" + img.tobytes() + b"tail"
+        # A long comment ends the header 10 bytes before the end of the header
+        # read: those 10 payload bytes come from it, the other 50 from the file.
+        header = _header_of_length(ic._HEADER_READ - 10, b"5 4")
+        data = header + img.tobytes() + b"tail"
         f = io.BytesIO(data)
         assert np.array_equal(ic.load_ppm(f), img)
+        assert f.tell() == len(header) + img.nbytes
         assert np.array_equal(ic.load_ppm(data), img)
+
+    def test_header_read_is_bounded(self):
+        # A header that ends at the last byte of the one header read parses;
+        # one byte longer is refused after that read, whatever follows.
+        img = np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
+        at_limit = _header_of_length(ic._HEADER_READ, b"2 1") + img.tobytes()
+        for data in (at_limit, io.BytesIO(at_limit)):
+            assert np.array_equal(ic.load_ppm(data), img)
+        over = _header_of_length(ic._HEADER_READ + 1, b"2 1") + img.tobytes() + bytes(1 << 20)
+        f = io.BytesIO(over)
+        with pytest.raises(ImageError, match="end of header.*4096"):
+            ic.load_ppm(f)
+        assert f.tell() <= ic._HEADER_READ
+        with pytest.raises(ImageError, match="end of header"):
+            ic.load_ppm(over)
 
     def test_over_cap_header_reads_no_payload(self):
         f = io.BytesIO(b"P6\n8193 8192\n255\n" + bytes(1 << 20))
@@ -69,6 +87,14 @@ class TestPpm:
         for data in (b"", b"P6", b"P6\n2 2\n255", b"P6\n2 2 # 255\n"):
             with pytest.raises(ImageError, match="end of header"):
                 ic.load_ppm(data)
+
+
+def _header_of_length(length: int, dims: bytes) -> bytes:
+    """A P6 header of exactly ``length`` bytes, padded by one comment."""
+    fixed = b"P6\n#\n" + dims + b"\n255\n"
+    header = fixed[:3] + b"#" + b"c" * (length - len(fixed)) + fixed[4:]
+    assert len(header) == length
+    return header
 
 
 _PPM_BASE = ic.write_ppm(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
@@ -109,6 +135,118 @@ def test_fuzzed_ppm_raises_only_image_error(data):
         return
     assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
     assert 1 <= img.shape[0] * img.shape[1] <= ic.MAX_PIXELS
+
+
+# The reader before the header read was bounded: it read the header in
+# doubling pieces until it ended, however long. It is the reference for
+# every input whose header ends within ``_HEADER_READ`` bytes.
+class _RefShortHeader(ImageError):
+    pass
+
+
+def _ref_next_token(data, pos):
+    n = len(data)
+    while pos < n:
+        c = data[pos]
+        if c in b" \t\r\n\x0b\x0c":
+            pos += 1
+        elif c == ord("#"):
+            while pos < n and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos] not in b" \t\r\n\x0b\x0c":
+        pos += 1
+    if pos == n:
+        raise _RefShortHeader("unexpected end of header")
+    return data[start:pos], pos
+
+
+def _ref_ppm_header(data):
+    magic, pos = _ref_next_token(data, 0)
+    if magic != b"P6":
+        raise ImageError(f"expected P6 magic, got {magic!r}")
+    fields = []
+    for _ in range(3):
+        token, pos = _ref_next_token(data, pos)
+        try:
+            fields.append(int(token))
+        except ValueError as exc:
+            raise ImageError(f"non-numeric header field {token!r}") from exc
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ImageError(f"invalid dimensions {width}x{height}")
+    if width * height > ic.MAX_PIXELS:
+        raise ImageError(f"{width}x{height} image exceeds the {ic.MAX_PIXELS}-pixel cap")
+    if maxval != 255:
+        raise ImageError(f"only maxval 255 is supported, got {maxval}")
+    return width, height, pos + 1
+
+
+def _ref_load_ppm(data):
+    f = io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    head = f.read(4096)
+    while True:
+        try:
+            width, height, start = _ref_ppm_header(head)
+            break
+        except _RefShortHeader:
+            more = f.read(max(len(head), 4096))
+            if not more:
+                raise
+            head += more
+    img = np.empty((height, width, 3), dtype=np.uint8)
+    payload = memoryview(img).cast("B")
+    got = min(len(head) - start, len(payload))
+    payload[:got] = head[start : start + got]
+    while got < len(payload):
+        n = f.readinto(payload[got:])
+        if not n:
+            raise ImageError(f"truncated payload: expected {len(payload)} bytes, got {got}")
+        got += n
+    return img
+
+
+def _long_header_ppm():
+    """P6 files whose comments put the end of the header near 4096 bytes."""
+    comment = (st.integers(0, 4200) | st.integers(4075, 4095)).map(lambda n: b"#" + b"c" * n + b"\n")
+    space = st.sampled_from([b" ", b"\n", b"\t", b"\r"])
+    # A comment right after a token would join it, so a separator starts with whitespace.
+    sep = st.builds(bytes.__add__, space, st.lists(comment | space, max_size=3).map(b"".join))
+    dim = st.integers(1, 6).map(b"%d".__mod__) | st.sampled_from([b"0", b"x"])
+    maxval = st.just(b"255") | st.sampled_from([b"65535", b"255#"])
+    payload = st.binary(min_size=108, max_size=120) | st.binary(max_size=108)
+    return st.builds(
+        lambda s1, w, s2, h, s3, m, end, data: b"P6" + s1 + w + s2 + h + s3 + m + end + data,
+        sep, dim, sep, dim, sep, maxval, space | comment, payload,
+    )
+
+
+def _outcome(load, data):
+    try:
+        img = load(data)
+        return img.shape, img.tobytes()
+    except ImageError:
+        return ImageError
+
+
+@given(_long_header_ppm() | _mutated_ppm())
+@example(b"P6\n#" + b"c" * 5000 + b"\n1 1\n255\nabc")
+def test_bounded_reader_matches_reference(data):
+    # Where the reference parses a header that ends within the one header
+    # read, both readers return the same image (or both refuse the payload);
+    # everywhere else the bounded reader raises ImageError.
+    try:
+        within = _ref_ppm_header(data)[2] <= ic._HEADER_READ
+    except ImageError:
+        within = True  # the reference refuses it, so the bounded reader must too
+    for wrap in (bytes, io.BytesIO):
+        got = _outcome(ic.load_ppm, wrap(data))
+        if within:
+            assert got == _outcome(_ref_load_ppm, wrap(data))
+        else:
+            assert got is ImageError
 
 
 class TestResizeBilinear:
