@@ -107,10 +107,8 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown preset {rc.preset!r}")
     if rc.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {rc.threads}")
-    if rc.d_llm < 1:
-        raise ConfigError(f"d_llm must be >= 1, got {rc.d_llm}")
-    if rc.d_llm > encoder.MAX_SIZE:
-        raise ConfigError(f"d_llm must be <= {encoder.MAX_SIZE}")
+    if not 1 <= rc.d_llm <= encoder.MAX_SIZE:
+        raise ConfigError(f"d_llm must be in [1, {encoder.MAX_SIZE}], got {rc.d_llm}")
     return rc
 
 
@@ -142,14 +140,13 @@ def _plan(cfg: encoder.EncoderConfig, path: str):
     return img, image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
 
 
-def _forward(rc: RunConfig, args, cfg, img, plan, layers=None, collect=None):
-    """The size checks, the weights of the full ``cfg`` (an archive of every
+def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, collect=None):
+    """The run budget, the weights of the full ``cfg`` (an archive of every
     layer serves a run of the first ``layers``) and the forward.
 
     The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
     """
-    encoder.check_state_cap(cfg, plan.n_tiles + (1 if rc.thumbnail else 0))
-    encoder.check_weight_cap(cfg)
+    encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
     if args.weights:
         weights = encoder.load_weights(args.weights, cfg)
     else:
@@ -192,9 +189,8 @@ def cmd_encode(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
     img, plan = _plan(cfg, args.image)
     n_states = plan.n_tiles + (1 if rc.thumbnail else 0)
-    report = oracle.count_flops(
-        cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=rc.d_llm if rc.project else None
-    )
+    d_llm = rc.d_llm if rc.project else None
+    report = oracle.count_flops(cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=d_llm)
     summary = {
         "n_tiles": plan.n_tiles,
         "tokens_out": cfg.registers * n_states,
@@ -204,9 +200,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "out": None,
     }
     if not args.dry_run:
-        if rc.project:
-            encoder.check_weight_cap(cfg, rc.d_llm)
-        f_hr = _forward(rc, args, cfg, img, plan)
+        f_hr = _forward(rc, args, cfg, img, plan, d_llm)
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(
@@ -281,7 +275,8 @@ def cmd_compare(rc: RunConfig, args) -> int:
 
 def cmd_selftest(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    encoder.check_weight_cap(cfg)
+    # run_selftest's largest fixture: 3 tiles plus the thumbnail.
+    encoder.check_budget(cfg, 3)
     weights = None
     if args.weights:
         weights = encoder.load_weights(args.weights, cfg)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    EncoderConfig, LayerWeights, _multi_head_attention, init_tensor, layer_specs, reatten_specs
+    EncoderConfig, LayerWeights, _multi_head_attention, element_count, init_tensor, layer_specs,
+    reatten_specs,
 )
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu, init_uniform, layer_norm
@@ -149,10 +150,6 @@ def abstractor_compress(
 # ---------------------------------------------------------------------------
 
 
-def _param_count(specs) -> int:
-    return sum(math.prod(shape) for _, shape, *_ in specs)
-
-
 def comparison_row(
     kind: str,
     cfg: EncoderConfig,
@@ -182,12 +179,12 @@ def comparison_row(
         row["params"] = 9 * d * d
         row["flops_per_tile"] = m * 9 * d * d
     elif kind == "abstractor":
-        block_params = _param_count(layer_specs(d, ABSTRACTOR_FFN_MULT))
+        block_params = element_count(layer_specs(d, ABSTRACTOR_FFN_MULT))
         row["params"] = m * d + abstractor_depth * block_params
         block_flops = attention_macs(m, n, d) + ffn_macs(m, d, ABSTRACTOR_FFN_MULT)
         row["flops_per_tile"] = abstractor_depth * block_flops
     else:  # registers
-        row["params"] = cfg.registers * d + cfg.layers * _param_count(reatten_specs(d))
+        row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
 
         def layer_macs(rows):
             return attention_macs(rows, rows, d) + ffn_macs(rows, d, cfg.ffn_mult)

@@ -38,15 +38,16 @@ from .numerics import SplitMix64, init_uniform
 # JSON number can hold.
 MAX_SIZE = 2**32 - 1
 
-# Largest n_states * n_tokens * width that ``check_state_cap`` lets an
-# encode hold: 2^26 elements, 256 MiB of float32 tile states. The paper
-# preset at 16 tiles plus the thumbnail holds 17 * 640 * 1024 = 11.1M.
+# ``check_budget``'s cap on each activation array of a run: the cropped
+# pixels, the tile states and one head's softmax matrix. 2^26 elements,
+# 256 MiB of float32. The paper preset at 16 tiles plus the thumbnail holds
+# 7.5M pixels, 17 * 640 * 1024 = 11.1M state elements and a 1088^2 = 1.2M
+# exchange matrix.
 MAX_STATE_ELEMENTS = 1 << 26
 
-# Largest element count ``check_weight_cap`` lets a run allocate for the
-# encoder weights, and apart for the projector's two matrices: 2^29
-# elements, 2 GiB of float32. The paper preset at 24 layers holds
-# 404,242,432.
+# ``check_budget``'s cap on the encoder weights, and apart on the
+# projector's two matrices: 2^29 elements, 2 GiB of float32. The paper
+# preset at 24 layers holds 404,242,432.
 MAX_WEIGHT_ELEMENTS = 1 << 29
 
 
@@ -66,15 +67,10 @@ class EncoderConfig:
     reatten_enabled: bool = True
 
     def __post_init__(self):
-        if min(self.layers, self.width, self.heads, self.patch, self.tile) < 1:
-            raise ConfigError("layers, width, heads, patch, and tile must be >= 1")
-        if self.registers < 1:
-            raise ConfigError(f"register count must be >= 1, got {self.registers}")
-        if self.max_tiles < 1:
-            raise ConfigError(f"max_tiles must be >= 1, got {self.max_tiles}")
         for name in ("layers", "width", "heads", "patch", "tile", "registers", "max_tiles"):
-            if getattr(self, name) > MAX_SIZE:
-                raise ConfigError(f"{name} must be <= {MAX_SIZE}")
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_SIZE:
+                raise ConfigError(f"{name} must be in [1, {MAX_SIZE}], got {value}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.tile % self.patch != 0:
@@ -304,38 +300,36 @@ def init_reatten_from_vit(w: EncoderWeights) -> EncoderWeights:
 # ---------------------------------------------------------------------------
 
 
-def check_state_cap(cfg: EncoderConfig, n_states: int) -> None:
-    """Refuse a forward whose tile states would exceed ``MAX_STATE_ELEMENTS``."""
-    elements = n_states * cfg.n_tokens * cfg.width
-    if elements > MAX_STATE_ELEMENTS:
-        raise ConfigError(
-            f"{n_states} tile states of {cfg.n_tokens} x {cfg.width} hold {elements} "
-            f"elements, over the {MAX_STATE_ELEMENTS}-element cap"
-        )
+def element_count(specs) -> int:
+    """Total element count of a (name, shape, ...) spec list."""
+    return sum(math.prod(shape) for _, shape, *_ in specs)
 
 
 def weight_elements(cfg: EncoderConfig) -> int:
     """Element count of ``tensor_specs(cfg)``, without building the list."""
-
-    def count(specs):
-        return sum(math.prod(shape) for _, shape, *_ in specs)
-
     block = layer_specs(cfg.width, cfg.ffn_mult) + reatten_specs(cfg.width)
-    return count(_stem_specs(cfg)) + cfg.layers * count(block)
+    return element_count(_stem_specs(cfg)) + cfg.layers * element_count(block)
 
 
-def check_weight_cap(cfg: EncoderConfig, d_llm: int | None = None) -> None:
-    """Refuse, before they are allocated, weights over ``MAX_WEIGHT_ELEMENTS``:
-    the encoder's of ``cfg`` or, given ``d_llm``, the projector's from
-    ``cfg.width`` to ``d_llm``."""
-    if d_llm is None:
-        what, elements = "encoder weights", weight_elements(cfg)
-    else:
-        what, elements = "projector weights", d_llm * (cfg.width + d_llm)
-    if elements > MAX_WEIGHT_ELEMENTS:
-        raise ConfigError(
-            f"{what} of {elements} elements exceed the {MAX_WEIGHT_ELEMENTS}-element cap"
-        )
+def check_budget(
+    cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
+) -> None:
+    """Refuse, before anything is allocated, a run of ``count_flops``'s
+    arguments whose largest arrays exceed their caps. ``crop_tiles`` builds
+    the thumbnail even when ``thumbnail`` is off."""
+    n_states = n_tiles + (1 if thumbnail else 0)
+    exchange_rows = cfg.registers * n_states if cfg.reatten_enabled else 0
+    budget = [
+        ("cropped pixels", (n_tiles + 1) * cfg.tile**2 * 3, MAX_STATE_ELEMENTS),
+        ("tile states", n_states * cfg.n_tokens * cfg.width, MAX_STATE_ELEMENTS),
+        ("one head's softmax matrix", max(cfg.n_tokens, exchange_rows) ** 2, MAX_STATE_ELEMENTS),
+        ("encoder weights", weight_elements(cfg), MAX_WEIGHT_ELEMENTS),
+    ]
+    if d_llm is not None:
+        budget.append(("projector weights", d_llm * (cfg.width + d_llm), MAX_WEIGHT_ELEMENTS))
+    for what, elements, cap in budget:
+        if elements > cap:
+            raise ConfigError(f"{what}: {elements} elements, over the {cap}-element cap")
 
 
 def _weights_dtype(w: EncoderWeights):

@@ -17,7 +17,7 @@ from .errors import ConfigError, ImageError, ShapeError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# Largest image ``load_ppm`` accepts. ``cli.cmd_encode`` holds the uint8
+# Largest image ``load_ppm`` accepts. ``cli._forward`` holds the uint8
 # image and its float32 copy through the crop, 15 bytes per pixel: about
 # 1 GiB at this cap.
 MAX_PIXELS = 1 << 26

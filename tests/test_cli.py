@@ -27,6 +27,14 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+# Every call that allocates a large array of encode, attn-map or selftest.
+_ALLOCATING = (
+    (encoder, "init_weights"), (encoder, "load_weights"), (encoder, "encode"),
+    (image_crop, "crop_tiles"), (cli.compressors, "init_projector"),
+    (oracle, "fixture_tiles"), (oracle, "run_selftest"),
+)
+
+
 def validate_schema(payload, name):
     schema = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
     jsonschema.validate(payload, schema)
@@ -296,45 +304,63 @@ class TestEncode:
         assert "truncated payload: expected 12288 bytes, got 5000" in captured.err
 
     def test_state_cap_exits_3_before_crop(self, capsys, tmp_path, monkeypatch):
-        # --tile 1 --patch 1 turns a 40x40 image into 1600 tiles: 1601 states
-        # of 65 x 1024 elements pass encoder.MAX_STATE_ELEMENTS.
-        img = tmp_path / "img.ppm"
+        # Each case is refused from the plan and the config alone, before the
+        # weights, the crop or the forward:
+        # - --tile 1 --patch 1 turns a 40x40 image into 1600 tiles: 1601
+        #   states of 65 x 1024 elements pass encoder.MAX_STATE_ELEMENTS;
+        # - --patch 8192 --tile 524288 asks crop_tiles for a 3 TiB band;
+        # - 100000 registers make a 37 GiB self-attention softmax matrix, and
+        #   a larger exchange one;
+        # - 6000 registers over 4 tiles and the thumbnail make a (30000, 30000)
+        #   exchange softmax matrix.
+        img, square = tmp_path / "img.ppm", tmp_path / "square.ppm"
         make_ppm(img, 40, 40, seed=3)
+        make_ppm(square, 64, 64, seed=4)
 
-        def no_crop(*args):
-            raise AssertionError("crop_tiles ran")
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated")
 
-        monkeypatch.setattr(image_crop, "crop_tiles", no_crop)
+        for owner, name in _ALLOCATING:
+            monkeypatch.setattr(owner, name, no_alloc)
         out = tmp_path / "o.falt"
-        for command, extra in (("encode", []), ("attn-map", ["--layer", "0", "--head", "0", "--register", "0"])):
-            code = main(
-                [command, str(img), "--preset", "paper", "--tile", "1", "--patch", "1",
-                 "--max-tiles", str(encoder.MAX_SIZE), "--out", str(out), *extra]
-            )
+        attn = ["--layer", "0", "--head", "0", "--register", "0"]
+        many = [str(img), "--preset", "paper", "--tile", "1", "--patch", "1",
+                "--max-tiles", str(encoder.MAX_SIZE)]
+        band = [str(square), "--preset", "tiny", "--width", "1", "--heads", "1",
+                "--patch", "8192", "--tile", "524288", "--layers", "1"]
+        wide_attention = [str(square), "--preset", "tiny", "--registers", "100000"]
+        wide_exchange = [str(square), "--preset", "tiny", "--registers", "6000", "--layers", "1"]
+        for argv in (
+            ["encode", *many],
+            ["attn-map", *many, *attn],
+            ["encode", *band],
+            ["encode", *wide_attention],
+            ["attn-map", *wide_attention, *attn],
+            ["encode", *wide_exchange],
+        ):
+            code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
-            assert code == 3 and captured.out == ""
-            assert "element cap" in captured.err and captured.err.count("\n") == 1
+            assert code == 3 and captured.out == "", argv
+            assert "element cap" in captured.err and captured.err.count("\n") == 1, argv
         assert not out.exists()
         # The dry run allocates no states, so it still reports the plan.
-        code, report = run(
-            capsys, "encode", str(img), "--preset", "paper", "--tile", "1", "--patch", "1",
-            "--max-tiles", str(encoder.MAX_SIZE), "--dry-run",
-        )
+        code, report = run(capsys, "encode", *many, "--dry-run")
         assert code == 0 and json.loads(report)["n_tiles"] == 1600
 
     def test_weight_cap_exits_3_before_allocating(self, capsys, small_ppm, tmp_path, monkeypatch):
-        # Over-cap encoder or projector weights are refused from the config
-        # alone; the dry run allocates nothing and still reports.
+        # Over-cap encoder or projector weights, and selftest fixtures over
+        # the pixel cap, are refused from the config alone; the dry run
+        # allocates nothing and still reports.
         def no_alloc(*args, **kwargs):
             raise AssertionError("weights allocated")
 
-        for owner, name in ((encoder, "init_weights"), (encoder, "load_weights"),
-                            (encoder, "encode"), (cli.compressors, "init_projector"),
-                            (oracle, "run_selftest")):
+        for owner, name in _ALLOCATING:
             monkeypatch.setattr(owner, name, no_alloc)
         out = tmp_path / "o.out"
         wide = ["--preset", "tiny", "--width", "100000", "--heads", "1"]
         projected = ["--preset", "tiny", "--project", "--d-llm"]
+        fixtures = ["--preset", "tiny", "--width", "1", "--heads", "1", "--patch", "8192",
+                    "--tile", "134217728", "--layers", "1", "--verify-mode", "off"]
         for argv in (
             ["encode", small_ppm, *wide],
             ["attn-map", small_ppm, *wide, "--layer", "0", "--head", "0", "--register", "0"],
@@ -342,6 +368,7 @@ class TestEncode:
             ["encode", small_ppm, "--preset", "tiny", "--layers", str(encoder.MAX_SIZE)],
             ["encode", small_ppm, *projected, str(encoder.MAX_SIZE)],
             ["encode", small_ppm, *projected, "200000"],
+            ["selftest", *fixtures],
         ):
             code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
@@ -509,6 +536,102 @@ def test_fuzzed_config_exits_0_or_3(config_fuzz_dir, config):
         assert code == 3
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class _Reached(Exception):
+    """Raised by a patched allocating call: the run got past its checks."""
+
+
+def _log_int(bits):
+    """Integers in [1, 2^(bits + 1)), each power of two as likely as the next."""
+    return st.integers(0, bits).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))
+
+
+@st.composite
+def _size_knobs(draw):
+    """Valid size flags: tile a multiple of patch, width of heads."""
+    patch = draw(_log_int(6))
+    heads = draw(_log_int(4))
+    return {
+        "patch": patch,
+        "tile": patch * draw(_log_int(9)),
+        "heads": heads,
+        "width": heads * draw(_log_int(12)),
+        "registers": draw(_log_int(16)),
+        "max-tiles": draw(_log_int(6)),
+        "layers": draw(_log_int(31)),
+        "reatten": draw(st.sampled_from(["on", "off"])),
+    }
+
+
+def _budget_counts(knobs, n_tiles, d_llm):
+    """(elements, cap) of every array the run budget bounds, counted here
+    from the flags and the plan, apart from ``encoder.check_budget``."""
+    p, tile, d, m = knobs["patch"], knobs["tile"], knobs["width"], knobs["registers"]
+    n_tokens = (tile // p) ** 2 + m
+    n_states = n_tiles + 1
+    exchange = m * n_states if knobs["reatten"] == "on" else 0
+    # Stem: patch_embed, pos_embed and registers. Per layer: four d x d
+    # attention matrices, the 4d-wide FFN and two layer norms, then four
+    # d x d exchange matrices and one layer norm.
+    weights = 3 * p * p * d + n_tokens * d + knobs["layers"] * (8 * d * d + 2 * d * 4 * d + 6 * d)
+    counts = [
+        ((n_tiles + 1) * tile * tile * 3, encoder.MAX_STATE_ELEMENTS),
+        (n_states * n_tokens * d, encoder.MAX_STATE_ELEMENTS),
+        (max(n_tokens, exchange) ** 2, encoder.MAX_STATE_ELEMENTS),
+        (weights, encoder.MAX_WEIGHT_ELEMENTS),
+    ]
+    if d_llm is not None:
+        counts.append((d_llm * (d + d_llm), encoder.MAX_WEIGHT_ELEMENTS))
+    return counts
+
+
+def _main_stopped(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` with every allocating call
+    patched to stop the run; the code is None when one was reached."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def stop(*args, **kwargs):
+        raise _Reached
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in _ALLOCATING:
+            mp.setattr(owner, name, stop)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except _Reached:
+                code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_size_knobs(), st.none() | _log_int(16))
+def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
+    # Each run either exits 3 with one stderr line before any allocating
+    # call, or reaches one with every counted array within its cap.
+    img = str(config_fuzz_dir / "img.ppm")
+    flags = ["--preset", "tiny", "--out", str(config_fuzz_dir / "o.out")]
+    for name, value in knobs.items():
+        flags += [f"--{name}", str(value)]
+    plan = image_crop.plan_crop(96, 64, knobs["tile"], knobs["max-tiles"])  # img.ppm is 96x64
+    project = [] if d_llm is None else ["--project", "--d-llm", str(d_llm)]
+    for argv, n_tiles, projector in (
+        (["encode", img, *flags, *project], plan.n_tiles, d_llm),
+        (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
+         plan.n_tiles, None),
+        (["selftest", *flags], 3, None),
+    ):
+        code, out, err = _main_stopped(argv)
+        within = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector))
+        if code is None:
+            assert within, argv
+        else:
+            assert code == 3 and not within, argv
+            assert out == "" and "element cap" in err and err.count("\n") == 1, argv
+    # Neither the dry run nor compare allocates, so both report.
+    for argv in (["encode", img, *flags, *project, "--dry-run"], ["compare", *flags]):
+        assert _main_stopped(argv)[0] == 0, argv
+    assert not (config_fuzz_dir / "o.out").exists()
 
 
 class TestAttnMap:

@@ -84,20 +84,22 @@ class TestWeights:
         assert list(enc.weights_to_dict(enc.init_weights(tiny_cfg, 0), tiny_cfg)) == names
 
     def test_weight_elements_and_cap(self):
-        # The count per layer equals the spec list's. The cap admits the
-        # paper preset at 24 layers and a 4096-wide projector; it refuses
-        # 2^32 - 1 layers and a 2^15-wide projector.
+        # The count per layer equals the spec list's. The run budget admits
+        # the paper preset at 24 layers and a 4096-wide projector, and at 16
+        # tiles plus the thumbnail every row; it refuses 2^32 - 1 layers and
+        # a 2^15-wide projector.
         for cfg in (enc.PRESETS["tiny"], enc.config_with_overrides(enc.PRESETS["paper"], layers=3)):
             specs = enc.tensor_specs(cfg)
             assert enc.weight_elements(cfg) == sum(int(np.prod(s)) for _, s, *_ in specs)
         paper = enc.PRESETS["paper"]
         assert enc.weight_elements(paper) == 404_242_432 <= enc.MAX_WEIGHT_ELEMENTS
-        enc.check_weight_cap(paper)
-        with pytest.raises(ConfigError, match="element cap"):
-            enc.check_weight_cap(enc.config_with_overrides(paper, layers=2**32 - 1))
-        enc.check_weight_cap(paper, d_llm=4096)
+        enc.check_budget(paper, 1)
+        with pytest.raises(ConfigError, match="encoder weights.*element cap"):
+            enc.check_budget(enc.config_with_overrides(paper, layers=2**32 - 1), 1)
+        enc.check_budget(paper, 1, d_llm=4096)
         with pytest.raises(ConfigError, match="projector weights"):
-            enc.check_weight_cap(paper, d_llm=2**15)
+            enc.check_budget(paper, 1, d_llm=2**15)
+        enc.check_budget(paper, 16, thumbnail=True, d_llm=4096)
 
     def test_archive_round_trip(self, tiny_cfg, tiny_weights, tmp_path):
         path = tmp_path / "w.falt"
