@@ -9,7 +9,6 @@ a loop-based oracle with gradient checks, and a CLI.
 
 from .encoder import (
     EncoderConfig,
-    EncoderWeights,
     PRESETS,
     encode,
     extract_register_attention,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CropPlan",
     "EncoderConfig",
-    "EncoderWeights",
     "FlopReport",
     "PRESETS",
     "SplitMix64",

@@ -142,15 +142,18 @@ def _plan(cfg: encoder.EncoderConfig, path: str):
 
 def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, collect=None):
     """The run budget, the weights of the full ``cfg`` (an archive of every
-    layer serves a run of the first ``layers``) and the forward.
+    layer serves a run of the first ``layers``) and the forward, in the
+    working dtype whatever the archive's.
 
     The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
     """
     encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
+    dtype = _working_dtype(rc)
     if args.weights:
-        weights = encoder.load_weights(args.weights, cfg)
+        loaded = encoder.load_weights(args.weights, cfg)
+        weights = {name: t.astype(dtype, copy=False) for name, t in loaded.items()}
     else:
-        weights = encoder.init_weights(cfg, rc.seed, _working_dtype(rc))
+        weights = encoder.init_weights(cfg, rc.seed, dtype)
     return encoder.encode(
         image_crop.crop_tiles(image_crop.to_float(img), plan),
         weights,
@@ -188,12 +191,11 @@ def cmd_plan_crop(rc: RunConfig, args) -> int:
 def cmd_encode(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
     img, plan = _plan(cfg, args.image)
-    n_states = plan.n_tiles + (1 if rc.thumbnail else 0)
     d_llm = rc.d_llm if rc.project else None
     report = oracle.count_flops(cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=d_llm)
     summary = {
         "n_tiles": plan.n_tiles,
-        "tokens_out": cfg.registers * n_states,
+        "tokens_out": report.tokens_post,
         "compression_ratio": cfg.compression_ratio,
         "flops": report.as_dict(),
         "dry_run": bool(args.dry_run),
@@ -209,7 +211,6 @@ def cmd_encode(rc: RunConfig, args) -> int:
             entries["projected"] = compressors.mlp_project(f_hr, pw)
         out = rc.out or "f_hr.falt"
         falt.save(out, entries)
-        summary["tokens_out"] = int(f_hr.shape[0])
         summary["out"] = out
     _emit(summary)
     return EXIT_OK

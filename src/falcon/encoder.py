@@ -132,13 +132,8 @@ class ReattenWeights:
     ro: np.ndarray
 
 
-@dataclass
-class EncoderWeights:
-    patch_embed: np.ndarray
-    pos_embed: np.ndarray
-    registers: np.ndarray
-    layers: list[LayerWeights]
-    reatten: list[ReattenWeights]
+# The weights: canonical name -> tensor, in ``tensor_specs`` order.
+Weights = dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -211,87 +206,67 @@ def init_tensor(shape, fan_in: int, fan_out: int, kind: str, rng: SplitMix64, dt
     return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
 
 
-def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderWeights:
-    """Seeded deterministic initialization in canonical tensor order."""
+def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> Weights:
+    """Seeded deterministic initialization: the canonical name -> tensor
+    mapping, drawn in ``tensor_specs`` order."""
     rng = SplitMix64(seed)
-    entries = {name: init_tensor(*spec, rng, dtype) for name, *spec in tensor_specs(cfg)}
-    return weights_from_dict(entries, cfg)
+    return {name: init_tensor(*spec, rng, dtype) for name, *spec in tensor_specs(cfg)}
 
 
-def weights_to_dict(w: EncoderWeights, cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    """Flatten weights into the canonical name -> tensor mapping."""
-    entries = {
-        "patch_embed": w.patch_embed,
-        "pos_embed": w.pos_embed,
-        "registers": w.registers,
-    }
-    for prefix, blocks in (("layers", w.layers), ("reatten", w.reatten)):
-        for l, block in enumerate(blocks):
-            for f in dataclasses.fields(block):
-                entries[f"{prefix}.{l}.{f.name}"] = getattr(block, f.name)
-    return entries
-
-
-def weights_from_dict(entries, cfg: EncoderConfig) -> EncoderWeights:
-    """Assemble weights from named tensors, validating names and shapes."""
+def _check_names_and_shapes(w: Weights, cfg: EncoderConfig) -> None:
+    """Refuse a mapping whose names or shapes do not match ``cfg``."""
     specs = tensor_specs(cfg)
     expected = {name for name, *_ in specs}
-    got = set(entries)
+    got = set(w)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         raise ConfigError(f"weight names do not match config: missing {missing}, extra {extra}")
     for name, shape, *_ in specs:
-        actual = tuple(ad.value_of(entries[name]).shape)
+        actual = np.shape(w[name])
         if actual != shape:
             raise ConfigError(f"tensor {name!r} has shape {actual}, expected {shape}")
 
-    def blocks(prefix, cls):
-        return [
-            cls(**{f.name: entries[f"{prefix}.{l}.{f.name}"] for f in dataclasses.fields(cls)})
-            for l in range(cfg.layers)
-        ]
 
-    return EncoderWeights(
-        patch_embed=entries["patch_embed"],
-        pos_embed=entries["pos_embed"],
-        registers=entries["registers"],
-        layers=blocks("layers", LayerWeights),
-        reatten=blocks("reatten", ReattenWeights),
-    )
+def save_weights(path: str, w: Weights, cfg: EncoderConfig) -> None:
+    """Write ``w``'s tensors in ``tensor_specs`` order; names and shapes must match ``cfg``."""
+    _check_names_and_shapes(w, cfg)
+    falt.save(path, {name: w[name] for name, *_ in tensor_specs(cfg)})
 
 
-def save_weights(path: str, w: EncoderWeights, cfg: EncoderConfig) -> None:
-    falt.save(path, weights_to_dict(w, cfg))
-
-
-def load_weights(path: str, cfg: EncoderConfig) -> EncoderWeights:
+def load_weights(path: str, cfg: EncoderConfig) -> Weights:
     """Read an archive; names and shapes must match ``cfg``, every entry be finite."""
     entries = falt.load(path)
-    w = weights_from_dict(entries, cfg)
+    _check_names_and_shapes(entries, cfg)
     for name, tensor in entries.items():
         if not np.isfinite(tensor).all():
             raise ConfigError(f"tensor {name!r} has non-finite entries")
-    return w
+    return {name: entries[name] for name, *_ in tensor_specs(cfg)}
 
 
-def init_reatten_from_vit(w: EncoderWeights) -> EncoderWeights:
+def block_weights(cls, w: Weights, prefix: str):
+    """One block's weights, ``LayerWeights`` or ``ReattenWeights``, from the
+    entries of ``w`` named ``{prefix}.{field}``; ``prefix`` is e.g. "layers.0"."""
+    return cls(**{f.name: w[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+
+
+# Each layer field that seeds an exchange-block field.
+_VIT_TO_REATTEN = {
+    "ln1_gamma": "ln_gamma", "ln1_beta": "ln_beta", "wq": "rq", "wk": "rk", "wv": "rv", "wo": "ro"
+}
+
+
+def init_reatten_from_vit(w: Weights) -> Weights:
     """Copy each layer's self-attention parameters into its exchange module.
 
     Deep copies: later mutation of the exchange weights leaves the ViT
-    parameters untouched and vice versa.
+    parameters untouched and vice versa. ``w`` is updated and returned.
     """
-    w.reatten = [
-        ReattenWeights(
-            ln_gamma=lw.ln1_gamma.copy(),
-            ln_beta=lw.ln1_beta.copy(),
-            rq=lw.wq.copy(),
-            rk=lw.wk.copy(),
-            rv=lw.wv.copy(),
-            ro=lw.wo.copy(),
-        )
-        for lw in w.layers
-    ]
+    for name in list(w):
+        kind, _, rest = name.partition(".")
+        layer, _, field = rest.partition(".")
+        if kind == "layers" and field in _VIT_TO_REATTEN:
+            w[f"reatten.{layer}.{_VIT_TO_REATTEN[field]}"] = w[name].copy()
     return w
 
 
@@ -332,11 +307,7 @@ def check_budget(
             raise ConfigError(f"{what}: {elements} elements, over the {cap}-element cap")
 
 
-def _weights_dtype(w: EncoderWeights):
-    return np.asarray(ad.value_of(w.patch_embed)).dtype
-
-
-def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True):
+def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
     """Layer-0 token states: patch embeddings plus the shared registers.
 
     Per tile: image rows are patchify(normalized tile) @ patch_embed +
@@ -346,7 +317,7 @@ def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail
     """
     if len(tiles.tiles) > cfg.max_tiles:
         raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
-    dtype = _weights_dtype(w)
+    dtype = np.asarray(ad.value_of(w["patch_embed"])).dtype
     states = []
     raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
     for tile in raster:
@@ -354,9 +325,9 @@ def embed_tiles(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail
         if tile.shape != (cfg.tile, cfg.tile, 3):
             raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
         tokens = patchify(normalize_pixels(tile.astype(dtype, copy=False)), cfg.patch)
-        image_rows = tokens @ w.patch_embed
-        image_rows += w.pos_embed
-        states.append(ad.concat([image_rows, w.registers], axis=0))
+        image_rows = tokens @ w["patch_embed"]
+        image_rows += w["pos_embed"]
+        states.append(ad.concat([image_rows, w["registers"]], axis=0))
     return states
 
 
@@ -430,14 +401,15 @@ def _at(collect, layer: int, tile: int | None):
 
 
 def encode(
-    tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, *, thumbnail: bool = True, collect=None
+    tiles: TileSet, w: Weights, cfg: EncoderConfig, *, thumbnail: bool = True, collect=None
 ):
     """Run the full encoder; returns the register outputs.
 
     The output stacks each tile's M register rows in tile order, thumbnail
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
     Image-token outputs are discarded. Tiles run one after another; the
-    exchange step joins them once per layer.
+    exchange step joins them once per layer. ``w`` is the canonical name ->
+    tensor mapping; each layer reads its own entries only, when it runs.
 
     ``collect(layer, tile, head, attn)``, when given, sees every softmax
     matrix in forward order: (N+M, N+M) for the self-attention of state
@@ -453,12 +425,11 @@ def encode(
     # Each block's result replaces its input in the same slot, so only one
     # generation of tile states is alive at a time.
     for layer in range(cfg.layers):
-        lw = w.layers[layer]
+        lw = block_weights(LayerWeights, w, f"layers.{layer}")
         for k in range(len(states)):
             states[k] = self_attention_block(states[k], lw, cfg, _at(collect, layer, k))
-        regs = reatten(
-            states, w.reatten[layer], cfg, cfg.reatten_enabled, _at(collect, layer, None)
-        )
+        rw = block_weights(ReattenWeights, w, f"reatten.{layer}")
+        regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer, None))
         for k in range(len(states)):
             states[k] = ffn_block(
                 ad.concat([states[k][:n], regs[k * m : (k + 1) * m]], axis=0), lw, cfg
@@ -466,15 +437,14 @@ def encode(
     return ad.concat([s[n:] for s in states], axis=0)
 
 
-def parameter_gradients(tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True):
+def parameter_gradients(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
     """Analytic gradients of loss = sum(F_hr) w.r.t. every trainable tensor.
 
     Returns (loss value, canonical name -> gradient array). Runs ``encode``
     with the weights wrapped as autodiff variables.
     """
-    params = {name: ad.Var(tensor) for name, tensor in weights_to_dict(w, cfg).items()}
-    var_weights = weights_from_dict(params, cfg)
-    f_hr = encode(tiles, var_weights, cfg, thumbnail=thumbnail)
+    params = {name: ad.Var(tensor) for name, tensor in w.items()}
+    f_hr = encode(tiles, params, cfg, thumbnail=thumbnail)
     loss = ad.total(f_hr)
     loss.backward()
     grads = {

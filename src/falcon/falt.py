@@ -10,6 +10,7 @@ Layout (all integers little-endian):
 
 dtype code 1 is a local extension for verification-mode (float64) tensors.
 Entries keep insertion order, which callers use as the canonical order.
+Names are unique: a name read twice is refused.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def _read(f, size: int) -> dict[str, np.ndarray]:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArchiveError("entry name is not valid UTF-8") from exc
+        if name in entries:
+            raise ArchiveError(f"repeated entry name {name!r}")
         (ndim,) = struct.unpack("<B", take(1))
         if ndim == 0:
             raise ArchiveError(f"entry {name!r} has ndim 0")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import encoder as enc
-from .encoder import EncoderConfig, EncoderWeights
+from .encoder import EncoderConfig, Weights
 from .errors import ConfigError, NumericError
 from .image_crop import TileSet
 from .numerics import SplitMix64
@@ -140,7 +140,7 @@ def _patchify_ref(tile, p):
 
 
 def encode_reference(
-    tiles: TileSet, w: EncoderWeights, cfg: EncoderConfig, thumbnail: bool = True
+    tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True
 ) -> tuple[np.ndarray, dict]:
     """Loop-based re-implementation of the full forward, float64 throughout.
 
@@ -153,10 +153,7 @@ def encode_reference(
             f"reference forward capped at {REFERENCE_TOKEN_CAP} total tokens, "
             f"got {len(raster) * cfg.n_tokens}"
         )
-    wd = {
-        name: np.asarray(t, dtype=np.float64).tolist()
-        for name, t in enc.weights_to_dict(w, cfg).items()
-    }
+    wd = {name: np.asarray(t, dtype=np.float64).tolist() for name, t in w.items()}
     counts = {"embed": 0, "self_attention": 0, "reatten": 0, "ffn": 0}
     eps = cfg.ln_eps
     n = cfg.n_image_tokens
@@ -347,7 +344,7 @@ class GradReport:
 
 def check_encoder_gradients(
     tiles: TileSet,
-    w: EncoderWeights,
+    w: Weights,
     cfg: EncoderConfig,
     thumbnail: bool = True,
     h: float = 1e-5,
@@ -355,8 +352,7 @@ def check_encoder_gradients(
 ) -> GradReport:
     """Compare analytic gradients of loss = sum(F_hr) against central
     finite differences for every trainable tensor. Requires float64 weights."""
-    params = enc.weights_to_dict(w, cfg)
-    for name, tensor in params.items():
+    for name, tensor in w.items():
         if tensor.dtype != np.float64:
             raise ConfigError(f"gradient check requires float64 weights, {name} is {tensor.dtype}")
     loss, analytic = enc.parameter_gradients(tiles, w, cfg, thumbnail=thumbnail)
@@ -364,9 +360,9 @@ def check_encoder_gradients(
     def loss_fn():
         return float(enc.encode(tiles, w, cfg, thumbnail=thumbnail).sum())
 
-    fd = finite_diff_grad(loss_fn, params, h)
+    fd = finite_diff_grad(loss_fn, w, h)
     entries = []
-    for name in params:
+    for name in w:
         a = analytic[name]
         f = fd[name]
         max_abs = float(np.max(np.abs(a - f)))
@@ -400,7 +396,7 @@ def _check(name: str, passed: bool, **detail) -> dict:
 
 
 def run_selftest(
-    cfg: EncoderConfig, seed: int = 0, verify_mode: bool = True, weights: EncoderWeights | None = None
+    cfg: EncoderConfig, seed: int = 0, verify_mode: bool = True, weights: Weights | None = None
 ) -> dict:
     """Oracle equivalence, gradient check, and invariant suite on one config.
 
@@ -431,10 +427,7 @@ def run_selftest(
     if weights is None:
         w64 = enc.init_weights(cfg, seed, np.float64)
     else:
-        w64 = enc.weights_from_dict(
-            {k: t.astype(np.float64, copy=False) for k, t in enc.weights_to_dict(weights, cfg).items()},
-            cfg,
-        )
+        w64 = {name: t.astype(np.float64, copy=False) for name, t in weights.items()}
     f64 = enc.encode(tiles, w64, cfg)
     ref64, _ = encode_reference(tiles, w64, cfg)
     err64 = float(np.max(np.abs(f64 - ref64)))

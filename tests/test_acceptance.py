@@ -154,6 +154,13 @@ def test_06_reatten_off_independence(capsys):
 
 def test_07_reatten_init_contract(capsys):
     w = enc.init_reatten_from_vit(enc.init_weights(TINY, 7, np.float32))
+    blocks = [
+        (
+            enc.block_weights(enc.LayerWeights, w, f"layers.{layer}"),
+            enc.block_weights(enc.ReattenWeights, w, f"reatten.{layer}"),
+        )
+        for layer in range(TINY.layers)
+    ]
     copies_ok = all(
         rw.rq.tobytes() == lw.wq.tobytes()
         and rw.rk.tobytes() == lw.wk.tobytes()
@@ -161,11 +168,11 @@ def test_07_reatten_init_contract(capsys):
         and rw.ro.tobytes() == lw.wo.tobytes()
         and rw.ln_gamma.tobytes() == lw.ln1_gamma.tobytes()
         and rw.ln_beta.tobytes() == lw.ln1_beta.tobytes()
-        for lw, rw in zip(w.layers, w.reatten)
+        for lw, rw in blocks
     )
-    before = w.layers[0].wq.copy()
-    w.reatten[0].rq[:] = -7.0
-    independent = np.array_equal(w.layers[0].wq, before)
+    before = w["layers.0.wq"].copy()
+    w["reatten.0.rq"][:] = -7.0
+    independent = np.array_equal(w["layers.0.wq"], before)
     ok = copies_ok and independent
     with capsys.disabled():
         report(7, ok, "weight-copy init bitwise per layer; mutation independent")

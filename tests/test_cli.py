@@ -145,14 +145,28 @@ class TestEncode:
         assert entries["projected"].shape == (28, 6)
         assert payload["flops"]["projector"] > 0
 
-    def test_verify_mode_writes_float64(self, capsys, small_ppm, tmp_path):
+    @pytest.mark.parametrize(
+        "archive, verify, dtype",
+        [(None, "on", np.float64), (np.float32, "on", np.float64), (np.float64, "off", np.float32)],
+        ids=["seeded-on", "f32-archive-on", "f64-archive-off"],
+    )
+    def test_verify_mode_writes_float64(
+        self, capsys, small_ppm, tmp_path, archive, verify, dtype
+    ):
+        # --verify-mode alone sets the working dtype; an archive's own does not.
+        weights = []
+        if archive is not None:
+            cfg = encoder.PRESETS["tiny"]
+            wpath = tmp_path / "w.falt"
+            encoder.save_weights(str(wpath), encoder.init_weights(cfg, 0, archive), cfg)
+            weights = ["--weights", str(wpath)]
         out_path = tmp_path / "v.falt"
         code, _ = run(
-            capsys, "encode", small_ppm, "--preset", "tiny", "--verify-mode", "on",
-            "--out", str(out_path),
+            capsys, "encode", small_ppm, "--preset", "tiny", "--verify-mode", verify,
+            "--out", str(out_path), *weights,
         )
         assert code == 0
-        assert falt.load(str(out_path))["f_hr"].dtype == np.float64
+        assert falt.load(str(out_path))["f_hr"].dtype == dtype
 
     def test_dry_run_reports_without_artifact(self, capsys, small_ppm, tmp_path):
         out_path = tmp_path / "never.falt"
@@ -397,7 +411,7 @@ class TestEncode:
     )
     def test_non_finite_weights_exit_3(self, capsys, small_ppm, tmp_path, name, value):
         cfg = encoder.PRESETS["tiny"]
-        entries = encoder.weights_to_dict(encoder.init_weights(cfg, 0), cfg)
+        entries = encoder.init_weights(cfg, 0)
         entries[name][0, 0] = value
         wpath = tmp_path / "bad.falt"
         falt.save(str(wpath), entries)
@@ -655,12 +669,9 @@ class TestAttnMap:
         # min == max to all zeros.
         cfg = encoder.PRESETS["tiny"]
         w = encoder.init_weights(cfg, 0)
-        for lw in w.layers:
-            lw.wq[:] = 0.0
-            lw.wk[:] = 0.0
-        for rw in w.reatten:
-            rw.rq[:] = 0.0
-            rw.rk[:] = 0.0
+        for name, tensor in w.items():
+            if name.endswith((".wq", ".wk", ".rq", ".rk")):
+                tensor[:] = 0.0
         wpath = tmp_path / "zero.falt"
         encoder.save_weights(str(wpath), w, cfg)
         out_path = tmp_path / "flat.pgm"
@@ -827,14 +838,14 @@ class TestSelftest:
         encode = oracle.enc.encode
 
         def spy(tiles, weights, *args, **kwargs):
-            seen.append(weights.patch_embed)
+            seen.append(weights["patch_embed"])
             return encode(tiles, weights, *args, **kwargs)
 
         monkeypatch.setattr(oracle.enc, "encode", spy)
         monkeypatch.setattr(oracle.enc, "init_weights", None)
         result = oracle.run_selftest(cfg, seed=0, verify_mode=False, weights=w)
         assert result["passed"] and result["weights"] == "archive"
-        assert all(p is w.patch_embed for p in seen)
+        assert all(p is w["patch_embed"] for p in seen)
 
 
 _COMMON_OPTIONS = [

@@ -18,13 +18,22 @@ from conftest import random_tiles
 def zero_logit_weights(cfg, seed=0, dtype=np.float32):
     """Weights with all query/key projections zeroed: attention is uniform."""
     w = enc.init_weights(cfg, seed, dtype)
-    for lw in w.layers:
-        lw.wq[:] = 0.0
-        lw.wk[:] = 0.0
-    for rw in w.reatten:
-        rw.rq[:] = 0.0
-        rw.rk[:] = 0.0
+    for name, tensor in w.items():
+        if name.endswith((".wq", ".wk", ".rq", ".rk")):
+            tensor[:] = 0.0
     return w
+
+
+class KeyLog(dict):
+    """A weights mapping that records every key read through ``w[key]``."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
 
 
 def self_attention_rows(tiles, w, cfg):
@@ -75,13 +84,13 @@ class TestWeights:
     def test_seeded_init_deterministic(self, tiny_cfg):
         a = enc.init_weights(tiny_cfg, seed=3)
         b = enc.init_weights(tiny_cfg, seed=3)
-        for name, t in enc.weights_to_dict(a, tiny_cfg).items():
-            assert t.tobytes() == enc.weights_to_dict(b, tiny_cfg)[name].tobytes()
+        for name, t in a.items():
+            assert t.tobytes() == b[name].tobytes()
 
     def test_canonical_order_stable(self, tiny_cfg):
         names = [name for name, *_ in enc.tensor_specs(tiny_cfg)]
         assert names[:3] == ["patch_embed", "pos_embed", "registers"]
-        assert list(enc.weights_to_dict(enc.init_weights(tiny_cfg, 0), tiny_cfg)) == names
+        assert list(enc.init_weights(tiny_cfg, 0)) == names
 
     def test_weight_elements_and_cap(self):
         # The count per layer equals the spec list's. The run budget admits
@@ -105,8 +114,8 @@ class TestWeights:
         path = tmp_path / "w.falt"
         enc.save_weights(str(path), tiny_weights, tiny_cfg)
         again = enc.load_weights(str(path), tiny_cfg)
-        for name, t in enc.weights_to_dict(tiny_weights, tiny_cfg).items():
-            assert t.tobytes() == enc.weights_to_dict(again, tiny_cfg)[name].tobytes()
+        for name, t in tiny_weights.items():
+            assert t.tobytes() == again[name].tobytes()
 
     def test_load_validates_shapes(self, tiny_cfg, tiny_weights, tmp_path):
         path = tmp_path / "w.falt"
@@ -116,7 +125,7 @@ class TestWeights:
             enc.load_weights(str(path), other)
 
     def test_missing_tensor_rejected(self, tiny_cfg, tiny_weights, tmp_path):
-        entries = enc.weights_to_dict(tiny_weights, tiny_cfg)
+        entries = dict(tiny_weights)
         entries.pop("registers")
         path = tmp_path / "w.falt"
         falt.save(str(path), entries)
@@ -134,7 +143,7 @@ class TestWeights:
         # Recorded from the unchunked draw code; pins the whole paper-width
         # draw stream (every tensor crosses many draw chunks) and its archive.
         cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=1)
-        entries = enc.weights_to_dict(enc.init_weights(cfg, seed=3, dtype=dtype), cfg)
+        entries = enc.init_weights(cfg, seed=3, dtype=dtype)
         assert hashlib.sha256(falt.dumps(entries)).hexdigest() == digest
 
 
@@ -153,12 +162,12 @@ class TestEmbedTiles:
         states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg)
         n = tiny_cfg.n_image_tokens
         for s in states:
-            assert np.array_equal(s[n:], tiny_weights.registers)
+            assert np.array_equal(s[n:], tiny_weights["registers"])
 
     def test_image_rows_match_formula(self, tiny_cfg, tiny_weights, tiny_tiles):
         states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg, thumbnail=False)
         tokens = patchify(normalize_pixels(tiny_tiles.tiles[0]), tiny_cfg.patch)
-        expected = tokens @ tiny_weights.patch_embed + tiny_weights.pos_embed
+        expected = tokens @ tiny_weights["patch_embed"] + tiny_weights["pos_embed"]
         assert np.allclose(states[0][: tiny_cfg.n_image_tokens], expected, atol=1e-6)
 
     def test_too_many_tiles_rejected(self, tiny_cfg, tiny_weights):
@@ -189,7 +198,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(tiny_cfg.n_tokens, tiny_cfg.width))
         w64 = enc.init_weights(tiny_cfg, seed=1, dtype=np.float64)
-        lw = w64.layers[0]
+        lw = enc.block_weights(enc.LayerWeights, w64, "layers.0")
         got = enc.self_attention_block(x, lw, tiny_cfg)
         normed = layer_norm(x, lw.ln1_gamma, lw.ln1_beta, tiny_cfg.ln_eps)
         q, k, v = normed @ lw.wq, normed @ lw.wk, normed @ lw.wv
@@ -211,7 +220,8 @@ class TestReatten:
         # Disabled, the returned rows are the input register rows, bit for bit.
         states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg)
         before = [s.copy() for s in states]
-        out = enc.reatten(states, tiny_weights.reatten[0], tiny_cfg, enabled=False)
+        rw = enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0")
+        out = enc.reatten(states, rw, tiny_cfg, enabled=False)
         expected = np.concatenate([s[tiny_cfg.n_image_tokens :] for s in before], axis=0)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
@@ -247,11 +257,12 @@ class TestReatten:
         # After one self-attention block every tile's register rows differ,
         # so a mismatched slice would show.
         tiles = random_tiles(tiny_cfg, 3, seed=4)
+        lw = enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0")
         states = [
-            enc.self_attention_block(s, tiny_weights.layers[0], tiny_cfg)
+            enc.self_attention_block(s, lw, tiny_cfg)
             for s in enc.embed_tiles(tiles, tiny_weights, tiny_cfg, thumbnail=False)
         ]
-        rw = tiny_weights.reatten[0]
+        rw = enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0")
         m = tiny_cfg.registers
         assert not np.allclose(states[0][-m:], states[1][-m:])
         base = enc.reatten(states, rw, tiny_cfg)
@@ -267,19 +278,21 @@ class TestReatten:
         a = np.zeros((8, 8), np.float32)
         b = np.zeros((7, 8), np.float32)
         with pytest.raises(StateError):
-            enc.reatten([a, b], tiny_weights.reatten[0], tiny_cfg)
+            enc.reatten(
+                [a, b], enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0"), tiny_cfg
+            )
 
 
 class TestFfn:
     def test_zero_w1_is_exact_identity(self, tiny_cfg, tiny_weights):
-        lw = copy.deepcopy(tiny_weights.layers[0])
+        lw = copy.deepcopy(enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0"))
         lw.w1[:] = 0.0
         x = np.random.default_rng(2).normal(size=(8, 8)).astype(np.float32)
         out = enc.ffn_block(x, lw, tiny_cfg)
         assert np.array_equal(out, x)
 
     def test_row_permutation_commutes(self, tiny_cfg, tiny_weights):
-        lw = tiny_weights.layers[0]
+        lw = enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0")
         x = np.random.default_rng(3).normal(size=(8, 8)).astype(np.float32)
         perm = np.random.default_rng(4).permutation(8)
         assert np.array_equal(
@@ -319,7 +332,7 @@ class TestEncode:
 
         def watch(block, fn):
             def wrapper(x, lw, cfg, *rest):
-                layer = next(i for i, known in enumerate(w.layers) if known is lw)
+                layer = next(i for i in range(cfg.layers) if lw.wq is w[f"layers.{i}.wq"])
                 earlier = inputs.setdefault((block, layer), [])
                 alive = [k for k, ref in enumerate(earlier) if ref() is not None]
                 assert not alive, f"{block} layer {layer}: inputs of states {alive} still alive"
@@ -336,6 +349,20 @@ class TestEncode:
         assert {key: len(refs) for key, refs in inputs.items()} == {
             (block, layer): n_states for block in ("attention", "ffn") for layer in range(cfg.layers)
         }
+
+    def test_reads_weights_one_layer_at_a_time(self, tiny_cfg, tiny_weights, tiny_tiles):
+        # What ROADMAP item 1 builds on: a mapping that reads its entries on
+        # demand serves a forward that holds one layer's weights at a time.
+        stem = {"patch_embed", "pos_embed", "registers"}
+        assert tiny_cfg.layers == 2
+        w = KeyLog(tiny_weights)
+        enc.encode(tiny_tiles, w, enc.config_with_overrides(tiny_cfg, layers=1))
+        layer0 = {name for name in tiny_weights if name.startswith(("layers.0.", "reatten.0."))}
+        assert set(w.read) == stem | layer0
+        w = KeyLog(tiny_weights)
+        enc.encode(tiny_tiles, w, tiny_cfg)
+        layers = [int(name.split(".")[1]) for name in w.read if name not in stem]
+        assert set(layers) == {0, 1} and layers == sorted(layers)
 
     def test_permutation_equivariance(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=12)
@@ -397,7 +424,9 @@ class TestConcat:
 class TestReattenInit:
     def test_copy_is_bitwise(self, tiny_cfg):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))
-        for lw, rw in zip(w.layers, w.reatten):
+        for layer in range(tiny_cfg.layers):
+            lw = enc.block_weights(enc.LayerWeights, w, f"layers.{layer}")
+            rw = enc.block_weights(enc.ReattenWeights, w, f"reatten.{layer}")
             assert rw.rq.tobytes() == lw.wq.tobytes()
             assert rw.rk.tobytes() == lw.wk.tobytes()
             assert rw.rv.tobytes() == lw.wv.tobytes()
@@ -407,9 +436,9 @@ class TestReattenInit:
 
     def test_mutation_independence(self, tiny_cfg):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))
-        before = w.layers[0].wq.copy()
-        w.reatten[0].rq[:] = 123.0
-        assert np.array_equal(w.layers[0].wq, before)
+        before = w["layers.0.wq"].copy()
+        w["reatten.0.rq"][:] = 123.0
+        assert np.array_equal(w["layers.0.wq"], before)
 
     def test_post_init_encode_differs_from_reatten_off(self, tiny_cfg, tiny_tiles):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))

@@ -49,6 +49,15 @@ def test_trailing_bytes_rejected():
         falt.loads(data + b"\x00")
 
 
+def test_repeated_name_rejected():
+    # Two entries named "x": refused, not folded into one key.
+    one = falt.dumps({"x": np.ones(3, np.float32)})
+    entry = one[len(falt.MAGIC) + 6 :]
+    data = falt.MAGIC + struct.pack("<HI", falt.VERSION, 2) + entry + entry
+    with pytest.raises(ArchiveError, match="repeated entry name 'x'"):
+        falt.loads(data)
+
+
 def test_unknown_version_rejected():
     data = bytearray(falt.dumps({"x": np.ones(1, np.float32)}))
     data[4] = 9
@@ -129,7 +138,7 @@ def test_paper_archive_loads_back(tmp_path):
     from falcon import encoder
 
     cfg = encoder.config_with_overrides(encoder.PRESETS["paper"], layers=1)
-    entries = encoder.weights_to_dict(encoder.init_weights(cfg, 3), cfg)
+    entries = encoder.init_weights(cfg, 3)
     path = tmp_path / "paper.falt"
     falt.save(str(path), entries)
     _assert_loads_back(path, entries)

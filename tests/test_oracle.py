@@ -44,11 +44,7 @@ class TestEncodeReference:
         assert np.abs(main.astype(np.float64) - ref).max() <= 1e-5
 
     def test_zero_weights_give_identical_register_rows(self, tiny_cfg, tiny_tiles):
-        entries = {
-            name: np.zeros(shape, np.float32)
-            for name, shape, *_ in enc.tensor_specs(tiny_cfg)
-        }
-        w = enc.weights_from_dict(entries, tiny_cfg)
+        w = {name: np.zeros(shape, np.float32) for name, shape, *_ in enc.tensor_specs(tiny_cfg)}
         ref, _ = oracle.encode_reference(tiny_tiles, w, tiny_cfg)
         assert np.abs(ref - ref[0]).max() < 1e-12
 
