@@ -142,16 +142,15 @@ def _plan(cfg: encoder.EncoderConfig, path: str):
 
 def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, collect=None):
     """The run budget, the weights of the full ``cfg`` (an archive of every
-    layer serves a run of the first ``layers``) and the forward, in the
-    working dtype whatever the archive's.
+    layer serves a run of the first ``layers``, which reads only theirs) and
+    the forward, in the working dtype whatever the archive's.
 
     The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
     """
     encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
     dtype = _working_dtype(rc)
     if args.weights:
-        loaded = encoder.load_weights(args.weights, cfg)
-        weights = {name: t.astype(dtype, copy=False) for name, t in loaded.items()}
+        weights = encoder.load_weights(args.weights, cfg, dtype)
     else:
         weights = encoder.init_weights(cfg, rc.seed, dtype)
     return encoder.encode(
@@ -280,7 +279,7 @@ def cmd_selftest(rc: RunConfig, args) -> int:
     encoder.check_budget(cfg, 3)
     weights = None
     if args.weights:
-        weights = encoder.load_weights(args.weights, cfg)
+        weights = dict(encoder.load_weights(args.weights, cfg))
     result = oracle.run_selftest(cfg, seed=rc.seed, verify_mode=rc.verify_mode, weights=weights)
     _emit(result)
     return EXIT_OK if result["passed"] else EXIT_SELFTEST_FAILED

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
@@ -213,35 +214,58 @@ def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> Weights:
     return {name: init_tensor(*spec, rng, dtype) for name, *spec in tensor_specs(cfg)}
 
 
-def _check_names_and_shapes(w: Weights, cfg: EncoderConfig) -> None:
-    """Refuse a mapping whose names or shapes do not match ``cfg``."""
+def _check_names_and_shapes(shapes: Mapping[str, tuple[int, ...]], cfg: EncoderConfig) -> None:
+    """Refuse a name -> shape mapping whose names or shapes do not match ``cfg``."""
     specs = tensor_specs(cfg)
     expected = {name for name, *_ in specs}
-    got = set(w)
+    got = set(shapes)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         raise ConfigError(f"weight names do not match config: missing {missing}, extra {extra}")
     for name, shape, *_ in specs:
-        actual = np.shape(w[name])
+        actual = shapes[name]
         if actual != shape:
             raise ConfigError(f"tensor {name!r} has shape {actual}, expected {shape}")
 
 
 def save_weights(path: str, w: Weights, cfg: EncoderConfig) -> None:
     """Write ``w``'s tensors in ``tensor_specs`` order; names and shapes must match ``cfg``."""
-    _check_names_and_shapes(w, cfg)
+    _check_names_and_shapes({name: np.shape(t) for name, t in w.items()}, cfg)
     falt.save(path, {name: w[name] for name, *_ in tensor_specs(cfg)})
 
 
-def load_weights(path: str, cfg: EncoderConfig) -> Weights:
-    """Read an archive; names and shapes must match ``cfg``, every entry be finite."""
-    entries = falt.load(path)
-    _check_names_and_shapes(entries, cfg)
-    for name, tensor in entries.items():
+class _ArchiveWeights(Mapping):
+    """``load_weights``' read-on-access mapping over one archive's index."""
+
+    def __init__(self, path: str, index: dict[str, falt.Entry], dtype):
+        self._path, self._index, self._dtype = path, index, dtype
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        tensor = falt.read_entry(self._path, self._index[name])
         if not np.isfinite(tensor).all():
             raise ConfigError(f"tensor {name!r} has non-finite entries")
-    return {name: entries[name] for name, *_ in tensor_specs(cfg)}
+        return tensor if self._dtype is None else tensor.astype(self._dtype, copy=False)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def load_weights(path: str, cfg: EncoderConfig, dtype=None) -> Mapping[str, np.ndarray]:
+    """The weights in the archive at ``path``, read entry by entry on access.
+
+    Names and shapes are checked against ``cfg`` from the archive's index,
+    before any payload is read. Each lookup reads one entry, refuses it if
+    it is not finite and casts it to ``dtype`` (None keeps the archive's),
+    so a forward holds only the entries it still uses. ``dict(...)`` reads
+    and checks them all.
+    """
+    index = falt.index(path)
+    _check_names_and_shapes({name: entry.dims for name, entry in index.items()}, cfg)
+    return _ArchiveWeights(path, {name: index[name] for name, *_ in tensor_specs(cfg)}, dtype)
 
 
 def block_weights(cls, w: Weights, prefix: str):
@@ -317,7 +341,8 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
     """
     if len(tiles.tiles) > cfg.max_tiles:
         raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
-    dtype = np.asarray(ad.value_of(w["patch_embed"])).dtype
+    patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]
+    dtype = np.asarray(ad.value_of(patch_embed)).dtype
     states = []
     raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
     for tile in raster:
@@ -325,9 +350,9 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
         if tile.shape != (cfg.tile, cfg.tile, 3):
             raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
         tokens = patchify(normalize_pixels(tile.astype(dtype, copy=False)), cfg.patch)
-        image_rows = tokens @ w["patch_embed"]
-        image_rows += w["pos_embed"]
-        states.append(ad.concat([image_rows, w["registers"]], axis=0))
+        image_rows = tokens @ patch_embed
+        image_rows += pos_embed
+        states.append(ad.concat([image_rows, registers], axis=0))
     return states
 
 
@@ -409,7 +434,7 @@ def encode(
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
     Image-token outputs are discarded. Tiles run one after another; the
     exchange step joins them once per layer. ``w`` is the canonical name ->
-    tensor mapping; each layer reads its own entries only, when it runs.
+    tensor mapping; each entry is looked up once, when its layer runs.
 
     ``collect(layer, tile, head, attn)``, when given, sees every softmax
     matrix in forward order: (N+M, N+M) for the self-attention of state
@@ -423,17 +448,21 @@ def encode(
     del tiles
     n, m = cfg.n_image_tokens, cfg.registers
     # Each block's result replaces its input in the same slot, so only one
-    # generation of tile states is alive at a time.
+    # generation of tile states is alive at a time. A layer's weights are
+    # released before the next layer's are read, so a mapping that reads on
+    # access (``load_weights``) holds one layer at a time.
     for layer in range(cfg.layers):
         lw = block_weights(LayerWeights, w, f"layers.{layer}")
         for k in range(len(states)):
             states[k] = self_attention_block(states[k], lw, cfg, _at(collect, layer, k))
         rw = block_weights(ReattenWeights, w, f"reatten.{layer}")
         regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer, None))
+        del rw
         for k in range(len(states)):
             states[k] = ffn_block(
                 ad.concat([states[k][:n], regs[k * m : (k + 1) * m]], axis=0), lw, cfg
             )
+        del lw, regs
     return ad.concat([s[n:] for s in states], axis=0)
 
 

@@ -11,6 +11,10 @@ Layout (all integers little-endian):
 dtype code 1 is a local extension for verification-mode (float64) tensors.
 Entries keep insertion order, which callers use as the canonical order.
 Names are unique: a name read twice is refused.
+
+``load`` reads every entry. ``index`` scans the headers alone, with the same
+checks, and ``read_entry`` reads one indexed entry, so a reader can hold one
+entry at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +65,21 @@ def dumps(entries: dict[str, np.ndarray]) -> bytes:
     return b"".join(_chunks(entries))
 
 
-def _read(f, size: int) -> dict[str, np.ndarray]:
-    """Parse an archive of ``size`` bytes from the binary stream ``f``.
+class Entry(NamedTuple):
+    """Where one entry's payload sits in its archive, and its array type."""
 
-    Each payload is read straight into its own fresh array, after its size
-    has been checked against the bytes left, so hostile dims are refused
-    before anything is allocated.
+    offset: int
+    dims: tuple[int, ...]
+    dtype: np.dtype  # as stored, little-endian
+
+
+def _index(f, size: int) -> dict[str, Entry]:
+    """Scan the headers of an archive of ``size`` bytes from the binary
+    stream ``f``, seeking over the payloads: name -> ``Entry``, in file order.
+
+    Every check of the format is made here, each payload's size against the
+    bytes left before anything is allocated, so hostile dims are refused
+    from the header alone.
     """
 
     def take(n: int) -> bytes:
@@ -79,7 +93,7 @@ def _read(f, size: int) -> dict[str, np.ndarray]:
     version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
         raise ArchiveError(f"unsupported archive version {version}")
-    entries: dict[str, np.ndarray] = {}
+    entries: dict[str, Entry] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
@@ -100,19 +114,34 @@ def _read(f, size: int) -> dict[str, np.ndarray]:
         nbytes = math.prod(dims) * dtype.itemsize
         if nbytes > size - f.tell():
             raise ArchiveError("truncated archive")
-        try:
-            array = np.empty(dims, dtype.newbyteorder("="))
-        except ValueError as exc:  # a zero-size shape whose other dims overflow
+        try:  # a zero-stride view checks the shape as np.empty does, allocating nothing
+            np.broadcast_to(dtype.type(0), dims)
+        except ValueError as exc:  # over 64 dims, or a zero-size shape overflowing numpy
             raise ArchiveError(f"unsupported dims {dims} for entry {name!r}") from exc
-        # memoryview.cast refuses zero-size arrays, which have nothing to read.
-        if nbytes and f.readinto(memoryview(array).cast("B")) != nbytes:
-            raise ArchiveError("truncated archive")
-        if not dtype.isnative:
-            array.byteswap(inplace=True)
-        entries[name] = array
+        entries[name] = Entry(f.tell(), dims, dtype)
+        f.seek(nbytes, io.SEEK_CUR)
     if f.tell() != size:
         raise ArchiveError("trailing bytes after last entry")
     return entries
+
+
+def _read_entry(f, entry: Entry) -> np.ndarray:
+    """One indexed payload of the stream ``f``, read straight into a fresh
+    native-order array."""
+    array = np.empty(entry.dims, entry.dtype.newbyteorder("="))
+    nbytes = array.nbytes
+    f.seek(entry.offset)
+    # memoryview.cast refuses zero-size arrays, which have nothing to read.
+    if nbytes and f.readinto(memoryview(array).cast("B")) != nbytes:
+        raise ArchiveError("truncated archive")
+    if not entry.dtype.isnative:
+        array.byteswap(inplace=True)
+    return array
+
+
+def _read(f, size: int) -> dict[str, np.ndarray]:
+    """Parse an archive: its index, then each payload once, in file order."""
+    return {name: _read_entry(f, entry) for name, entry in _index(f, size).items()}
 
 
 def loads(data: bytes) -> dict[str, np.ndarray]:
@@ -128,10 +157,29 @@ def save(path: str, entries: dict[str, np.ndarray]) -> None:
             f.write(chunk)
 
 
-def load(path: str) -> dict[str, np.ndarray]:
-    """Read an archive from disk, each payload once, into its own array."""
+def _with_file(path: str, parse):
+    """``parse(f, size)`` on the open archive at ``path``; an OSError is an ArchiveError."""
     try:
         with open(path, "rb") as f:
-            return _read(f, os.fstat(f.fileno()).st_size)
+            return parse(f, os.fstat(f.fileno()).st_size)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path!r}: {exc}") from exc
+
+
+def load(path: str) -> dict[str, np.ndarray]:
+    """Read an archive from disk, each payload once, into its own array."""
+    return _with_file(path, _read)
+
+
+def index(path: str) -> dict[str, Entry]:
+    """The entries of the archive at ``path``, checked as ``load`` checks
+    them, without reading a payload: name -> ``Entry``, in file order."""
+    return _with_file(path, _index)
+
+
+def read_entry(path: str, entry: Entry) -> np.ndarray:
+    """One entry of ``index(path)``, read into a fresh array as ``load`` reads it.
+
+    A file now shorter than its index says is refused as truncated.
+    """
+    return _with_file(path, lambda f, size: _read_entry(f, entry))

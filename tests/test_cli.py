@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -498,6 +499,29 @@ class TestEncode:
             assert len(refs) == 7, command  # 6 tiles of the 96x64 image and the thumbnail
             assert alive_at_first_block == [0], command
 
+    def test_weights_peak_memory_flat_in_depth(self, capsys, small_ppm, tmp_path):
+        # encode --weights holds the weights of one layer at a time, so five
+        # more layers add less than one layer's bytes to the traced peak.
+        base = encoder.config_with_overrides(encoder.PRESETS["tiny"], width=128)
+        block = encoder.layer_specs(128, base.ffn_mult) + encoder.reatten_specs(128)
+        layer_bytes = 4 * encoder.element_count(block)
+        assert layer_bytes == 1_051_648
+        peaks = {}
+        for layers in (1, 6):
+            cfg = encoder.config_with_overrides(base, layers=layers)
+            wpath = tmp_path / f"w{layers}.falt"
+            encoder.save_weights(str(wpath), encoder.init_weights(cfg, 0), cfg)
+            argv = ["encode", small_ppm, "--preset", "tiny", "--width", "128",
+                    "--layers", str(layers), "--weights", str(wpath), "--out", str(tmp_path / "o")]
+            tracemalloc.start()
+            try:
+                code, _ = run(capsys, *argv)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert abs(peaks[6] - peaks[1]) < layer_bytes, peaks
+
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
         wpath = tmp_path / "w.falt"
@@ -722,6 +746,39 @@ class TestAttnMap:
         )
         assert code == 0
         assert len(calls) == 5
+
+    def test_layer_k_reads_only_layers_up_to_k(self, capsys, small_ppm, tmp_path):
+        # With a NaN in layers.1.w2, attn-map --layer 0 writes the clean
+        # archive's heatmap: it never reads layer 1. encode reads it and
+        # exits 3, writing nothing. Names and shapes of every layer are still
+        # checked before the forward.
+        cfg = encoder.PRESETS["tiny"]
+        entries = encoder.init_weights(cfg, 0)
+        clean, bad, short = (tmp_path / f"{n}.falt" for n in ("clean", "bad", "short"))
+        falt.save(str(clean), entries)
+        entries["layers.1.w2"][0, 0] = np.nan
+        falt.save(str(bad), entries)
+        falt.save(str(short), {k: v for k, v in entries.items() if k != "reatten.1.ro"})
+        attn = ["--layer", "0", "--head", "1", "--register", "2"]
+        heat = {}
+        for wpath in (clean, bad, short):
+            out = tmp_path / f"{wpath.stem}.pgm"
+            code = main(["attn-map", small_ppm, "--preset", "tiny", "--weights", str(wpath),
+                         *attn, "--out", str(out)])
+            captured = capsys.readouterr()
+            heat[wpath.stem] = out.read_bytes() if out.exists() else None
+            if wpath is short:
+                assert code == 3 and captured.out == "" and "reatten.1.ro" in captured.err
+            else:
+                assert code == 0 and json.loads(captured.out)["layer"] == 0
+        assert heat["bad"] == heat["clean"] and heat["short"] is None
+        out_path = tmp_path / "o.falt"
+        code = main(["encode", small_ppm, "--preset", "tiny", "--weights", str(bad),
+                     "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "'layers.1.w2'" in captured.err
+        assert not out_path.exists()
 
     def test_out_of_range_indices_exit_4(self, capsys, small_ppm, tmp_path):
         for flags in (("--layer", "9"), ("--head", "9"), ("--register", "9")):

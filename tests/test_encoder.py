@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from falcon import autodiff as ad
 from falcon import encoder as enc
 from falcon import falt, oracle
-from falcon.errors import BoundsError, ConfigError, StateError
+from falcon.errors import ArchiveError, BoundsError, ConfigError, StateError
 from falcon.image_crop import TileSet, normalize_pixels, patchify, plan_crop
 from falcon.numerics import layer_norm
 
@@ -123,6 +124,35 @@ class TestWeights:
         other = enc.config_with_overrides(tiny_cfg, registers=3)
         with pytest.raises(ConfigError):
             enc.load_weights(str(path), other)
+
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    def test_load_reads_on_access(self, tiny_cfg, tiny_weights, tmp_path, monkeypatch, dtype):
+        # Loading reads the index only; each lookup reads one entry, casts it
+        # to ``dtype`` and iterates in tensor_specs order.
+        path = tmp_path / "w.falt"
+        enc.save_weights(str(path), tiny_weights, tiny_cfg)
+        reads = []
+        read_entry = falt.read_entry
+        monkeypatch.setattr(falt, "read_entry", lambda p, e: reads.append(e) or read_entry(p, e))
+        w = enc.load_weights(str(path), tiny_cfg, dtype)
+        assert reads == [] and list(w) == [name for name, *_ in enc.tensor_specs(tiny_cfg)]
+        got = w["layers.1.w2"]
+        assert len(reads) == 1 and got.dtype == (dtype or np.float32)
+        assert np.array_equal(got, tiny_weights["layers.1.w2"])
+
+    def test_truncated_after_load_refused(self, tiny_cfg, tiny_weights, tmp_path):
+        # The file shrinks after the index was read: a later entry is refused
+        # as truncated, neither a numpy error nor a short array.
+        path = tmp_path / "w.falt"
+        enc.save_weights(str(path), tiny_weights, tiny_cfg)
+        w = enc.load_weights(str(path), tiny_cfg)
+        data = path.read_bytes()
+        assert w["patch_embed"].tobytes() == tiny_weights["patch_embed"].tobytes()
+        for size in (len(data) - 1, len(data) // 2):
+            path.write_bytes(data[:size])
+            with pytest.raises(ArchiveError, match="truncated archive") as info:
+                w["reatten.1.ro"]
+            assert info.value.exit_code == 3
 
     def test_missing_tensor_rejected(self, tiny_cfg, tiny_weights, tmp_path):
         entries = dict(tiny_weights)
@@ -351,18 +381,38 @@ class TestEncode:
         }
 
     def test_reads_weights_one_layer_at_a_time(self, tiny_cfg, tiny_weights, tiny_tiles):
-        # What ROADMAP item 1 builds on: a mapping that reads its entries on
-        # demand serves a forward that holds one layer's weights at a time.
+        # A mapping that reads its entries on demand (``load_weights``)
+        # serves a forward that holds one layer's weights at a time, and
+        # reads each entry once.
         stem = {"patch_embed", "pos_embed", "registers"}
         assert tiny_cfg.layers == 2
         w = KeyLog(tiny_weights)
         enc.encode(tiny_tiles, w, enc.config_with_overrides(tiny_cfg, layers=1))
         layer0 = {name for name in tiny_weights if name.startswith(("layers.0.", "reatten.0."))}
-        assert set(w.read) == stem | layer0
+        assert Counter(w.read) == Counter(stem | layer0)
         w = KeyLog(tiny_weights)
         enc.encode(tiny_tiles, w, tiny_cfg)
+        assert Counter(w.read) == Counter(list(tiny_weights))
         layers = [int(name.split(".")[1]) for name in w.read if name not in stem]
         assert set(layers) == {0, 1} and layers == sorted(layers)
+
+    def test_releases_each_layer_before_reading_the_next(self, tiny_cfg, tiny_weights, tiny_tiles):
+        # Every lookup returns a fresh copy; when the first layers.1 entry is
+        # read, no layer-0 copy may still be alive.
+        copies = {}  # name -> weakref to the copy handed out
+
+        class Fresh(dict):
+            def __getitem__(self, name):
+                if name.startswith("layers.1.") and not any(k.startswith("layers.1.") for k in copies):
+                    alive = [k for k, ref in copies.items() if ".0." in k and ref() is not None]
+                    assert not alive, f"layer-0 weights still alive: {alive}"
+                tensor = super().__getitem__(name).copy()
+                copies[name] = weakref.ref(tensor)
+                return tensor
+
+        f_hr = enc.encode(tiny_tiles, Fresh(tiny_weights), tiny_cfg)
+        assert any(k.startswith("layers.1.") for k in copies)
+        assert f_hr.tobytes() == enc.encode(tiny_tiles, tiny_weights, tiny_cfg).tobytes()
 
     def test_permutation_equivariance(self, tiny_cfg, tiny_weights):
         tiles = random_tiles(tiny_cfg, 4, seed=12)

@@ -121,9 +121,15 @@ def test_save_writes_dumps_bytes(tmp_path, entries):
     _assert_loads_back(path, entries)
 
 
+def _indexed(path):
+    """The archive at ``path`` read through its index, entry by entry."""
+    return {name: falt.read_entry(path, entry) for name, entry in falt.index(path).items()}
+
+
 def _assert_loads_back(path, entries):
-    """``load`` and ``loads`` agree with ``entries``; every array is fresh and owns its data."""
-    for back in (falt.load(str(path)), falt.loads(path.read_bytes())):
+    """``load``, ``loads`` and the index agree with ``entries``; every array
+    is fresh and owns its data."""
+    for back in (falt.load(str(path)), falt.loads(path.read_bytes()), _indexed(str(path))):
         assert list(back) == list(entries)
         for name, t in entries.items():
             got = back[name]
@@ -226,6 +232,30 @@ def fuzz_path(tmp_path_factory):
 
 @given(_mutated())
 def test_fuzzed_archives_raise_only_archive_error(fuzz_path, data):
-    # Each mutation either parses or raises ArchiveError, the same from bytes and from disk.
+    # Each mutation either parses or raises ArchiveError, the same from
+    # bytes, from disk, and through the index entry by entry.
     fuzz_path.write_bytes(data)
-    assert _outcome(falt.load, str(fuzz_path)) == _outcome(falt.loads, data)
+    expected = _outcome(falt.loads, data)
+    assert _outcome(falt.load, str(fuzz_path)) == expected
+    assert _outcome(_indexed, str(fuzz_path)) == expected
+
+
+def test_index_reads_no_payload(tmp_path, monkeypatch):
+    # The index seeks over the payloads: nothing is allocated, and each
+    # entry's offset is where its payload starts.
+    entries = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(4)}
+    path = tmp_path / "t.falt"
+    falt.save(str(path), entries)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated while indexing")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", refuse)
+        index = falt.index(str(path))
+    data = path.read_bytes()
+    assert list(index) == ["a", "b"]
+    for name, t in entries.items():
+        offset, dims, dtype = index[name]
+        assert dims == t.shape and dtype == t.dtype.newbyteorder("<")
+        assert data[offset : offset + t.nbytes] == t.tobytes()
