@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .numerics import GELU_A, GELU_C
+from .numerics import GELU_A, GELU_C, LN_EPS
 
 
 def _accumulate(v, g):
@@ -163,7 +163,7 @@ def softmax_rows(x, out=None):
     return out
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+def layer_norm(x, gamma, beta, eps=LN_EPS):
     if not any(isinstance(t, Var) for t in (x, gamma, beta)):
         return numerics.layer_norm(x, gamma, beta, eps)
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)

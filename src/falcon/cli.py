@@ -126,10 +126,6 @@ def encoder_config(rc: RunConfig) -> encoder.EncoderConfig:
     )
 
 
-def _working_dtype(rc: RunConfig):
-    return np.float64 if rc.verify_mode else np.float32
-
-
 def _plan(cfg: encoder.EncoderConfig, path: str):
     """The image at ``path`` and its crop plan."""
     try:
@@ -140,6 +136,13 @@ def _plan(cfg: encoder.EncoderConfig, path: str):
     return img, image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
 
 
+def _weights(rc: RunConfig, args, cfg, dtype):
+    """The ``--weights`` archive (cast to ``dtype`` on access), else the seeded weights."""
+    if args.weights:
+        return encoder.load_weights(args.weights, cfg, dtype)
+    return encoder.init_weights(cfg, rc.seed, dtype)
+
+
 def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, collect=None):
     """The run budget, the weights of the full ``cfg`` (an archive of every
     layer serves a run of the first ``layers``, which reads only theirs) and
@@ -148,14 +151,9 @@ def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, colle
     The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
     """
     encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
-    dtype = _working_dtype(rc)
-    if args.weights:
-        weights = encoder.load_weights(args.weights, cfg, dtype)
-    else:
-        weights = encoder.init_weights(cfg, rc.seed, dtype)
     return encoder.encode(
         image_crop.crop_tiles(image_crop.to_float(img), plan),
-        weights,
+        _weights(rc, args, cfg, np.float64 if rc.verify_mode else np.float32),
         encoder.config_with_overrides(cfg, layers=layers),
         thumbnail=rc.thumbnail,
         collect=collect,
@@ -275,13 +273,12 @@ def cmd_compare(rc: RunConfig, args) -> int:
 
 def cmd_selftest(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    # run_selftest's largest fixture: 3 tiles plus the thumbnail.
-    encoder.check_budget(cfg, 3)
-    weights = None
-    if args.weights:
-        weights = dict(encoder.load_weights(args.weights, cfg))
-    result = oracle.run_selftest(cfg, seed=rc.seed, verify_mode=rc.verify_mode, weights=weights)
-    _emit(result)
+    oracle.check_selftest_budget(cfg)
+    # dict(...) reads and checks every tensor of an archive before any check runs.
+    w = dict(_weights(rc, args, cfg, np.float64))
+    result = oracle.run_selftest(cfg, w, rc.seed, rc.verify_mode)
+    checks = result.pop("checks")
+    _emit({**result, "weights": "archive" if args.weights else "seeded", "checks": checks})
     return EXIT_OK if result["passed"] else EXIT_SELFTEST_FAILED
 
 

@@ -24,11 +24,6 @@ from .oracle import attention_macs, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
-_LN_EPS = 1e-6
-
-# Hidden width of the abstractor's FFN, as a multiple of the model width.
-ABSTRACTOR_FFN_MULT = 4
-
 
 # ---------------------------------------------------------------------------
 # MLP projector
@@ -114,7 +109,7 @@ class AbstractorWeights:
 def init_abstractor(
     d: int, heads: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
 ) -> AbstractorWeights:
-    specs = layer_specs(d, ABSTRACTOR_FFN_MULT)
+    specs = layer_specs(d)
     blocks = [
         LayerWeights(**{name: init_tensor(*spec, rng, dtype) for name, *spec in specs})
         for _ in range(depth)
@@ -136,11 +131,11 @@ def abstractor_compress(
     if feats.ndim != 2 or q.ndim != 2 or feats.shape[1] != q.shape[1]:
         raise ShapeError(f"feature/query widths disagree: {feats.shape} vs {q.shape}")
     for blk in aw.blocks:
-        normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta, _LN_EPS)
+        normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta)
         q = q + _multi_head_attention(
             normed, feats, blk.wq, blk.wk, blk.wv, blk.wo, aw.heads, collect
         )
-        normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta, _LN_EPS)
+        normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta)
         q = q + gelu(normed @ blk.w1) @ blk.w2
     return q
 
@@ -179,15 +174,15 @@ def comparison_row(
         row["params"] = 9 * d * d
         row["flops_per_tile"] = m * 9 * d * d
     elif kind == "abstractor":
-        block_params = element_count(layer_specs(d, ABSTRACTOR_FFN_MULT))
+        block_params = element_count(layer_specs(d))
         row["params"] = m * d + abstractor_depth * block_params
-        block_flops = attention_macs(m, n, d) + ffn_macs(m, d, ABSTRACTOR_FFN_MULT)
+        block_flops = attention_macs(m, n, d) + ffn_macs(m, d)
         row["flops_per_tile"] = abstractor_depth * block_flops
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
 
         def layer_macs(rows):
-            return attention_macs(rows, rows, d) + ffn_macs(rows, d, cfg.ffn_mult)
+            return attention_macs(rows, rows, d) + ffn_macs(rows, d)
 
         row["flops_per_tile"] = cfg.layers * (layer_macs(n + cfg.registers) - layer_macs(n))
         t = (cfg.max_tiles if n_tiles is None else n_tiles) + (1 if thumbnail else 0)

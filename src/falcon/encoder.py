@@ -51,6 +51,10 @@ MAX_STATE_ELEMENTS = 1 << 26
 # preset at 24 layers holds 404,242,432.
 MAX_WEIGHT_ELEMENTS = 1 << 29
 
+# Hidden width of every FFN (encoder layers and abstractor blocks), as a
+# multiple of the model width.
+FFN_MULT = 4
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -63,8 +67,6 @@ class EncoderConfig:
     tile: int
     registers: int
     max_tiles: int = 16
-    ffn_mult: int = 4
-    ln_eps: float = 1e-6
     reatten_enabled: bool = True
 
     def __post_init__(self):
@@ -76,8 +78,6 @@ class EncoderConfig:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.tile % self.patch != 0:
             raise ConfigError(f"tile {self.tile} not divisible by patch {self.patch}")
-        if self.ln_eps <= 0:
-            raise ConfigError(f"ln_eps must be positive, got {self.ln_eps}")
 
     @property
     def head_dim(self) -> int:
@@ -142,13 +142,13 @@ Weights = dict[str, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def layer_specs(d: int, ffn_mult: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+def layer_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
     """(field, shape, fan_in, fan_out, init) of one transformer block of width d.
 
     The encoder layers and the abstractor baseline's blocks share this
     layout; its order is the archive order and the PRNG draw order.
     """
-    f = ffn_mult * d
+    f = FFN_MULT * d
     return [
         ("ln1_gamma", (d,), d, d, "ones"),
         ("ln1_beta", (d,), d, d, "zeros"),
@@ -194,7 +194,7 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
     """
     d = cfg.width
     specs = _stem_specs(cfg)
-    for prefix, block in (("layers", layer_specs(d, cfg.ffn_mult)), ("reatten", reatten_specs(d))):
+    for prefix, block in (("layers", layer_specs(d)), ("reatten", reatten_specs(d))):
         for l in range(cfg.layers):
             specs += [(f"{prefix}.{l}.{fname}", *rest) for fname, *rest in block]
     return specs
@@ -203,7 +203,7 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
 def init_tensor(shape, fan_in: int, fan_out: int, kind: str, rng: SplitMix64, dtype) -> np.ndarray:
     """One tensor of a spec entry; only "uniform" draws from ``rng``."""
     if kind == "uniform":
-        return init_uniform(shape, fan_in, fan_out, rng).astype(dtype)
+        return init_uniform(shape, fan_in, fan_out, rng).astype(dtype, copy=False)
     return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
 
 
@@ -245,7 +245,7 @@ class _ArchiveWeights(Mapping):
         tensor = falt.read_entry(self._path, self._index[name])
         if not np.isfinite(tensor).all():
             raise ConfigError(f"tensor {name!r} has non-finite entries")
-        return tensor if self._dtype is None else tensor.astype(self._dtype, copy=False)
+        return tensor.astype(self._dtype, copy=False)
 
     def __iter__(self):
         return iter(self._index)
@@ -254,14 +254,13 @@ class _ArchiveWeights(Mapping):
         return len(self._index)
 
 
-def load_weights(path: str, cfg: EncoderConfig, dtype=None) -> Mapping[str, np.ndarray]:
+def load_weights(path: str, cfg: EncoderConfig, dtype) -> Mapping[str, np.ndarray]:
     """The weights in the archive at ``path``, read entry by entry on access.
 
     Names and shapes are checked against ``cfg`` from the archive's index,
     before any payload is read. Each lookup reads one entry, refuses it if
-    it is not finite and casts it to ``dtype`` (None keeps the archive's),
-    so a forward holds only the entries it still uses. ``dict(...)`` reads
-    and checks them all.
+    it is not finite and casts it to ``dtype``, so a forward holds only
+    the entries it still uses. ``dict(...)`` reads and checks them all.
     """
     index = falt.index(path)
     _check_names_and_shapes({name: entry.dims for name, entry in index.items()}, cfg)
@@ -306,7 +305,7 @@ def element_count(specs) -> int:
 
 def weight_elements(cfg: EncoderConfig) -> int:
     """Element count of ``tensor_specs(cfg)``, without building the list."""
-    block = layer_specs(cfg.width, cfg.ffn_mult) + reatten_specs(cfg.width)
+    block = layer_specs(cfg.width) + reatten_specs(cfg.width)
     return element_count(_stem_specs(cfg)) + cfg.layers * element_count(block)
 
 
@@ -384,7 +383,7 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
 
 def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
     """Residual pre-norm self-attention over all N+M rows jointly, unmasked."""
-    normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta, cfg.ln_eps)
+    normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
     out = _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
     out += x
     return out
@@ -405,7 +404,7 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
     regs = ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
     if not enabled:
         return regs
-    normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta, cfg.ln_eps)
+    normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta)
     out = _multi_head_attention(normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect)
     out += regs
     return out
@@ -413,7 +412,7 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
 
 def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise."""
-    normed = ad.layer_norm(x, lw.ln2_gamma, lw.ln2_beta, cfg.ln_eps)
+    normed = ad.layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
     hidden = normed @ lw.w1
     out = ad.gelu(hidden, out=hidden) @ lw.w2
     out += x

@@ -38,6 +38,9 @@ _BLOCK_BYTES = 1 << 18
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 
+# The epsilon of every layer norm of the encoder and the compressors.
+LN_EPS = 1e-6
+
 
 def _output(out, shape, dtype) -> np.ndarray:
     """A fresh result array, or ``out`` once it is checked to be a usable one."""
@@ -87,7 +90,7 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS
 ) -> np.ndarray:
     """Per-row mean/variance normalization followed by an affine map.
 

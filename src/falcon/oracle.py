@@ -21,7 +21,13 @@ from .numerics import SplitMix64
 
 REFERENCE_TOKEN_CAP = 512
 
+# run_selftest's fixtures, each plus the thumbnail: the oracle checks run on
+# 2 tiles, the permutation check on 3.
+_ORACLE_TILES = 2
+_PERMUTED_TILES = 3
+
 _GELU_C = math.sqrt(2.0 / math.pi)
+_EPS = 1e-6  # layer-norm epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +59,13 @@ def _add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _ln_rows(x, gamma, beta, eps):
+def _ln_rows(x, gamma, beta):
     out = []
     d = len(x[0])
     for row in x:
         mu = sum(row) / d
         var = sum((v - mu) ** 2 for v in row) / d
-        inv = 1.0 / math.sqrt(var + eps)
+        inv = 1.0 / math.sqrt(var + _EPS)
         out.append([(v - mu) * inv * g + b for v, g, b in zip(row, gamma, beta)])
     return out
 
@@ -139,6 +145,13 @@ def _patchify_ref(tile, p):
     return rows
 
 
+def _check_reference_tokens(tokens: int) -> None:
+    if tokens > REFERENCE_TOKEN_CAP:
+        raise ConfigError(
+            f"reference forward capped at {REFERENCE_TOKEN_CAP} total tokens, got {tokens}"
+        )
+
+
 def encode_reference(
     tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True
 ) -> tuple[np.ndarray, dict]:
@@ -148,14 +161,9 @@ def encode_reference(
     inputs larger than the documented cap so it stays auditable and fast.
     """
     raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
-    if len(raster) * cfg.n_tokens > REFERENCE_TOKEN_CAP:
-        raise ConfigError(
-            f"reference forward capped at {REFERENCE_TOKEN_CAP} total tokens, "
-            f"got {len(raster) * cfg.n_tokens}"
-        )
+    _check_reference_tokens(len(raster) * cfg.n_tokens)
     wd = {name: np.asarray(t, dtype=np.float64).tolist() for name, t in w.items()}
     counts = {"embed": 0, "self_attention": 0, "reatten": 0, "ffn": 0}
-    eps = cfg.ln_eps
     n = cfg.n_image_tokens
     m = cfg.registers
 
@@ -174,7 +182,7 @@ def encode_reference(
             _add(
                 x,
                 _mha_ref(
-                    _ln_rows(x, ln1_g, ln1_b, eps),
+                    _ln_rows(x, ln1_g, ln1_b),
                     wd[f"layers.{layer}.wq"],
                     wd[f"layers.{layer}.wk"],
                     wd[f"layers.{layer}.wv"],
@@ -191,7 +199,7 @@ def encode_reference(
             exchanged = _add(
                 regs,
                 _mha_ref(
-                    _ln_rows(regs, wd[f"reatten.{layer}.ln_gamma"], wd[f"reatten.{layer}.ln_beta"], eps),
+                    _ln_rows(regs, wd[f"reatten.{layer}.ln_gamma"], wd[f"reatten.{layer}.ln_beta"]),
                     wd[f"reatten.{layer}.rq"],
                     wd[f"reatten.{layer}.rk"],
                     wd[f"reatten.{layer}.rv"],
@@ -206,7 +214,7 @@ def encode_reference(
             ]
         new_states = []
         for x in states:
-            normed = _ln_rows(x, ln2_g, ln2_b, eps)
+            normed = _ln_rows(x, ln2_g, ln2_b)
             hidden = _mm(normed, wd[f"layers.{layer}.w1"], counts, "ffn")
             hidden = [[_gelu_scalar(v) for v in row] for row in hidden]
             new_states.append(_add(x, _mm(hidden, wd[f"layers.{layer}.w2"], counts, "ffn")))
@@ -244,9 +252,9 @@ def attention_macs(n_q: int, n_kv: int, d: int) -> int:
     return 2 * n_q * d**2 + 2 * n_kv * d**2 + 2 * n_q * n_kv * d
 
 
-def ffn_macs(n: int, d: int, mult: int) -> int:
-    """Multiply-adds of a two-layer MLP d -> mult*d -> d on n rows."""
-    return 2 * n * d * (mult * d)
+def ffn_macs(n: int, d: int) -> int:
+    """Multiply-adds of a two-layer MLP d -> FFN_MULT*d -> d on n rows."""
+    return 2 * n * d * (enc.FFN_MULT * d)
 
 
 def count_flops(
@@ -254,10 +262,10 @@ def count_flops(
 ) -> FlopReport:
     """Closed-form multiply-add counts for a full encode.
 
-    Per tile per layer: self-attention over N+M rows and the FFN with
-    ``cfg.ffn_mult`` hidden width. The exchange step per layer runs on M*T
-    rows, T counting the thumbnail. Projector counts are included when a
-    target width is given.
+    Per tile per layer: self-attention over N+M rows and the FFN, whose
+    hidden width is ``FFN_MULT`` times the model's. The exchange step per
+    layer runs on M*T rows, T counting the thumbnail. Projector counts are
+    included when a target width is given.
     """
     if n_tiles < 1:
         raise ConfigError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -265,7 +273,7 @@ def count_flops(
     tokens = cfg.n_tokens
     d = cfg.width
     self_attention = cfg.layers * t * attention_macs(tokens, tokens, d)
-    ffn = cfg.layers * t * ffn_macs(tokens, d, cfg.ffn_mult)
+    ffn = cfg.layers * t * ffn_macs(tokens, d)
     reg_tokens = cfg.registers * t
     reatten = (
         cfg.layers * attention_macs(reg_tokens, reg_tokens, d) if cfg.reatten_enabled else 0
@@ -395,18 +403,25 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def run_selftest(
-    cfg: EncoderConfig, seed: int = 0, verify_mode: bool = True, weights: Weights | None = None
-) -> dict:
+def check_selftest_budget(cfg: EncoderConfig) -> None:
+    """Refuse, before anything is allocated, a config whose selftest
+    fixtures are over the run budget or whose reference forward is over
+    ``REFERENCE_TOKEN_CAP``."""
+    enc.check_budget(cfg, _PERMUTED_TILES)
+    _check_reference_tokens((_ORACLE_TILES + 1) * cfg.n_tokens)
+
+
+def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: bool = True) -> dict:
     """Oracle equivalence, gradient check, and invariant suite on one config.
 
     Gradient checking runs only in verify mode (it needs float64); the
-    returned summary says so when skipped. Given ``weights``, every check
-    runs on them (cast to float64 for the float64 checks); otherwise on
-    ``init_weights(cfg, seed)``. The summary's ``weights`` says which.
+    returned summary says so when skipped. The float32 checks run on ``w``
+    cast to float32, the float64 and gradient checks on ``w`` cast to
+    float64; a tensor already in the dtype is used as it is. ``seed``
+    draws the fixture tiles.
     """
-    tiles = fixture_tiles(cfg, 2, seed)
-    w32 = weights if weights is not None else enc.init_weights(cfg, seed, np.float32)
+    tiles = fixture_tiles(cfg, _ORACLE_TILES, seed)
+    w32 = {name: t.astype(np.float32, copy=False) for name, t in w.items()}
     checks = []
 
     n = cfg.n_image_tokens
@@ -424,10 +439,7 @@ def run_selftest(
     err32 = float(np.max(np.abs(f32.astype(np.float64) - ref)))
     checks.append(_check("oracle_equivalence_f32", err32 <= 1e-5, max_abs_err=err32, tolerance=1e-5))
 
-    if weights is None:
-        w64 = enc.init_weights(cfg, seed, np.float64)
-    else:
-        w64 = {name: t.astype(np.float64, copy=False) for name, t in weights.items()}
+    w64 = {name: t.astype(np.float64, copy=False) for name, t in w.items()}
     f64 = enc.encode(tiles, w64, cfg)
     ref64, _ = encode_reference(tiles, w64, cfg)
     err64 = float(np.max(np.abs(f64 - ref64)))
@@ -454,7 +466,7 @@ def run_selftest(
 
     perm_err = 0.0
     for s in range(5):
-        pt = fixture_tiles(cfg, 3, seed + 100 + s)
+        pt = fixture_tiles(cfg, _PERMUTED_TILES, seed + 100 + s)
         base = enc.encode(pt, w32, cfg)
         perm = [2, 0, 1]
         swapped = enc.encode(TileSet([pt.tiles[i] for i in perm], pt.global_thumb), w32, cfg)
@@ -483,6 +495,5 @@ def run_selftest(
         "passed": all(c["passed"] for c in checks),
         "verify_mode": bool(verify_mode),
         "gradient_check_skipped": not verify_mode,
-        "weights": "seeded" if weights is None else "archive",
         "checks": checks,
     }

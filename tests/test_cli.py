@@ -363,9 +363,10 @@ class TestEncode:
         assert code == 0 and json.loads(report)["n_tiles"] == 1600
 
     def test_weight_cap_exits_3_before_allocating(self, capsys, small_ppm, tmp_path, monkeypatch):
-        # Over-cap encoder or projector weights, and selftest fixtures over
-        # the pixel cap, are refused from the config alone; the dry run
-        # allocates nothing and still reports.
+        # Over-cap encoder or projector weights, selftest fixtures over the
+        # pixel cap and a selftest reference forward over its token cap are
+        # refused from the config alone; the dry run allocates nothing and
+        # still reports.
         def no_alloc(*args, **kwargs):
             raise AssertionError("weights allocated")
 
@@ -384,11 +385,13 @@ class TestEncode:
             ["encode", small_ppm, *projected, str(encoder.MAX_SIZE)],
             ["encode", small_ppm, *projected, "200000"],
             ["selftest", *fixtures],
+            ["selftest", "--preset", "paper"],
         ):
             code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
             assert code == 3 and captured.out == "", argv
-            assert "element cap" in captured.err and captured.err.count("\n") == 1, argv
+            cap = "reference forward capped" if argv[-1] == "paper" else "element cap"
+            assert cap in captured.err and captured.err.count("\n") == 1, argv
         assert not out.exists()
         code, report = run(capsys, "encode", small_ppm, *projected, str(encoder.MAX_SIZE),
                            "--dry-run")
@@ -503,7 +506,7 @@ class TestEncode:
         # encode --weights holds the weights of one layer at a time, so five
         # more layers add less than one layer's bytes to the traced peak.
         base = encoder.config_with_overrides(encoder.PRESETS["tiny"], width=128)
-        block = encoder.layer_specs(128, base.ffn_mult) + encoder.reatten_specs(128)
+        block = encoder.layer_specs(128) + encoder.reatten_specs(128)
         layer_bytes = 4 * encoder.element_count(block)
         assert layer_bytes == 1_051_648
         peaks = {}
@@ -653,19 +656,24 @@ def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
         flags += [f"--{name}", str(value)]
     plan = image_crop.plan_crop(96, 64, knobs["tile"], knobs["max-tiles"])  # img.ppm is 96x64
     project = [] if d_llm is None else ["--project", "--d-llm", str(d_llm)]
-    for argv, n_tiles, projector in (
-        (["encode", img, *flags, *project], plan.n_tiles, d_llm),
+    # The selftest's reference forward runs 2 fixture tiles plus the thumbnail.
+    n_tokens = (knobs["tile"] // knobs["patch"]) ** 2 + knobs["registers"]
+    reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP)]
+    for argv, n_tiles, projector, apart in (
+        (["encode", img, *flags, *project], plan.n_tiles, d_llm, []),
         (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
-         plan.n_tiles, None),
-        (["selftest", *flags], 3, None),
+         plan.n_tiles, None, []),
+        (["selftest", *flags], 3, None, reference),
     ):
         code, out, err = _main_stopped(argv)
-        within = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector))
+        budget = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector))
+        within = budget and all(n <= cap for n, cap in apart)
         if code is None:
             assert within, argv
         else:
             assert code == 3 and not within, argv
-            assert out == "" and "element cap" in err and err.count("\n") == 1, argv
+            message = "reference forward capped" if budget else "element cap"
+            assert out == "" and message in err and err.count("\n") == 1, argv
     # Neither the dry run nor compare allocates, so both report.
     for argv in (["encode", img, *flags, *project, "--dry-run"], ["compare", *flags]):
         assert _main_stopped(argv)[0] == 0, argv
@@ -888,21 +896,45 @@ class TestSelftest:
             assert reports["seeded"][name]["max_abs_err"] != reports["archive"][name]["max_abs_err"]
 
     def test_f64_archive_used_as_is(self, monkeypatch):
-        # A float64 archive reaches the float64 checks unchanged: no cast, no seeded init.
+        # The float64 checks see a float64 archive's own arrays, the float32
+        # checks float32 casts of them; nothing is drawn from a seed.
         cfg = encoder.PRESETS["tiny"]
         w = encoder.init_weights(cfg, 5, np.float64)
         seen = []
-        encode = oracle.enc.encode
 
-        def spy(tiles, weights, *args, **kwargs):
-            seen.append(weights["patch_embed"])
-            return encode(tiles, weights, *args, **kwargs)
+        def spy(fn):
+            def wrapped(tiles, weights, *args, **kwargs):
+                seen.append(weights["patch_embed"])
+                return fn(tiles, weights, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(oracle.enc, "encode", spy)
+        monkeypatch.setattr(oracle.enc, "encode", spy(oracle.enc.encode))
+        monkeypatch.setattr(oracle, "encode_reference", spy(oracle.encode_reference))
         monkeypatch.setattr(oracle.enc, "init_weights", None)
-        result = oracle.run_selftest(cfg, seed=0, verify_mode=False, weights=w)
-        assert result["passed"] and result["weights"] == "archive"
-        assert all(p is w["patch_embed"] for p in seen)
+        result = oracle.run_selftest(cfg, w, seed=0, verify_mode=False)
+        assert result["passed"]
+        f64 = [p for p in seen if p.dtype == np.float64]
+        f32 = [p for p in seen if p.dtype == np.float32]
+        # Only the float64 oracle check's encode and reference run in float64.
+        assert (len(f64), len(f32)) == (2, 16)
+        assert all(p is w["patch_embed"] for p in f64)
+        cast = w["patch_embed"].astype(np.float32)
+        assert all(p.tobytes() == cast.tobytes() for p in f32)
+
+    def test_f64_archive_matches_seeded_run(self, capsys, tmp_path, monkeypatch):
+        # selftest --seed 5 runs on init_weights(cfg, 5, float64), so an
+        # archive of those weights reports the same checks, float32 ones too.
+        monkeypatch.delenv("FALCON_SEED", raising=False)
+        cfg = encoder.PRESETS["tiny"]
+        wpath = tmp_path / "w5.falt"
+        encoder.save_weights(str(wpath), encoder.init_weights(cfg, 5, np.float64), cfg)
+        reports = []
+        for weights in ([], ["--weights", str(wpath)]):
+            code, out = run(capsys, "selftest", "--seed", "5", "--verify-mode", "off", *weights)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r["weights"] for r in reports] == ["seeded", "archive"]
+        assert reports[0]["checks"] == reports[1]["checks"]
 
 
 _COMMON_OPTIONS = [
@@ -938,8 +970,8 @@ class TestParser:
             "out",
         ]
         assert [f.name for f in dataclasses.fields(encoder.EncoderConfig)] == [
-            "layers", "width", "heads", "patch", "tile", "registers", "max_tiles", "ffn_mult",
-            "ln_eps", "reatten_enabled",
+            "layers", "width", "heads", "patch", "tile", "registers", "max_tiles",
+            "reatten_enabled",
         ]
 
     def test_parser_is_built_once_and_reused(self, capsys, small_ppm, tmp_path, monkeypatch):

@@ -88,6 +88,19 @@ class TestWeights:
         for name, t in a.items():
             assert t.tobytes() == b[name].tobytes()
 
+    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+    def test_float64_init_casts_to_float32_init(self, tiny_cfg, width, seed):
+        # The selftest draws float64 weights and casts them for its float32
+        # checks; that is the float32 init, byte for byte.
+        cfg = enc.config_with_overrides(tiny_cfg, width=width)
+        w32 = enc.init_weights(cfg, seed, np.float32)
+        w64 = enc.init_weights(cfg, seed, np.float64)
+        assert list(w32) == list(w64)
+        for name, t in w64.items():
+            assert t.dtype == np.float64
+            assert t.astype(np.float32).tobytes() == w32[name].tobytes(), name
+
     def test_canonical_order_stable(self, tiny_cfg):
         names = [name for name, *_ in enc.tensor_specs(tiny_cfg)]
         assert names[:3] == ["patch_embed", "pos_embed", "registers"]
@@ -114,7 +127,7 @@ class TestWeights:
     def test_archive_round_trip(self, tiny_cfg, tiny_weights, tmp_path):
         path = tmp_path / "w.falt"
         enc.save_weights(str(path), tiny_weights, tiny_cfg)
-        again = enc.load_weights(str(path), tiny_cfg)
+        again = enc.load_weights(str(path), tiny_cfg, np.float32)
         for name, t in tiny_weights.items():
             assert t.tobytes() == again[name].tobytes()
 
@@ -123,9 +136,9 @@ class TestWeights:
         enc.save_weights(str(path), tiny_weights, tiny_cfg)
         other = enc.config_with_overrides(tiny_cfg, registers=3)
         with pytest.raises(ConfigError):
-            enc.load_weights(str(path), other)
+            enc.load_weights(str(path), other, np.float32)
 
-    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_reads_on_access(self, tiny_cfg, tiny_weights, tmp_path, monkeypatch, dtype):
         # Loading reads the index only; each lookup reads one entry, casts it
         # to ``dtype`` and iterates in tensor_specs order.
@@ -137,7 +150,7 @@ class TestWeights:
         w = enc.load_weights(str(path), tiny_cfg, dtype)
         assert reads == [] and list(w) == [name for name, *_ in enc.tensor_specs(tiny_cfg)]
         got = w["layers.1.w2"]
-        assert len(reads) == 1 and got.dtype == (dtype or np.float32)
+        assert len(reads) == 1 and got.dtype == dtype
         assert np.array_equal(got, tiny_weights["layers.1.w2"])
 
     def test_truncated_after_load_refused(self, tiny_cfg, tiny_weights, tmp_path):
@@ -145,7 +158,7 @@ class TestWeights:
         # as truncated, neither a numpy error nor a short array.
         path = tmp_path / "w.falt"
         enc.save_weights(str(path), tiny_weights, tiny_cfg)
-        w = enc.load_weights(str(path), tiny_cfg)
+        w = enc.load_weights(str(path), tiny_cfg, np.float32)
         data = path.read_bytes()
         assert w["patch_embed"].tobytes() == tiny_weights["patch_embed"].tobytes()
         for size in (len(data) - 1, len(data) // 2):
@@ -160,7 +173,7 @@ class TestWeights:
         path = tmp_path / "w.falt"
         falt.save(str(path), entries)
         with pytest.raises(ConfigError):
-            enc.load_weights(str(path), tiny_cfg)
+            enc.load_weights(str(path), tiny_cfg, np.float32)
 
     @pytest.mark.parametrize(
         "dtype, digest",
@@ -230,7 +243,7 @@ class TestSelfAttention:
         w64 = enc.init_weights(tiny_cfg, seed=1, dtype=np.float64)
         lw = enc.block_weights(enc.LayerWeights, w64, "layers.0")
         got = enc.self_attention_block(x, lw, tiny_cfg)
-        normed = layer_norm(x, lw.ln1_gamma, lw.ln1_beta, tiny_cfg.ln_eps)
+        normed = layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
         q, k, v = normed @ lw.wq, normed @ lw.wk, normed @ lw.wv
         dk = tiny_cfg.head_dim
         heads = [
@@ -275,9 +288,7 @@ class TestReatten:
         out = enc.reatten([state], rw, tiny_cfg, enabled=True)
         n = tiny_cfg.n_image_tokens
         regs = state[n:]
-        expected = regs + layer_norm(
-            regs, rw.ln_gamma, rw.ln_beta, tiny_cfg.ln_eps
-        ).mean(axis=0)
+        expected = regs + layer_norm(regs, rw.ln_gamma, rw.ln_beta).mean(axis=0)
         # Image-token rows are untouched: the input state is left as it was.
         assert np.array_equal(state, before)
         assert out.shape == (tiny_cfg.registers, d)

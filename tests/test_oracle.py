@@ -109,13 +109,11 @@ class TestCountFlops:
         assert (b.self_attention + b.ffn) > (a.self_attention + a.ffn)
 
     def test_matches_instrumented_reference(self, tiny_cfg, tiny_weights, tiny_tiles):
-        narrow = enc.config_with_overrides(tiny_cfg, ffn_mult=2)
-        for cfg, w in ((tiny_cfg, tiny_weights), (narrow, enc.init_weights(narrow, 0))):
-            _, counts = oracle.encode_reference(tiny_tiles, w, cfg)
-            report = oracle.count_flops(cfg, len(tiny_tiles.tiles))
-            assert counts["self_attention"] == report.self_attention
-            assert counts["reatten"] == report.reatten
-            assert counts["ffn"] == report.ffn
+        _, counts = oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg)
+        report = oracle.count_flops(tiny_cfg, len(tiny_tiles.tiles))
+        assert counts["self_attention"] == report.self_attention
+        assert counts["reatten"] == report.reatten
+        assert counts["ffn"] == report.ffn
 
     def test_instrumented_reference_without_thumbnail(self, tiny_cfg, tiny_weights, tiny_tiles):
         _, counts = oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg, thumbnail=False)
@@ -146,14 +144,16 @@ class TestGradientCheck:
 
 
 class TestSelftest:
-    def test_tiny_suite_passes(self, tiny_cfg):
-        result = oracle.run_selftest(tiny_cfg, seed=0, verify_mode=False)
+    def test_tiny_suite_passes(self, tiny_cfg, tiny_weights_f64):
+        result = oracle.run_selftest(tiny_cfg, tiny_weights_f64, seed=0, verify_mode=False)
         assert result["passed"]
         names = {c["name"] for c in result["checks"]}
         assert "gradient_check" not in names
         assert result["gradient_check_skipped"]
 
-    def test_normalization_check_sees_exchange_matrices(self, tiny_cfg, monkeypatch):
+    def test_normalization_check_sees_exchange_matrices(
+        self, tiny_cfg, tiny_weights_f64, monkeypatch
+    ):
         # Only the exchange step's softmax has a row count other than N+M.
         real = numerics.softmax_rows
 
@@ -162,7 +162,16 @@ class TestSelftest:
             return out if out.shape[0] == tiny_cfg.n_tokens else out * 0.5
 
         monkeypatch.setattr(numerics, "softmax_rows", halve_exchange)
-        result = oracle.run_selftest(tiny_cfg, seed=0, verify_mode=False)
+        result = oracle.run_selftest(tiny_cfg, tiny_weights_f64, seed=0, verify_mode=False)
         checks = {c["name"]: c["passed"] for c in result["checks"]}
         assert checks["attention_normalization"] is False
         assert not result["passed"]
+
+    def test_budget_refuses_reference_over_cap(self, tiny_cfg):
+        # The reference forward runs on 2 fixture tiles plus the thumbnail:
+        # 3 * (4 + 166) = 510 tokens pass, 3 * (4 + 167) = 513 do not.
+        oracle.check_selftest_budget(enc.config_with_overrides(tiny_cfg, registers=166))
+        over = enc.config_with_overrides(tiny_cfg, registers=167)
+        for cfg, tokens in ((enc.PRESETS["paper"], 1920), (over, 513)):
+            with pytest.raises(ConfigError, match=f"capped at 512 total tokens, got {tokens}$"):
+                oracle.check_selftest_budget(cfg)
