@@ -3,12 +3,15 @@
 ``Var`` wraps an ndarray and records every operation applied to it; calling
 ``backward()`` on a scalar result accumulates gradients into all reachable
 ``Var`` leaves. The helpers at the bottom (``gelu``, ``softmax_rows``,
-``layer_norm``, ``concat``, ``total``) accept plain arrays or
+``layer_norm``, ``concat``, ``put``, ``total``) accept plain arrays or
 ``Var`` objects, so the encoder forward is written once and serves both the
-plain fast path and the gradient path. ``out`` of ``gelu`` and
-``softmax_rows`` is written on the plain path only; a ``Var`` result is
-always new, just as ``a *= b`` rebinds a ``Var``, which has no in-place
-operators. Analytic gradients are validated
+plain fast path and the gradient path. Every operation works over leading
+batch axes: a matrix product acts on the last two axes, the gradient of an
+operand broadcast along leading axes is summed over them, and layer norm's
+gamma and beta gradients sum over all rows. ``out`` of ``gelu`` and
+``softmax_rows``, and the slot that ``put`` writes, are written on the plain
+path only; a ``Var`` result is always new, just as ``a *= b`` rebinds a
+``Var``, which has no in-place operators. Analytic gradients are validated
 against central finite differences by the verification suite.
 """
 
@@ -23,6 +26,13 @@ from .numerics import GELU_A, GELU_C, LN_EPS
 def _accumulate(v, g):
     if isinstance(v, Var):
         v.grad = g if v.grad is None else v.grad + g
+
+
+def _sum_to(g, shape):
+    """``g`` summed over the leading axes that broadcasting added to an
+    operand of ``shape``."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
 class Var:
@@ -43,10 +53,14 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def T(self) -> "Var":
-        out = Var(self.value.T, (self,))
-        out._backward = lambda g: _accumulate(self, g.T)
+    def reshape(self, *shape) -> "Var":
+        out = Var(self.value.reshape(*shape), (self,))
+        out._backward = lambda g: _accumulate(self, g.reshape(self.value.shape))
+        return out
+
+    def swapaxes(self, a: int, b: int) -> "Var":
+        out = Var(self.value.swapaxes(a, b), (self,))
+        out._backward = lambda g: _accumulate(self, g.swapaxes(a, b))
         return out
 
     def __add__(self, other):
@@ -83,8 +97,8 @@ class Var:
         out = Var(self.value @ ov, parents)
 
         def backward(g):
-            _accumulate(self, g @ ov.T)
-            _accumulate(other, self.value.T @ g)
+            _accumulate(self, _sum_to(g @ ov.swapaxes(-1, -2), self.value.shape))
+            _accumulate(other, _sum_to(self.value.swapaxes(-1, -2) @ g, ov.shape))
 
         out._backward = backward
         return out
@@ -92,7 +106,9 @@ class Var:
     def __rmatmul__(self, other):
         ov = np.asarray(other)
         out = Var(ov @ self.value, (self,))
-        out._backward = lambda g: _accumulate(self, ov.T @ g)
+        out._backward = lambda g: _accumulate(
+            self, _sum_to(ov.swapaxes(-1, -2) @ g, self.value.shape)
+        )
         return out
 
     def __getitem__(self, key):
@@ -176,8 +192,9 @@ def layer_norm(x, gamma, beta, eps=LN_EPS):
     out = Var(xhat * gv + bv, parents)
 
     def backward(g):
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
+        rows = (-1, xv.shape[-1])
+        _accumulate(gamma, (g * xhat).reshape(rows).sum(axis=0))
+        _accumulate(beta, g.reshape(rows).sum(axis=0))
         if isinstance(x, Var):
             gi = g * gv
             m1 = gi.mean(axis=-1, keepdims=True)
@@ -201,6 +218,31 @@ def concat(parts, axis):
     def backward(g):
         for part, piece in zip(parts, np.split(g, seams, axis=axis)):
             _accumulate(part, piece)
+
+    out._backward = backward
+    return out
+
+
+def put(x, key, value):
+    """``x`` with ``x[key]`` replaced by ``value``, broadcast to the slot.
+
+    A plain ``x`` is written in place and returned. With a ``Var`` in play
+    the result is a new ``Var``: the slot's gradient goes to ``value`` and
+    the rest to ``x``.
+    """
+    if not isinstance(x, Var) and not isinstance(value, Var):
+        x[key] = value
+        return x
+    result = value_of(x).copy()
+    result[key] = value_of(value)
+    out = Var(result, tuple(t for t in (x, value) if isinstance(t, Var)))
+
+    def backward(g):
+        _accumulate(value, _sum_to(g[key], value_of(value).shape))
+        if isinstance(x, Var):
+            rest = g.copy()
+            rest[key] = 0
+            _accumulate(x, rest)
 
     out._backward = backward
     return out

@@ -13,6 +13,15 @@ residual) with a dedicated pre-norm on the exchange step. Registers carry
 no positional embedding, and no positional information crosses tiles, which
 makes the encoder equivariant under tile permutation.
 
+The tile states of one image are a single (S, N+M, D) array, thumbnail
+last. ``encode`` runs each block on groups of consecutive states, as many as
+keep a group's FFN hidden array within a fixed byte budget: the tiny preset
+runs all its states in one group, the paper preset one state per group.
+Every matrix product of a group is one batched ``matmul``, which runs each
+state's GEMM just as a lone state's, so the bytes do not depend on the group
+size. (One 2-D GEMM over all of a group's rows would not keep them: past a
+size threshold BLAS picks another kernel, which sums in another order.)
+
 The forward is written over the dispatch helpers in ``autodiff``, so the
 same code serves the plain fast path and the reverse-mode gradient path.
 """
@@ -331,9 +340,9 @@ def check_budget(
 
 
 def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
-    """Layer-0 token states: patch embeddings plus the shared registers.
+    """Layer-0 token states: one (S, N+M, D) array, one state per tile.
 
-    Per tile: image rows are patchify(normalized tile) @ patch_embed +
+    Per state: image rows are patchify(normalized tile) @ patch_embed +
     pos_embed; register rows are the single shared register tensor. The
     thumbnail, when included, is appended last and treated exactly like a
     tile.
@@ -342,23 +351,26 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
         raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
     patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]
     dtype = np.asarray(ad.value_of(patch_embed)).dtype
-    states = []
     raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
-    for tile in raster:
+    n = cfg.n_image_tokens
+    states = np.empty((len(raster), cfg.n_tokens, cfg.width), dtype)
+    for k, tile in enumerate(raster):
         tile = np.asarray(tile)
         if tile.shape != (cfg.tile, cfg.tile, 3):
             raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
         tokens = patchify(normalize_pixels(tile.astype(dtype, copy=False)), cfg.patch)
         image_rows = tokens @ patch_embed
         image_rows += pos_embed
-        states.append(ad.concat([image_rows, registers], axis=0))
-    return states
+        states = ad.put(states, (k, slice(None, n)), image_rows)
+    return ad.put(states, (slice(None), slice(n, None)), registers)
 
 
 def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     """Multi-head softmax attention of query rows ``x`` over key/value rows
-    ``kv``, then the output projection. Self-attention passes the same
-    pre-normed rows as both; ``collect(head, attn)`` sees each softmax matrix.
+    ``kv``, then the output projection. Both are (rows, D), or (g, rows, D)
+    for a group of states that each attend within themselves. Self-attention
+    passes the same pre-normed rows as both; ``collect(head, attn)`` sees
+    each head's softmax matrix, or the group's (g, rows, rows) stack of them.
 
     On the plain path each head's logits are scaled and turned into its
     softmax matrix in place; on a ``Var`` the same lines build new nodes.
@@ -366,23 +378,24 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     q = x @ wq
     k = kv @ wk
     v = kv @ wv
-    width = ad.value_of(q).shape[1]
+    width = ad.value_of(q).shape[-1]
     dk = width // heads
     scale = 1.0 / math.sqrt(dk)
     outs = []
     for h in range(heads):
-        cols = slice(h * dk, (h + 1) * dk)
-        logits = q[:, cols] @ k[:, cols].T
+        cols = (..., slice(h * dk, (h + 1) * dk))
+        logits = q[cols] @ k[cols].swapaxes(-1, -2)
         logits *= scale
         attn = ad.softmax_rows(logits, out=logits)
         if collect is not None:
             collect(h, ad.value_of(attn))
-        outs.append(attn @ v[:, cols])
-    return ad.concat(outs, axis=1) @ wo
+        outs.append(attn @ v[cols])
+    return ad.concat(outs, axis=-1) @ wo
 
 
 def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
-    """Residual pre-norm self-attention over all N+M rows jointly, unmasked."""
+    """Residual pre-norm self-attention over all N+M rows of each state
+    jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D) group."""
     normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
     out = _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
     out += x
@@ -392,16 +405,20 @@ def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
 def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
-    Register rows of all tiles are concatenated in tile order and passed
-    through residual pre-norm multi-head self-attention. The result is one
-    (M*T, D) array, tile k's rows at [k*M, (k+1)*M); when disabled it is the
-    concatenated input rows unchanged. ``states`` is not modified: putting
-    the rows back next to each tile's image rows is the caller's job.
+    ``states`` is the (S, N+M, D) state array, or a list of S plain
+    (N+M, D) arrays. Their register rows are joined in state order and
+    passed through residual pre-norm multi-head self-attention. The result
+    is one (M*S, D) array, state k's rows at [k*M, (k+1)*M); when disabled
+    it is the joined input rows unchanged. ``states`` is not modified:
+    putting the rows back next to each state's image rows is the caller's
+    job.
     """
-    shapes = {tuple(ad.value_of(s).shape) for s in states}
-    if len(shapes) != 1:
-        raise StateError(f"tiles at mismatched layers: state shapes {sorted(shapes)}")
-    regs = ad.concat([s[cfg.n_image_tokens :] for s in states], axis=0)
+    if isinstance(states, (list, tuple)):
+        shapes = {tuple(s.shape) for s in states}
+        if len(shapes) != 1:
+            raise StateError(f"tiles at mismatched layers: state shapes {sorted(shapes)}")
+        states = np.stack(states)
+    regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
     if not enabled:
         return regs
     normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta)
@@ -411,7 +428,8 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
 
 
 def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
-    """Residual pre-norm two-layer GeLU MLP, applied row-wise."""
+    """Residual pre-norm two-layer GeLU MLP, applied row-wise to one
+    (N+M, D) state or a (g, N+M, D) group."""
     normed = ad.layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
     hidden = normed @ lw.w1
     out = ad.gelu(hidden, out=hidden) @ lw.w2
@@ -419,9 +437,35 @@ def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
     return out
 
 
-def _at(collect, layer: int, tile: int | None):
-    """``collect`` with the (layer, tile) of one attention call bound; None stays None."""
-    return None if collect is None else partial(collect, layer, tile)
+# ``encode`` runs its blocks on groups of consecutive states: as many as keep
+# one group's FFN hidden array, g * (N+M) * FFN_MULT * D elements, within this
+# many bytes, so it stays in L2 as ``numerics._BLOCK_BYTES`` argues. The tiny
+# preset runs all its states in one group; the paper preset needs 10 MiB per
+# state and runs one state per group.
+_GROUP_BYTES = 1 << 18
+
+
+def _group_size(states) -> int:
+    """States per group of the (S, N+M, D) state array: at least 1, at most S."""
+    value = ad.value_of(states)
+    s, rows, d = value.shape
+    return max(1, min(s, _GROUP_BYTES // (rows * FFN_MULT * d * value.itemsize)))
+
+
+def _at(collect, layer: int, first: int | None = None):
+    """``collect`` for one attention call of ``layer``: with ``first``, a
+    group's softmax stacks, split per state from state ``first`` on; without
+    it, the exchange step's matrix (``tile=None``). None stays None."""
+    if collect is None:
+        return None
+    if first is None:
+        return partial(collect, layer, None)
+
+    def per_state(head, attn):
+        for k, state_attn in enumerate(attn):
+            collect(layer, first + k, head, state_attn)
+
+    return per_state
 
 
 def encode(
@@ -431,38 +475,53 @@ def encode(
 
     The output stacks each tile's M register rows in tile order, thumbnail
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
-    Image-token outputs are discarded. Tiles run one after another; the
-    exchange step joins them once per layer. ``w`` is the canonical name ->
-    tensor mapping; each entry is looked up once, when its layer runs.
+    Image-token outputs are discarded. The S tile states are one
+    (S, N+M, D) array. Each block runs on groups of consecutive states
+    (``_group_size``); the exchange step joins all S once per layer. ``w``
+    is the canonical name -> tensor mapping; each entry is looked up once,
+    when its layer runs.
 
     ``collect(layer, tile, head, attn)``, when given, sees every softmax
     matrix in forward order: (N+M, N+M) for the self-attention of state
-    ``tile`` (thumbnail last), (M*T, M*T) with ``tile=None`` for the
-    exchange step. ``attn`` is the working array; copy what you keep.
+    ``tile`` (thumbnail last), (M*S, M*S) with ``tile=None`` for the
+    exchange step. A layer's groups run in state order; within a group the
+    head is the outer loop and the state the inner one, so each (layer,
+    head) sees the states in ascending order. ``attn`` is the working
+    array; copy what you keep.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
     # The callee's frame owns its arguments (CPython >= 3.11): when the
     # caller passes the TileSet as a temporary, as ``cli.cmd_encode`` does,
     # its pixels are freed here, before layer 0.
     del tiles
-    n, m = cfg.n_image_tokens, cfg.registers
-    # Each block's result replaces its input in the same slot, so only one
-    # generation of tile states is alive at a time. A layer's weights are
-    # released before the next layer's are read, so a mapping that reads on
-    # access (``load_weights``) holds one layer at a time.
+    n_states = len(ad.value_of(states))
+    g = _group_size(states)
+    groups = [slice(lo, lo + g) for lo in range(0, n_states, g)]
+    registers = (slice(None), slice(cfg.n_image_tokens, None))
+    # On the plain path each result is written over its input in the one
+    # state array, so only one generation of tile states is alive at a time.
+    # ``out`` holds the last group's result until the next one replaces it.
+    # Freed at once, it would leave a block's temporaries on top of the heap,
+    # where glibc's malloc returns them to the OS, and every group would
+    # fault them in again: ten times the page faults of a 16-tile paper
+    # encode, which ran 8% slower. A layer's weights are released before the
+    # next layer's are read, so a mapping that reads on access
+    # (``load_weights``) holds one layer at a time.
     for layer in range(cfg.layers):
         lw = block_weights(LayerWeights, w, f"layers.{layer}")
-        for k in range(len(states)):
-            states[k] = self_attention_block(states[k], lw, cfg, _at(collect, layer, k))
+        for grp in groups:
+            out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start))
+            states = ad.put(states, grp, out)
         rw = block_weights(ReattenWeights, w, f"reatten.{layer}")
-        regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer, None))
+        regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer))
         del rw
-        for k in range(len(states)):
-            states[k] = ffn_block(
-                ad.concat([states[k][:n], regs[k * m : (k + 1) * m]], axis=0), lw, cfg
-            )
-        del lw, regs
-    return ad.concat([s[n:] for s in states], axis=0)
+        states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))
+        del regs
+        for grp in groups:
+            out = ffn_block(states[grp], lw, cfg)
+            states = ad.put(states, grp, out)
+        del lw
+    return states[registers].reshape(-1, cfg.width)
 
 
 def parameter_gradients(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):

@@ -21,6 +21,13 @@ from .numerics import SplitMix64
 
 REFERENCE_TOKEN_CAP = 512
 
+# ``check_selftest_budget``'s cap on the multiply-adds of one reference
+# forward over the selftest's fixture. The pure-Python forward runs about
+# 5-9 million a second on a 2-core Xeon, and the selftest runs it twice:
+# tiny at one head and width 128 (12.4M) takes 3.5 s; width 256 (46.7M) is
+# refused.
+REFERENCE_MAC_CAP = 1 << 24
+
 # run_selftest's fixtures, each plus the thumbnail: the oracle checks run on
 # 2 tiles, the permutation check on 3.
 _ORACLE_TILES = 2
@@ -257,6 +264,11 @@ def ffn_macs(n: int, d: int) -> int:
     return 2 * n * d * (enc.FFN_MULT * d)
 
 
+def embed_macs(cfg: EncoderConfig, n_states: int) -> int:
+    """Multiply-adds of the patch embedding of ``n_states`` tiles."""
+    return n_states * cfg.n_image_tokens * 3 * cfg.patch**2 * cfg.width
+
+
 def count_flops(
     cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
 ) -> FlopReport:
@@ -406,9 +418,14 @@ def _check(name: str, passed: bool, **detail) -> dict:
 def check_selftest_budget(cfg: EncoderConfig) -> None:
     """Refuse, before anything is allocated, a config whose selftest
     fixtures are over the run budget or whose reference forward is over
-    ``REFERENCE_TOKEN_CAP``."""
+    ``REFERENCE_TOKEN_CAP`` or ``REFERENCE_MAC_CAP``."""
     enc.check_budget(cfg, _PERMUTED_TILES)
     _check_reference_tokens((_ORACLE_TILES + 1) * cfg.n_tokens)
+    macs = embed_macs(cfg, _ORACLE_TILES + 1) + count_flops(cfg, _ORACLE_TILES).total
+    if macs > REFERENCE_MAC_CAP:
+        raise ConfigError(
+            f"reference forward capped at {REFERENCE_MAC_CAP} multiply-adds, got {macs}"
+        )
 
 
 def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: bool = True) -> dict:

@@ -657,8 +657,16 @@ def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     plan = image_crop.plan_crop(96, 64, knobs["tile"], knobs["max-tiles"])  # img.ppm is 96x64
     project = [] if d_llm is None else ["--project", "--d-llm", str(d_llm)]
     # The selftest's reference forward runs 2 fixture tiles plus the thumbnail.
-    n_tokens = (knobs["tile"] // knobs["patch"]) ** 2 + knobs["registers"]
-    reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP)]
+    # Its multiply-adds: the patch embedding, 3 * tile^2 * 3 * width, then per
+    # layer self-attention and the FFN on each state and the exchange step.
+    tile, d, m = knobs["tile"], knobs["width"], knobs["registers"]
+    n_tokens = (tile // knobs["patch"]) ** 2 + m
+    x = 3 * m if knobs["reatten"] == "on" else 0
+    per_layer = 3 * (4 * n_tokens * d * d + 2 * n_tokens**2 * d + 8 * n_tokens * d * d)
+    per_layer += 4 * x * d * d + 2 * x * x * d
+    reference_macs = 9 * tile * tile * d + knobs["layers"] * per_layer
+    reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP),
+                 (reference_macs, oracle.REFERENCE_MAC_CAP)]
     for argv, n_tiles, projector, apart in (
         (["encode", img, *flags, *project], plan.n_tiles, d_llm, []),
         (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
@@ -737,14 +745,14 @@ class TestAttnMap:
             assert got == expected, flags
 
     def test_runs_only_layers_up_to_requested(self, capsys, tmp_path, monkeypatch):
-        # 64x64 at tile 32: 4 tiles + thumbnail, so one FFN call per state per layer run.
+        # 64x64 at tile 32: 4 tiles + thumbnail, so the FFN sees 5 states per layer run.
         ppm = tmp_path / "sq.ppm"
         make_ppm(ppm, 64, 64, seed=2)
-        calls = []
+        states = []
         ffn_block = encoder.ffn_block
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            states.append(len(args[0]))  # a (g, N+M, D) group of g states
             return ffn_block(*args, **kwargs)
 
         monkeypatch.setattr(encoder, "ffn_block", counting)
@@ -753,7 +761,7 @@ class TestAttnMap:
             "--layer", "0", "--head", "0", "--register", "0", "--out", str(tmp_path / "h.pgm"),
         )
         assert code == 0
-        assert len(calls) == 5
+        assert sum(states) == 5
 
     def test_layer_k_reads_only_layers_up_to_k(self, capsys, small_ppm, tmp_path):
         # With a NaN in layers.1.w2, attn-map --layer 0 writes the clean
@@ -831,6 +839,15 @@ class TestSelftest:
         validate_schema(payload, "selftest")
         assert code == 0
         assert payload["gradient_check_skipped"]
+
+    def test_reference_mac_cap_exits_3_before_allocating(self):
+        # Width 256 at one head asks the pure-Python reference forward for
+        # 46.7M multiply-adds, over its 2^24 cap; width 128 (12.4M) runs.
+        base = ["selftest", "--preset", "tiny", "--heads", "1", "--verify-mode", "off"]
+        code, out, err = _main_stopped([*base, "--width", "256"])
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert "reference forward capped at 16777216 multiply-adds" in err
+        assert _main_stopped([*base, "--width", "128"])[0] is None
 
     def test_full_suite_fresh_checkout_under_60s(self, capsys):
         import time

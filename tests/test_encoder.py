@@ -37,6 +37,12 @@ class KeyLog(dict):
         return super().__getitem__(key)
 
 
+def force_group_size(monkeypatch, cfg, dtype, g):
+    """Make ``encode`` run its blocks on groups of ``g`` states."""
+    hidden = cfg.n_tokens * enc.FFN_MULT * cfg.width * np.dtype(dtype).itemsize
+    monkeypatch.setattr(enc, "_GROUP_BYTES", g * hidden)
+
+
 def self_attention_rows(tiles, w, cfg):
     """Copies of every self-attention softmax matrix of one encode."""
     full_rows = []
@@ -365,11 +371,15 @@ class TestEncode:
     @pytest.mark.parametrize("reatten_on", [True, False])
     @pytest.mark.parametrize("thumbnail", [True, False])
     def test_one_generation_of_states(self, tiny_cfg, monkeypatch, dtype, reatten_on, thumbnail):
-        # Entering state k of a layer's block loop, the inputs of that loop's
-        # states 0..k-1 are already freed: each result replaced its input.
+        # With groups of one state, entering state k of a layer's block loop,
+        # the inputs of that loop's states 0..k-1 are already freed: each
+        # result was written over its input. Every input is a view of the one
+        # state array.
+        monkeypatch.setattr(enc, "_GROUP_BYTES", 1)
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
         w = enc.init_weights(cfg, seed=0, dtype=dtype)
         inputs = {}  # (block, layer) -> weakrefs to that loop's inputs so far
+        bases = []  # the array each input is a view of
 
         def watch(block, fn):
             def wrapper(x, lw, cfg, *rest):
@@ -378,6 +388,7 @@ class TestEncode:
                 alive = [k for k, ref in enumerate(earlier) if ref() is not None]
                 assert not alive, f"{block} layer {layer}: inputs of states {alive} still alive"
                 earlier.append(weakref.ref(x))
+                bases.append(x.base)
                 return fn(x, lw, cfg, *rest)
 
             return wrapper
@@ -390,6 +401,7 @@ class TestEncode:
         assert {key: len(refs) for key, refs in inputs.items()} == {
             (block, layer): n_states for block in ("attention", "ffn") for layer in range(cfg.layers)
         }
+        assert all(b is bases[0] and b.shape[0] == n_states for b in bases)
 
     def test_reads_weights_one_layer_at_a_time(self, tiny_cfg, tiny_weights, tiny_tiles):
         # A mapping that reads its entries on demand (``load_weights``)
@@ -465,6 +477,51 @@ class TestEncode:
         assert set(grads) == {name for name, *_ in enc.tensor_specs(tiny_cfg)}
 
 
+class TestGroups:
+    def test_group_size_from_shapes(self):
+        # The tiny preset's FFN hidden is 1 KiB per float32 state, so all 17
+        # states fit one group; the paper preset's is 10 MiB, one per group.
+        for name, dtype, g in (("tiny", np.float32, 17), ("tiny", np.float64, 17),
+                               ("paper", np.float32, 1)):
+            cfg = enc.PRESETS[name]
+            states = np.broadcast_to(np.zeros((), dtype), (17, cfg.n_tokens, cfg.width))
+            assert enc._group_size(states) == g, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    def test_split_keeps_bytes(self, tiny_cfg, monkeypatch, dtype, reatten_on, thumbnail):
+        # 16 tiles in groups of 1, 2, 5 (a partial last group) and all of
+        # them: every output and every softmax matrix is byte-identical.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
+        w = enc.init_weights(cfg, seed=6, dtype=dtype)
+        tiles = random_tiles(cfg, 16, seed=31)
+        n_states = 16 + thumbnail
+        runs = {}
+        for g in (1, 2, 5, n_states):
+            force_group_size(monkeypatch, cfg, dtype, g)
+            seen = {}
+
+            def collect(layer, tile, head, attn):
+                seen[(layer, tile, head)] = attn.tobytes()
+
+            f_hr = enc.encode(tiles, w, cfg, thumbnail=thumbnail, collect=collect)
+            runs[g] = (f_hr.tobytes(), seen)
+        assert len(runs[1][1]) == cfg.layers * cfg.heads * (n_states + reatten_on)
+        assert all(run == runs[n_states] for run in runs.values())
+
+    def test_split_keeps_bytes_at_width_128(self, tiny_cfg, monkeypatch):
+        # Here one GEMM over the rows of 5 states would cross BLAS's
+        # small-matrix threshold that one state's stays under, and change
+        # the bytes; the batched products keep them.
+        cfg = enc.config_with_overrides(tiny_cfg, width=128, heads=1)
+        w = enc.init_weights(cfg, seed=0)
+        tiles = random_tiles(cfg, 4, seed=2)
+        whole = enc.encode(tiles, w, cfg)
+        force_group_size(monkeypatch, cfg, np.float32, 1)
+        assert enc.encode(tiles, w, cfg).tobytes() == whole.tobytes()
+
+
 class TestConcat:
     def test_gradient_splits_at_seams(self):
         rng = np.random.default_rng(3)
@@ -480,6 +537,84 @@ class TestConcat:
             first, _, last = np.split(weight, 3, axis=axis)
             assert np.array_equal(parts[0].grad, first)
             assert np.array_equal(parts[2].grad, last)
+
+
+def assert_matches_central_differences(loss, params, tol=1e-8):
+    """The analytic gradients of ``loss(*Vars)`` against central differences."""
+    variables = [ad.Var(p) for p in params]
+    out = loss(*variables)
+    out.backward()
+    numeric = oracle.finite_diff_grad(
+        lambda: float(ad.value_of(loss(*params))), dict(enumerate(params))
+    )
+    for k, v in enumerate(variables):
+        assert v.grad.shape == params[k].shape
+        scale = max(np.abs(numeric[k]).max(), 1e-12)
+        assert np.abs(v.grad - numeric[k]).max() / scale <= tol, k
+
+
+class TestBatchedVarOps:
+    # Each loss weights its op's output with fixed random numbers, so every
+    # entry of the output reaches the gradient with its own weight.
+    x = np.random.default_rng(17).normal(size=(3, 4, 5))
+
+    def weighted(self, shape):
+        return np.random.default_rng(shape).normal(size=shape)
+
+    def test_reshape_and_swapaxes(self):
+        w1, w2 = self.weighted((6, 10)), self.weighted((3, 5, 4))
+        assert_matches_central_differences(lambda x: ad.total(x.reshape(6, 10) * w1), [self.x])
+        assert_matches_central_differences(
+            lambda x: ad.total(x.swapaxes(-1, -2) * w2), [self.x]
+        )
+
+    def test_batched_matmul(self):
+        rng = np.random.default_rng(18)
+        b = rng.normal(size=(3, 5, 2))
+        w = self.weighted((3, 4, 2))
+        assert_matches_central_differences(lambda x, y: ad.total((x @ y) * w), [self.x, b])
+        # One matrix for every batch, as the projections take their weights.
+        assert_matches_central_differences(lambda x, y: ad.total((x @ y) * w), [self.x, b[0]])
+        a, w = rng.normal(size=(2, 4)), self.weighted((3, 2, 5))
+        assert_matches_central_differences(lambda y, x: ad.total((y @ x) * w), [a, self.x])
+        # A product with a swapped operand, as the attention logits take it.
+        w = self.weighted((3, 4, 4))
+        assert_matches_central_differences(
+            lambda x, y: ad.total((x @ y.swapaxes(-1, -2)) * w), [self.x, self.x + 0.5]
+        )
+
+    def test_layer_norm_and_softmax_rows(self):
+        gamma, beta = np.random.default_rng(19).normal(size=(2, 5))
+        w = self.weighted((3, 4, 5))
+        assert_matches_central_differences(
+            lambda x, g, b: ad.total(ad.layer_norm(x, g, b) * w), [self.x, gamma, beta]
+        )
+        assert_matches_central_differences(
+            lambda x: ad.total(ad.softmax_rows(x) * w), [self.x]
+        )
+
+    def test_put(self):
+        value = np.random.default_rng(20).normal(size=(4, 5))
+        w = self.weighted((3, 4, 5))
+        assert_matches_central_differences(
+            lambda x, v: ad.total(ad.put(x, 1, v) * w), [self.x, value]
+        )
+        # A value broadcast along the slot's leading axes, as the registers are.
+        assert_matches_central_differences(
+            lambda x, v: ad.total(ad.put(x, (slice(None), slice(2)), v) * w), [self.x, value[:2]]
+        )
+        # On the plain path the slot is written in place.
+        x = self.x.copy()
+        assert ad.put(x, 1, value) is x and np.array_equal(x[1], value)
+
+    def test_parameter_gradients_across_groups(self, tiny_cfg, monkeypatch):
+        # Two tiles and the thumbnail in groups of two: a full group and a
+        # partial one. The gate is the suite's: h = 1e-5, rel_err <= 1e-4.
+        cfg = enc.config_with_overrides(tiny_cfg, layers=1, width=4, patch=4, tile=8)
+        force_group_size(monkeypatch, cfg, np.float64, 2)
+        w = enc.init_weights(cfg, seed=4, dtype=np.float64)
+        report = oracle.check_encoder_gradients(oracle.fixture_tiles(cfg, 2, seed=4), w, cfg)
+        assert report.passed, report.worst()
 
 
 class TestReattenInit:
@@ -514,32 +649,43 @@ class TestAttentionHook:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reatten_on", [True, False])
     @pytest.mark.parametrize("thumbnail", [True, False])
-    def test_calls_in_forward_order(self, tiny_cfg, dtype, reatten_on, thumbnail):
+    def test_calls_in_forward_order(self, tiny_cfg, monkeypatch, dtype, reatten_on, thumbnail):
+        # A layer's groups run in state order; within a group the head is the
+        # outer loop. The tiny preset runs all its states in one group. With
+        # one state per group, as at paper geometry, each state sees its heads
+        # in turn. Either way each (layer, head) sees the states in order.
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
         w = enc.init_weights(cfg, seed=0, dtype=dtype)
         tiles = random_tiles(cfg, 3, seed=21)
-        calls = []
-
-        def collect(layer, tile, head, attn):
-            calls.append((layer, tile, head, attn.shape, attn.dtype))
-
-        f_hr = enc.encode(tiles, w, cfg, thumbnail=thumbnail, collect=collect)
         t = len(tiles.tiles) + thumbnail
         rows, mt = cfg.n_tokens, cfg.registers * t
-        expected = []
-        for layer in range(cfg.layers):
-            expected += [
-                (layer, k, h, (rows, rows), np.dtype(dtype))
-                for k in range(t)
-                for h in range(cfg.heads)
-            ]
-            if reatten_on:
-                expected += [(layer, None, h, (mt, mt), np.dtype(dtype)) for h in range(cfg.heads)]
-        assert calls == expected
-        self_calls = [c for c in calls if c[1] is not None]
-        assert len(self_calls) == cfg.layers * cfg.heads * t
-        assert len(calls) - len(self_calls) == (cfg.layers * cfg.heads if reatten_on else 0)
-        assert f_hr.tobytes() == enc.encode(tiles, w, cfg, thumbnail=thumbnail).tobytes()
+        for g in (None, 1, 2):
+            if g is not None:
+                force_group_size(monkeypatch, cfg, dtype, g)
+            calls = []
+
+            def collect(layer, tile, head, attn):
+                calls.append((layer, tile, head, attn.shape, attn.dtype))
+
+            f_hr = enc.encode(tiles, w, cfg, thumbnail=thumbnail, collect=collect)
+            size = g or t
+            expected = []
+            for layer in range(cfg.layers):
+                for lo in range(0, t, size):
+                    expected += [
+                        (layer, k, h, (rows, rows), np.dtype(dtype))
+                        for h in range(cfg.heads)
+                        for k in range(lo, min(lo + size, t))
+                    ]
+                if reatten_on:
+                    expected += [
+                        (layer, None, h, (mt, mt), np.dtype(dtype)) for h in range(cfg.heads)
+                    ]
+            assert calls == expected, g
+            self_calls = [c for c in calls if c[1] is not None]
+            assert len(self_calls) == cfg.layers * cfg.heads * t
+            assert len(calls) - len(self_calls) == (cfg.layers * cfg.heads if reatten_on else 0)
+            assert f_hr.tobytes() == enc.encode(tiles, w, cfg, thumbnail=thumbnail).tobytes()
 
 
 class TestRegisterAttentionExtraction:

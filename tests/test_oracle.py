@@ -154,12 +154,13 @@ class TestSelftest:
     def test_normalization_check_sees_exchange_matrices(
         self, tiny_cfg, tiny_weights_f64, monkeypatch
     ):
-        # Only the exchange step's softmax has a row count other than N+M.
+        # Only the exchange step's softmax has a row count other than N+M;
+        # self-attention passes a (g, N+M, N+M) group.
         real = numerics.softmax_rows
 
         def halve_exchange(x, out=None):
             out = real(x, out)
-            return out if out.shape[0] == tiny_cfg.n_tokens else out * 0.5
+            return out if out.shape[-2] == tiny_cfg.n_tokens else out * 0.5
 
         monkeypatch.setattr(numerics, "softmax_rows", halve_exchange)
         result = oracle.run_selftest(tiny_cfg, tiny_weights_f64, seed=0, verify_mode=False)
@@ -175,3 +176,20 @@ class TestSelftest:
         for cfg, tokens in ((enc.PRESETS["paper"], 1920), (over, 513)):
             with pytest.raises(ConfigError, match=f"capped at 512 total tokens, got {tokens}$"):
                 oracle.check_selftest_budget(cfg)
+
+    def test_budget_refuses_reference_over_mac_cap(self, tiny_cfg, tiny_weights_f64):
+        # The reference forward's multiply-adds, as the instrumented forward
+        # counts them on the selftest fixture: width 128 at one head (12.4M)
+        # passes, width 256 (46.7M) is refused before anything is drawn.
+        tiles = oracle.fixture_tiles(tiny_cfg, 2, seed=0)
+        _, counts = oracle.encode_reference(tiles, tiny_weights_f64, tiny_cfg)
+        assert counts["embed"] == oracle.embed_macs(tiny_cfg, 3)
+        assert sum(counts.values()) == (
+            oracle.embed_macs(tiny_cfg, 3) + oracle.count_flops(tiny_cfg, 2).total
+        )
+        oracle.check_selftest_budget(enc.config_with_overrides(tiny_cfg, width=128, heads=1))
+        wide = enc.config_with_overrides(tiny_cfg, width=256, heads=1)
+        macs = oracle.embed_macs(wide, 3) + oracle.count_flops(wide, 2).total
+        assert macs == 46_743_552 > oracle.REFERENCE_MAC_CAP
+        with pytest.raises(ConfigError, match=f"capped at 16777216 multiply-adds, got {macs}$"):
+            oracle.check_selftest_budget(wide)
