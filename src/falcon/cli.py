@@ -148,11 +148,13 @@ def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, colle
     layer serves a run of the first ``layers``, which reads only theirs) and
     the forward, in the working dtype whatever the archive's.
 
-    The tiles go to ``encode`` as a temporary, so it frees them before layer 0.
+    The crop reads the loader's uint8 image as it is, with no float copy of
+    it. The tiles go to ``encode`` as a temporary, so it frees them before
+    layer 0.
     """
     encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
     return encoder.encode(
-        image_crop.crop_tiles(image_crop.to_float(img), plan),
+        image_crop.crop_tiles(img, plan),
         _weights(rc, args, cfg, np.float64 if rc.verify_mode else np.float32),
         encoder.config_with_overrides(cfg, layers=layers),
         thumbnail=rc.thumbnail,

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    EncoderConfig, LayerWeights, _multi_head_attention, element_count, init_tensor, layer_specs,
+    EncoderConfig, LayerWeights, _multi_head_attention, element_count, init_tensors, layer_specs,
     reatten_specs,
 )
 from .errors import ShapeError
-from .numerics import SplitMix64, gelu, init_uniform, layer_norm
+from .numerics import SplitMix64, gelu, layer_norm
 from .oracle import attention_macs, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
@@ -39,11 +39,12 @@ class ProjectorWeights:
 
 
 def init_projector(d: int, d_llm: int, rng: SplitMix64, dtype=np.float32) -> ProjectorWeights:
+    """W1 then W2 drawn from ``rng`` (one fill when both fit one run), zero biases."""
+    w1, w2 = init_tensors(
+        [((d, d_llm), d, d_llm, "uniform"), ((d_llm, d_llm), d_llm, d_llm, "uniform")], rng, dtype
+    )
     return ProjectorWeights(
-        w1=init_uniform((d, d_llm), d, d_llm, rng).astype(dtype),
-        b1=np.zeros(d_llm, dtype=dtype),
-        w2=init_uniform((d_llm, d_llm), d_llm, d_llm, rng).astype(dtype),
-        b2=np.zeros(d_llm, dtype=dtype),
+        w1=w1, b1=np.zeros(d_llm, dtype=dtype), w2=w2, b2=np.zeros(d_llm, dtype=dtype)
     )
 
 
@@ -109,10 +110,10 @@ class AbstractorWeights:
 def init_abstractor(
     d: int, heads: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
 ) -> AbstractorWeights:
-    specs = layer_specs(d)
+    names = [name for name, *_ in layer_specs(d)]
+    specs = [spec for _, *spec in layer_specs(d)]
     blocks = [
-        LayerWeights(**{name: init_tensor(*spec, rng, dtype) for name, *spec in specs})
-        for _ in range(depth)
+        LayerWeights(**dict(zip(names, init_tensors(specs, rng, dtype)))) for _ in range(depth)
     ]
     return AbstractorWeights(heads=heads, blocks=blocks)
 

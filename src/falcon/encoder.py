@@ -33,12 +33,14 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from . import autodiff as ad
 from . import falt
-from .errors import BoundsError, ConfigError, StateError
+from .errors import BoundsError, ConfigError
 from .image_crop import CropPlan, TileSet, normalize_pixels, patchify
 from .numerics import SplitMix64, init_uniform
 
@@ -216,11 +218,75 @@ def init_tensor(shape, fan_in: int, fan_out: int, kind: str, rng: SplitMix64, dt
     return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
 
 
+# ``init_tensors`` draws consecutive uniform entries of at most this many
+# draws in total with one ``fill_u64`` call: one draw chunk
+# (``numerics._CHUNK``), 256 KiB of uint64. A larger entry is drawn alone.
+_RUN_DRAWS = 1 << 15
+
+
+def _draw_run(run, out: list, rng: SplitMix64, dtype) -> None:
+    """Draw the uniform entries of ``run``, (index, shape, fan_in + fan_out)
+    each, with one fill of ``rng`` and put each in ``out`` at its index.
+
+    Each draw goes through the ``init_uniform`` formula with its entry's
+    bound a, (z >> 11) * 2**-53 * 2a - a in float64, then the cast to
+    ``dtype``, so the bytes are those of ``init_tensor``. Consecutive
+    entries with the same bound are scaled as one slice, and the entries
+    are views of the run's one cast array.
+    """
+    if not run:
+        return
+    sizes = [math.prod(shape) for _, shape, _ in run]
+    z = rng.fill_u64(sum(sizes))
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    start = 0
+    for fans, stretch in groupby(zip([fans for *_, fans in run], sizes), key=itemgetter(0)):
+        a = math.sqrt(6.0 / fans)
+        x = u[start : start + sum(n for _, n in stretch)]
+        x *= 2.0 * a
+        x -= a
+        start += len(x)
+    u = u.astype(dtype, copy=False)
+    start = 0
+    for (i, shape, _), n in zip(run, sizes):
+        out[i] = u[start : start + n].reshape(shape)
+        start += n
+
+
+def init_tensors(specs, rng: SplitMix64, dtype) -> list[np.ndarray]:
+    """The tensors of (shape, fan_in, fan_out, init) ``specs``, drawn from
+    ``rng`` in order: ``init_tensor``'s bytes for each entry, in fewer calls.
+
+    Consecutive uniform entries share one fill of at most ``_RUN_DRAWS``
+    draws; an entry larger than that goes through ``init_tensor`` alone.
+    """
+    out: list = [None] * len(specs)
+    run, drawn = [], 0
+    for i, (shape, fan_in, fan_out, kind) in enumerate(specs):
+        n = math.prod(shape)
+        if kind == "uniform" and n <= _RUN_DRAWS:
+            if drawn + n > _RUN_DRAWS:
+                _draw_run(run, out, rng, dtype)
+                run, drawn = [], 0
+            run.append((i, shape, fan_in + fan_out))
+            drawn += n
+            continue
+        if kind == "uniform":  # the run gathered so far comes first in the stream
+            _draw_run(run, out, rng, dtype)
+            run, drawn = [], 0
+        out[i] = init_tensor(shape, fan_in, fan_out, kind, rng, dtype)
+    _draw_run(run, out, rng, dtype)
+    return out
+
+
 def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> Weights:
     """Seeded deterministic initialization: the canonical name -> tensor
-    mapping, drawn in ``tensor_specs`` order."""
-    rng = SplitMix64(seed)
-    return {name: init_tensor(*spec, rng, dtype) for name, *spec in tensor_specs(cfg)}
+    mapping, drawn in ``tensor_specs`` order (``init_tensors``)."""
+    specs = tensor_specs(cfg)
+    tensors = init_tensors([spec for _, *spec in specs], SplitMix64(seed), dtype)
+    return {name: tensor for (name, *_), tensor in zip(specs, tensors)}
 
 
 def _check_names_and_shapes(shapes: Mapping[str, tuple[int, ...]], cfg: EncoderConfig) -> None:
@@ -405,19 +471,13 @@ def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
 def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
-    ``states`` is the (S, N+M, D) state array, or a list of S plain
-    (N+M, D) arrays. Their register rows are joined in state order and
-    passed through residual pre-norm multi-head self-attention. The result
-    is one (M*S, D) array, state k's rows at [k*M, (k+1)*M); when disabled
-    it is the joined input rows unchanged. ``states`` is not modified:
-    putting the rows back next to each state's image rows is the caller's
-    job.
+    ``states`` is the (S, N+M, D) state array. Its register rows are joined
+    in state order and passed through residual pre-norm multi-head
+    self-attention. The result is one (M*S, D) array, state k's rows at
+    [k*M, (k+1)*M); when disabled it is the joined input rows unchanged.
+    ``states`` is not modified: putting the rows back next to each state's
+    image rows is the caller's job.
     """
-    if isinstance(states, (list, tuple)):
-        shapes = {tuple(s.shape) for s in states}
-        if len(shapes) != 1:
-            raise StateError(f"tiles at mismatched layers: state shapes {sorted(shapes)}")
-        states = np.stack(states)
     regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
     if not enabled:
         return regs

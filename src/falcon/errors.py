@@ -24,10 +24,6 @@ class ConfigError(FalconError):
     """Invalid configuration, or weights incompatible with a configuration."""
 
 
-class StateError(FalconError):
-    """Pipeline state mismatch (e.g. tiles presented at different layers)."""
-
-
 class BoundsError(FalconError):
     """Layer, head, or register index outside the valid range."""
 

@@ -1,9 +1,12 @@
 """Image loading, shape-adaptive crop planning, tiling, and patch extraction.
 
 Images move through the pipeline as numpy arrays: uint8 (H, W, 3) straight
-from the loader, float32 in [0, 1] everywhere else. ``normalize_pixels``
-applies the fixed per-channel affine (mean 0.5, std 0.5) expected by the
-encoder just before patchification.
+from the loader, float32 in [0, 1] everywhere else. ``crop_tiles`` and
+``resize_bilinear`` accept the loader's uint8 array as it is: they gather
+the pixels each output needs and read those as ``to_float`` values, so no
+float copy of the whole image is made. ``normalize_pixels`` applies the
+fixed per-channel affine (mean 0.5, std 0.5) expected by the encoder just
+before patchification.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from .errors import ConfigError, ImageError, ShapeError
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 # Largest image ``load_ppm`` accepts. ``cli._forward`` holds the uint8
-# image and its float32 copy through the crop, 15 bytes per pixel: about
-# 1 GiB at this cap.
+# image through the crop, 3 bytes per pixel (192 MiB at this cap), plus the
+# source rows of one band of tiles.
 MAX_PIXELS = 1 << 26
 
 # ``load_ppm`` reads a file's header, comments included, in one read of this
@@ -174,13 +177,20 @@ def _source_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return i0, i1, (src - i0).astype(np.float32)
 
 
-def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
-    """Bilinear blend of float32 ``img`` at the (i0, i1, w) taps ``ys``, ``xs``.
+def _pixels(img) -> np.ndarray:
+    """``img`` as the blend reads it: uint8 as it is, any other dtype cast to float32."""
+    img = np.asarray(img)
+    return img if img.dtype == np.uint8 else img.astype(np.float32, copy=False)
 
-    Separable: each source row the output needs is interpolated across once,
-    at the output columns only, then pairs of those rows are blended down.
-    The float32 expressions are those of the four-tap form, so the bytes are
-    too.
+
+def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
+    """Bilinear blend of ``img`` at the (i0, i1, w) taps ``ys``, ``xs``.
+
+    ``img`` is float32, or uint8 read as ``to_float`` pixels: only the
+    gathered taps are converted. Separable: each source row the output needs
+    is interpolated across once, at the output columns only, then pairs of
+    those rows are blended down. The float32 expressions are those of the
+    four-tap form, so the bytes are too.
     """
     y0, y1, fy = ys
     x0, x1, fx = xs
@@ -191,8 +201,11 @@ def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
     used = np.zeros(img.shape[0], dtype=bool)
     used[y0] = used[y1] = True
     slot = np.cumsum(used) - 1
-    rows = np.flatnonzero(used)[:, None]
-    across = img[rows, x0] * (1.0 - fx) + img[rows, x1] * fx
+    src = img.take(np.flatnonzero(used), 0)
+    left, right = src.take(x0, 1), src.take(x1, 1)
+    if img.dtype == np.uint8:
+        left, right = to_float(left), to_float(right)
+    across = left * (1.0 - fx) + right * fx
     return across[slot[y0]] * (1.0 - fy) + across[slot[y1]] * fy
 
 
@@ -200,11 +213,11 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with half-pixel-center source coordinates.
 
     src = (dst + 0.5) * (in / out) - 0.5, clamped to [0, in - 1]; the blend
-    itself runs in float32.
+    itself runs in float32. A uint8 ``img`` is read as ``to_float`` pixels.
     """
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output dimensions must be >= 1, got {out_h}x{out_w}")
-    img = np.asarray(img, dtype=np.float32)
+    img = _pixels(img)
     in_h, in_w = img.shape[:2]
     return _blend(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w))
 
@@ -254,9 +267,11 @@ def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
     Every band (row of tiles) is blended from its slice of the full-grid
     source coordinates, so the tiles are exactly those of one whole-grid
     resize, without seams, while only one band is held at a time. The
-    global thumbnail is produced for every input, including 1x1 plans.
+    global thumbnail is produced for every input, including 1x1 plans. A
+    uint8 ``img``, as ``load_ppm`` returns it, is read as ``to_float``
+    pixels; the result is float32 either way.
     """
-    img = np.asarray(img, dtype=np.float32)
+    img = _pixels(img)
     in_h, in_w = img.shape[:2]
     t = plan.tile
     ys = _source_coords(plan.resize_h, in_h)

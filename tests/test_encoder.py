@@ -9,9 +9,9 @@ import pytest
 from falcon import autodiff as ad
 from falcon import encoder as enc
 from falcon import falt, oracle
-from falcon.errors import ArchiveError, BoundsError, ConfigError, StateError
+from falcon.errors import ArchiveError, BoundsError, ConfigError
 from falcon.image_crop import TileSet, normalize_pixels, patchify, plan_crop
-from falcon.numerics import layer_norm
+from falcon.numerics import SplitMix64, layer_norm
 
 from conftest import random_tiles
 
@@ -87,6 +87,9 @@ class TestConfig:
             enc.EncoderConfig(layers=2, width=8, heads=2, patch=16, tile=32, registers=0)
 
 
+RUN = enc._RUN_DRAWS
+
+
 class TestWeights:
     def test_seeded_init_deterministic(self, tiny_cfg):
         a = enc.init_weights(tiny_cfg, seed=3)
@@ -106,6 +109,53 @@ class TestWeights:
         for name, t in w64.items():
             assert t.dtype == np.float64
             assert t.astype(np.float32).tobytes() == w32[name].tobytes(), name
+
+    @pytest.mark.parametrize("width", [8, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_runs_match_per_tensor_init(self, tiny_cfg, width, seed, dtype):
+        # The bounded runs give init_tensor's bytes, drawn one entry at a time
+        # in tensor_specs order. At width 128, w1 and w2 exceed one run.
+        cfg = enc.config_with_overrides(tiny_cfg, width=width)
+        rng = SplitMix64(seed)
+        ref = {name: enc.init_tensor(*spec, rng, dtype) for name, *spec in enc.tensor_specs(cfg)}
+        got = enc.init_weights(cfg, seed, dtype)
+        assert list(got) == list(ref)
+        for name, t in ref.items():
+            assert got[name].dtype == dtype and got[name].shape == t.shape, name
+            assert got[name].tobytes() == t.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "sizes, fills",
+        [
+            ([RUN], [RUN]),
+            ([RUN + 1], [RUN, 1]),  # alone, through init_uniform's chunks
+            ([RUN - 1, 1, 1], [RUN, 1]),
+            ([5, RUN, 7], [5, RUN, 7]),
+            ([3, RUN + 1, 4, 6], [3, RUN, 1, 10]),
+        ],
+    )
+    def test_runs_split_at_the_cap(self, monkeypatch, sizes, fills):
+        # Each fill holds at most one run of draws; a non-drawing entry
+        # between two draws does not end a run.
+        specs = []
+        for n in sizes:
+            specs += [((n,), 3, 5, "uniform"), ((2,), 1, 1, "ones")]
+        rng = SplitMix64(11)
+        ref = [enc.init_tensor(*spec, rng, np.float32) for spec in specs]
+        seen = []
+        fill_u64 = SplitMix64.fill_u64
+
+        def counted(self, n):
+            seen.append(n)
+            return fill_u64(self, n)
+
+        monkeypatch.setattr(SplitMix64, "fill_u64", counted)
+        got_rng = SplitMix64(11)
+        got = enc.init_tensors(specs, got_rng, np.float32)
+        assert seen == fills
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+        assert got_rng.state == rng.state
 
     def test_canonical_order_stable(self, tiny_cfg):
         names = [name for name, *_ in enc.tensor_specs(tiny_cfg)]
@@ -291,7 +341,7 @@ class TestReatten:
         rng = np.random.default_rng(9)
         state = rng.normal(size=(tiny_cfg.n_tokens, d))
         before = state.copy()
-        out = enc.reatten([state], rw, tiny_cfg, enabled=True)
+        out = enc.reatten(np.stack([state]), rw, tiny_cfg, enabled=True)
         n = tiny_cfg.n_image_tokens
         regs = state[n:]
         expected = regs + layer_norm(regs, rw.ln_gamma, rw.ln_beta).mean(axis=0)
@@ -305,29 +355,21 @@ class TestReatten:
         # so a mismatched slice would show.
         tiles = random_tiles(tiny_cfg, 3, seed=4)
         lw = enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0")
-        states = [
+        states = np.stack([
             enc.self_attention_block(s, lw, tiny_cfg)
             for s in enc.embed_tiles(tiles, tiny_weights, tiny_cfg, thumbnail=False)
-        ]
+        ])
         rw = enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0")
         m = tiny_cfg.registers
         assert not np.allclose(states[0][-m:], states[1][-m:])
         base = enc.reatten(states, rw, tiny_cfg)
         perm = [2, 0, 1]
-        swapped = enc.reatten([states[i] for i in perm], rw, tiny_cfg)
+        swapped = enc.reatten(np.stack([states[i] for i in perm]), rw, tiny_cfg)
         assert swapped.shape == base.shape == (3 * m, tiny_cfg.width)
         for new_pos, old_pos in enumerate(perm):
             got = swapped[new_pos * m : (new_pos + 1) * m]
             want = base[old_pos * m : (old_pos + 1) * m]
             assert np.abs(got - want).max() < 1e-5
-
-    def test_mismatched_states_rejected(self, tiny_cfg, tiny_weights):
-        a = np.zeros((8, 8), np.float32)
-        b = np.zeros((7, 8), np.float32)
-        with pytest.raises(StateError):
-            enc.reatten(
-                [a, b], enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0"), tiny_cfg
-            )
 
 
 class TestFfn:

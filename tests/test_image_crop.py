@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ def _four_tap_resize(img, out_h, out_w):
     return top * (1.0 - fy) + bottom * fy
 
 
+def _assert_uint8_crop_is_float_crop(img, tile):
+    """``crop_tiles`` of uint8 ``img`` is, byte for byte, its crop after
+    ``to_float``, and both are the four-tap resize of the ``to_float`` pixels."""
+    plan = ic.plan_crop(img.shape[0], img.shape[1], tile, 16)
+    got = ic.crop_tiles(img, plan)
+    pixels = ic.to_float(img)
+    want = ic.crop_tiles(pixels, plan)
+    ref = _four_tap_resize(pixels, plan.resize_h, plan.resize_w)
+    t = plan.tile
+    assert len(got.tiles) == len(want.tiles) == plan.n_tiles
+    for k, (a, b) in enumerate(zip(got.tiles, want.tiles)):
+        r, c = divmod(k, plan.cols)
+        assert a.dtype == np.float32 and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes() == ref[r * t : (r + 1) * t, c * t : (c + 1) * t].tobytes()
+    thumb = _four_tap_resize(pixels, t, t)
+    assert got.global_thumb.dtype == np.float32
+    assert got.global_thumb.tobytes() == want.global_thumb.tobytes() == thumb.tobytes()
+
+
 class TestFourTapReference:
     """Band-by-band separable cropping gives the four-tap resize's exact bytes."""
 
@@ -432,12 +452,40 @@ class TestFourTapReference:
         assert np.array_equal(ts.global_thumb, _four_tap_resize(img, t, t))
 
     def test_uint8_input(self):
+        # A uint8 image is read as to_float pixels, as load_ppm's array is.
         rng = np.random.default_rng(5)
-        img = rng.integers(0, 256, size=(90, 150, 3), dtype=np.uint8)
-        plan = ic.plan_crop(90, 150, 32, 16)
-        ts = ic.crop_tiles(img, plan)
-        ref = _four_tap_resize(img, plan.resize_h, plan.resize_w)
-        assert np.array_equal(np.concatenate(ts.tiles[: plan.cols], axis=1), ref[:32])
+        _assert_uint8_crop_is_float_crop(rng.integers(0, 256, size=(90, 150, 3), dtype=np.uint8), 32)
+
+    @given(
+        st.integers(1, 3000).flatmap(
+            lambda h: st.tuples(st.just(h), st.integers(1, min(3000, 3_000_000 // h)))
+        ),
+        st.sampled_from([32, 384]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((1, 1), 32, True, 0)
+    @example((1, 3000), 384, True, 1)
+    @example((3000, 1), 32, False, 2)
+    @example((1000, 3000), 384, True, 3)
+    def test_uint8_input_property(self, shape, tile, rgb, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=shape + ((3,) if rgb else ()), dtype=np.uint8)
+        _assert_uint8_crop_is_float_crop(img, tile)
+
+    def test_uint8_crop_holds_no_float_image(self):
+        # The crop gathers only the rows and columns its taps name, as uint8,
+        # so its peak stays under one byte per input pixel. A float32 copy of
+        # the image alone would take four.
+        img = np.random.default_rng(0).integers(0, 256, size=(2000, 2000, 3), dtype=np.uint8)
+        plan = ic.plan_crop(2000, 2000, 32, 16)
+        tracemalloc.start()
+        try:
+            ic.crop_tiles(img, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000
 
     @pytest.mark.parametrize(
         "shape, out",
