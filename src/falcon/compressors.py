@@ -39,7 +39,7 @@ class ProjectorWeights:
 
 
 def init_projector(d: int, d_llm: int, rng: SplitMix64, dtype=np.float32) -> ProjectorWeights:
-    """W1 then W2 drawn from ``rng`` (one fill when both fit one run), zero biases."""
+    """W1 then W2 drawn from ``rng`` in one fill, zero biases."""
     w1, w2 = init_tensors(
         [((d, d_llm), d, d_llm, "uniform"), ((d_llm, d_llm), d_llm, d_llm, "uniform")], rng, dtype
     )

@@ -33,8 +33,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from . import autodiff as ad
 from . import falt
 from .errors import BoundsError, ConfigError
 from .image_crop import CropPlan, TileSet, normalize_pixels, patchify
-from .numerics import SplitMix64, init_uniform
+from .numerics import SplitMix64
 
 
 # Largest value of any integer config field. A FALT archive stores each
@@ -51,10 +49,10 @@ from .numerics import SplitMix64, init_uniform
 MAX_SIZE = 2**32 - 1
 
 # ``check_budget``'s cap on each activation array of a run: the cropped
-# pixels, the tile states and one head's softmax matrix. 2^26 elements,
-# 256 MiB of float32. The paper preset at 16 tiles plus the thumbnail holds
-# 7.5M pixels, 17 * 640 * 1024 = 11.1M state elements and a 1088^2 = 1.2M
-# exchange matrix.
+# pixels, the tile states, one state's FFN hidden array and one head's
+# softmax matrix. 2^26 elements, 256 MiB of float32. At 16 tiles plus the
+# thumbnail the paper preset holds 7.5M pixels, 11.1M state elements, a
+# 640 * 4096 = 2.6M hidden array and a 1088^2 = 1.2M exchange matrix.
 MAX_STATE_ELEMENTS = 1 << 26
 
 # ``check_budget``'s cap on the encoder weights, and apart on the
@@ -211,73 +209,22 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
     return specs
 
 
-def init_tensor(shape, fan_in: int, fan_out: int, kind: str, rng: SplitMix64, dtype) -> np.ndarray:
-    """One tensor of a spec entry; only "uniform" draws from ``rng``."""
-    if kind == "uniform":
-        return init_uniform(shape, fan_in, fan_out, rng).astype(dtype, copy=False)
-    return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
-
-
-# ``init_tensors`` draws consecutive uniform entries of at most this many
-# draws in total with one ``fill_u64`` call: one draw chunk
-# (``numerics._CHUNK``), 256 KiB of uint64. A larger entry is drawn alone.
-_RUN_DRAWS = 1 << 15
-
-
-def _draw_run(run, out: list, rng: SplitMix64, dtype) -> None:
-    """Draw the uniform entries of ``run``, (index, shape, fan_in + fan_out)
-    each, with one fill of ``rng`` and put each in ``out`` at its index.
-
-    Each draw goes through the ``init_uniform`` formula with its entry's
-    bound a, (z >> 11) * 2**-53 * 2a - a in float64, then the cast to
-    ``dtype``, so the bytes are those of ``init_tensor``. Consecutive
-    entries with the same bound are scaled as one slice, and the entries
-    are views of the run's one cast array.
-    """
-    if not run:
-        return
-    sizes = [math.prod(shape) for _, shape, _ in run]
-    z = rng.fill_u64(sum(sizes))
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= 2.0**-53
-    start = 0
-    for fans, stretch in groupby(zip([fans for *_, fans in run], sizes), key=itemgetter(0)):
-        a = math.sqrt(6.0 / fans)
-        x = u[start : start + sum(n for _, n in stretch)]
-        x *= 2.0 * a
-        x -= a
-        start += len(x)
-    u = u.astype(dtype, copy=False)
-    start = 0
-    for (i, shape, _), n in zip(run, sizes):
-        out[i] = u[start : start + n].reshape(shape)
-        start += n
-
-
 def init_tensors(specs, rng: SplitMix64, dtype) -> list[np.ndarray]:
-    """The tensors of (shape, fan_in, fan_out, init) ``specs``, drawn from
-    ``rng`` in order: ``init_tensor``'s bytes for each entry, in fewer calls.
-
-    Consecutive uniform entries share one fill of at most ``_RUN_DRAWS``
-    draws; an entry larger than that goes through ``init_tensor`` alone.
-    """
-    out: list = [None] * len(specs)
-    run, drawn = [], 0
-    for i, (shape, fan_in, fan_out, kind) in enumerate(specs):
-        n = math.prod(shape)
-        if kind == "uniform" and n <= _RUN_DRAWS:
-            if drawn + n > _RUN_DRAWS:
-                _draw_run(run, out, rng, dtype)
-                run, drawn = [], 0
-            run.append((i, shape, fan_in + fan_out))
-            drawn += n
-            continue
-        if kind == "uniform":  # the run gathered so far comes first in the stream
-            _draw_run(run, out, rng, dtype)
-            run, drawn = [], 0
-        out[i] = init_tensor(shape, fan_in, fan_out, kind, rng, dtype)
-    _draw_run(run, out, rng, dtype)
+    """The tensors of (shape, fan_in, fan_out, init) ``specs``, in order. The
+    "uniform" entries are views of one flat ``dtype`` array filled by one
+    ``rng.fill_uniform``: each holds ``init_uniform``'s draws, cast."""
+    drawn = [(math.prod(shape), fan_in, fan_out)
+             for shape, fan_in, fan_out, kind in specs if kind == "uniform"]
+    flat = np.empty(sum(n for n, _, _ in drawn), dtype)
+    rng.fill_uniform(flat, drawn)
+    out, start = [], 0
+    for shape, _, _, kind in specs:
+        if kind == "uniform":
+            n = math.prod(shape)
+            out.append(flat[start : start + n].reshape(shape))
+            start += n
+        else:
+            out.append((np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype))
     return out
 
 
@@ -395,6 +342,7 @@ def check_budget(
     budget = [
         ("cropped pixels", (n_tiles + 1) * cfg.tile**2 * 3, MAX_STATE_ELEMENTS),
         ("tile states", n_states * cfg.n_tokens * cfg.width, MAX_STATE_ELEMENTS),
+        ("one state's FFN hidden array", cfg.n_tokens * FFN_MULT * cfg.width, MAX_STATE_ELEMENTS),
         ("one head's softmax matrix", max(cfg.n_tokens, exchange_rows) ** 2, MAX_STATE_ELEMENTS),
         ("encoder weights", weight_elements(cfg), MAX_WEIGHT_ELEMENTS),
     ]

@@ -187,18 +187,69 @@ class SplitMix64:
         tmp = np.empty(min(n, _CHUNK), dtype=np.uint64)
         for start in range(0, n, _CHUNK):
             z = out[start : start + _CHUNK]
-            t = tmp[: len(z)]
-            # State after `start` steps, plus k * GOLDEN_GAMMA for step k of the chunk.
-            base = (self.state + start * GOLDEN_GAMMA) & _MASK_64
-            np.add(_CHUNK_STEPS[: len(z)], np.uint64(base), out=z)
-            for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
-                np.right_shift(z, np.uint64(shift), out=t)
-                z ^= t
-                z *= np.uint64(mix)
-            np.right_shift(z, np.uint64(31), out=t)
-            z ^= t
+            _splitmix64_chunk(self.state + start * GOLDEN_GAMMA, z, tmp[: len(z)])
         self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
         return out
+
+    def fill_uniform(self, out: np.ndarray, entries) -> None:
+        """Fill the flat float array ``out`` with ``init_uniform``'s draws,
+        advancing the state ``len(out)`` steps.
+
+        ``entries`` holds (count, fan_in, fan_out) per entry, the counts
+        summing to ``len(out)``. The stream is walked ``_CHUNK`` draws at a
+        time whatever the entry edges, consecutive entries with the same
+        bound are scaled as one slice, and each chunk is cast straight into
+        ``out``. The scratch is two chunk arrays, allocated once: the draws,
+        and the mixing scratch, which then holds the chunk in float64.
+        """
+        ends, bounds, stop = [], [], 0
+        for count, fan_in, fan_out in entries:
+            if fan_in < 1 or fan_out < 1:
+                raise ConfigError(f"fan_in and fan_out must be >= 1, got {fan_in}, {fan_out}")
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            stop += count
+            if bounds and bounds[-1] == a:
+                ends[-1] = stop
+            else:
+                ends.append(stop)
+                bounds.append(a)
+        n = len(out)
+        if stop != n:
+            raise ShapeError(f"entries hold {stop} draws, out holds {n}")
+        draws = np.empty(min(n, _CHUNK), dtype=np.uint64)
+        scratch = np.empty_like(draws)
+        i = 0
+        for start in range(0, n, _CHUNK):
+            z = draws[: n - start]
+            t = scratch[: len(z)]
+            _splitmix64_chunk(self.state + start * GOLDEN_GAMMA, z, t)
+            z >>= np.uint64(11)
+            u = t.view(np.float64)
+            u[...] = z
+            u *= 2.0**-53
+            lo, hi = start, start + len(u)
+            while lo < hi:
+                while ends[i] <= lo:  # a zero-count entry takes no draw
+                    i += 1
+                x = u[lo - start : min(ends[i], hi) - start]
+                x *= 2.0 * bounds[i]
+                x -= bounds[i]
+                lo += len(x)
+            out[start:hi] = u
+        self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
+
+
+def _splitmix64_chunk(state: int, z: np.ndarray, t: np.ndarray) -> None:
+    """Write into ``z`` the SplitMix64 outputs of the ``len(z)`` steps after
+    ``state``; ``t`` is scratch of the same size."""
+    # k * GOLDEN_GAMMA for step k, plus the state.
+    np.add(_CHUNK_STEPS[: len(z)], np.uint64(state & _MASK_64), out=z)
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
 
 
 def init_uniform(
@@ -210,17 +261,6 @@ def init_uniform(
     (z >> 11) * 2**-53 before scaling. Returns float64 (callers cast to the
     working precision).
     """
-    if fan_in < 1 or fan_out < 1:
-        raise ConfigError(f"fan_in and fan_out must be >= 1, got {fan_in}, {fan_out}")
-    n = int(np.prod(shape))
-    a = math.sqrt(6.0 / (fan_in + fan_out))
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _CHUNK):
-        u = out[start : start + _CHUNK]
-        z = rng.fill_u64(len(u))
-        z >>= np.uint64(11)
-        u[...] = z
-        u *= 2.0**-53
-        u *= 2.0 * a
-        u -= a
+    out = np.empty(math.prod(shape), dtype=np.float64)
+    rng.fill_uniform(out, [(len(out), fan_in, fan_out)])
     return out.reshape(shape)

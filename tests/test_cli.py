@@ -327,7 +327,10 @@ class TestEncode:
         # - 100000 registers make a 37 GiB self-attention softmax matrix, and
         #   a larger exchange one;
         # - 6000 registers over 4 tiles and the thumbnail make a (30000, 30000)
-        #   exchange softmax matrix.
+        #   exchange softmax matrix;
+        # - at width 4096 with 4096 registers, one tile's FFN hidden array
+        #   holds 4672 x 16384 elements, though its exchange matrix is
+        #   exactly at the cap.
         img, square = tmp_path / "img.ppm", tmp_path / "square.ppm"
         make_ppm(img, 40, 40, seed=3)
         make_ppm(square, 64, 64, seed=4)
@@ -345,6 +348,8 @@ class TestEncode:
                 "--patch", "8192", "--tile", "524288", "--layers", "1"]
         wide_attention = [str(square), "--preset", "tiny", "--registers", "100000"]
         wide_exchange = [str(square), "--preset", "tiny", "--registers", "6000", "--layers", "1"]
+        wide_ffn = [str(square), "--preset", "paper", "--width", "4096", "--registers", "4096",
+                    "--layers", "1"]
         for argv in (
             ["encode", *many],
             ["attn-map", *many, *attn],
@@ -352,6 +357,7 @@ class TestEncode:
             ["encode", *wide_attention],
             ["attn-map", *wide_attention, *attn],
             ["encode", *wide_exchange],
+            ["encode", *wide_ffn],
         ):
             code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
@@ -619,6 +625,7 @@ def _budget_counts(knobs, n_tiles, d_llm):
     counts = [
         ((n_tiles + 1) * tile * tile * 3, encoder.MAX_STATE_ELEMENTS),
         (n_states * n_tokens * d, encoder.MAX_STATE_ELEMENTS),
+        (n_tokens * 4 * d, encoder.MAX_STATE_ELEMENTS),
         (max(n_tokens, exchange) ** 2, encoder.MAX_STATE_ELEMENTS),
         (weights, encoder.MAX_WEIGHT_ELEMENTS),
     ]

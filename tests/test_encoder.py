@@ -1,17 +1,22 @@
 import copy
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from falcon import autodiff as ad
 from falcon import encoder as enc
-from falcon import falt, oracle
+from falcon import falt, numerics, oracle
 from falcon.errors import ArchiveError, BoundsError, ConfigError
 from falcon.image_crop import TileSet, normalize_pixels, patchify, plan_crop
-from falcon.numerics import SplitMix64, layer_norm
+from falcon.numerics import SplitMix64, init_uniform, layer_norm
 
 from conftest import random_tiles
 
@@ -23,6 +28,15 @@ def zero_logit_weights(cfg, seed=0, dtype=np.float32):
         if name.endswith((".wq", ".wk", ".rq", ".rk")):
             tensor[:] = 0.0
     return w
+
+
+def _per_entry(spec, rng, dtype):
+    """One (shape, fan_in, fan_out, init) entry drawn alone: init_uniform
+    cast to ``dtype``, or ones or zeros."""
+    shape, fan_in, fan_out, kind = spec
+    if kind == "uniform":
+        return init_uniform(shape, fan_in, fan_out, rng).astype(dtype)
+    return (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
 
 
 class KeyLog(dict):
@@ -87,7 +101,7 @@ class TestConfig:
             enc.EncoderConfig(layers=2, width=8, heads=2, patch=16, tile=32, registers=0)
 
 
-RUN = enc._RUN_DRAWS
+CHUNK = numerics._CHUNK
 
 
 class TestWeights:
@@ -114,11 +128,12 @@ class TestWeights:
     @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_runs_match_per_tensor_init(self, tiny_cfg, width, seed, dtype):
-        # The bounded runs give init_tensor's bytes, drawn one entry at a time
-        # in tensor_specs order. At width 128, w1 and w2 exceed one run.
+        # The one fill gives each entry init_uniform's bytes cast to dtype,
+        # drawn one entry at a time in tensor_specs order. At width 128, w1
+        # and w2 each span more than one draw chunk.
         cfg = enc.config_with_overrides(tiny_cfg, width=width)
         rng = SplitMix64(seed)
-        ref = {name: enc.init_tensor(*spec, rng, dtype) for name, *spec in enc.tensor_specs(cfg)}
+        ref = {name: _per_entry(spec, rng, dtype) for name, *spec in enc.tensor_specs(cfg)}
         got = enc.init_weights(cfg, seed, dtype)
         assert list(got) == list(ref)
         for name, t in ref.items():
@@ -126,36 +141,71 @@ class TestWeights:
             assert got[name].tobytes() == t.tobytes(), name
 
     @pytest.mark.parametrize(
-        "sizes, fills",
-        [
-            ([RUN], [RUN]),
-            ([RUN + 1], [RUN, 1]),  # alone, through init_uniform's chunks
-            ([RUN - 1, 1, 1], [RUN, 1]),
-            ([5, RUN, 7], [5, RUN, 7]),
-            ([3, RUN + 1, 4, 6], [3, RUN, 1, 10]),
-        ],
+        "sizes",
+        [[CHUNK], [CHUNK + 1], [CHUNK - 1, 1, 1], [5, CHUNK, 7], [3, CHUNK + 1, 4, 6],
+         [4, 0, CHUNK, 0], [2 * CHUNK + 3]],
     )
-    def test_runs_split_at_the_cap(self, monkeypatch, sizes, fills):
-        # Each fill holds at most one run of draws; a non-drawing entry
-        # between two draws does not end a run.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draws_straddle_chunk_edges(self, sizes, dtype):
+        # Entries whose draws cross the stream's chunk edges, a zero-size
+        # entry and non-drawing entries between draws keep each entry's
+        # init_uniform bytes and the final generator state. Each pair of
+        # entries shares a bound, which is scaled as one slice, and the next
+        # pair's differs.
         specs = []
-        for n in sizes:
-            specs += [((n,), 3, 5, "uniform"), ((2,), 1, 1, "ones")]
+        for i, n in enumerate(sizes):
+            specs += [((n,), 3, 5 + i // 2 % 2, "uniform"), ((2,), 1, 1, ("ones", "zeros")[i % 2])]
         rng = SplitMix64(11)
-        ref = [enc.init_tensor(*spec, rng, np.float32) for spec in specs]
-        seen = []
-        fill_u64 = SplitMix64.fill_u64
-
-        def counted(self, n):
-            seen.append(n)
-            return fill_u64(self, n)
-
-        monkeypatch.setattr(SplitMix64, "fill_u64", counted)
+        ref = [_per_entry(spec, rng, dtype) for spec in specs]
         got_rng = SplitMix64(11)
-        got = enc.init_tensors(specs, got_rng, np.float32)
-        assert seen == fills
+        got = enc.init_tensors(specs, got_rng, dtype)
+        assert [(g.dtype, g.shape) for g in got] == [(r.dtype, r.shape) for r in ref]
         assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
         assert got_rng.state == rng.state
+
+    def test_init_peak_near_output_size(self):
+        # The draws go straight into the float32 output a chunk at a time,
+        # with no float64 copy of the tensor.
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            enc.init_tensors([((n,), 64, 64, "uniform")], SplitMix64(0), np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4 * n
+
+    def test_init_page_faults_near_one_allocation(self):
+        # In a fresh process, drawing one 2^23-entry float32 tensor faults in
+        # about as many pages as np.ones of that size: the chunk scratch is
+        # allocated once, not mapped and unmapped per chunk.
+        script = """
+import resource
+import numpy as np
+from falcon import encoder as enc
+from falcon.numerics import SplitMix64
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+n = 1 << 23
+enc.init_tensors([((8,), 4, 4, "uniform")], SplitMix64(1), np.float32)
+before = faults()
+w = enc.init_tensors([((n,), 64, 64, "uniform")], SplitMix64(0), np.float32)
+drawn = faults() - before
+del w
+before = faults()
+ones = np.ones(n, np.float32)
+print(drawn, faults() - before)
+"""
+        env = dict(os.environ)
+        src = str(Path(enc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, check=True, text=True
+        )
+        drawn, ones = map(int, proc.stdout.split())
+        assert drawn <= ones + 1024, (drawn, ones)
 
     def test_canonical_order_stable(self, tiny_cfg):
         names = [name for name, *_ in enc.tensor_specs(tiny_cfg)]
@@ -179,6 +229,12 @@ class TestWeights:
         with pytest.raises(ConfigError, match="projector weights"):
             enc.check_budget(paper, 1, d_llm=2**15)
         enc.check_budget(paper, 16, thumbnail=True, d_llm=4096)
+        # At width 4096 with 4096 registers, a 1-tile run passes every other
+        # row (its exchange matrix is exactly the cap), but one state's FFN
+        # hidden array holds (576 + 4096) * 4 * 4096 elements.
+        wide = enc.config_with_overrides(paper, width=4096, registers=4096, layers=1)
+        with pytest.raises(ConfigError, match="one state's FFN hidden array: 76546048 elements"):
+            enc.check_budget(wide, 1)
 
     def test_archive_round_trip(self, tiny_cfg, tiny_weights, tmp_path):
         path = tmp_path / "w.falt"

@@ -364,3 +364,12 @@ class TestInitUniform:
     def test_fan_validated(self):
         with pytest.raises(ConfigError):
             numerics.init_uniform((2, 2), 0, 4, numerics.SplitMix64(0))
+
+    def test_fill_uniform_counts_must_fill_out(self):
+        # Counts that sum to more or fewer draws than the array holds are
+        # refused before any draw, so no entry of out is left unwritten.
+        rng = numerics.SplitMix64(0)
+        for entries in ([(4, 1, 1)], [(3, 1, 1), (3, 2, 2)]):
+            with pytest.raises(ShapeError):
+                rng.fill_uniform(np.empty(5), entries)
+        assert rng.state == 0
