@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    EncoderConfig, LayerWeights, _multi_head_attention, element_count, init_tensors, layer_specs,
-    reatten_specs,
+    EncoderConfig, _multi_head_attention, element_count, init_tensors, layer_specs, reatten_specs,
 )
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu, layer_norm
@@ -104,7 +103,7 @@ def pixel_shuffle_compress(feats: np.ndarray, proj: np.ndarray) -> np.ndarray:
 @dataclass
 class AbstractorWeights:
     heads: int
-    blocks: list[LayerWeights]
+    blocks: list[dict[str, np.ndarray]]  # per block, layer_specs field -> tensor
 
 
 def init_abstractor(
@@ -112,9 +111,7 @@ def init_abstractor(
 ) -> AbstractorWeights:
     names = [name for name, *_ in layer_specs(d)]
     specs = [spec for _, *spec in layer_specs(d)]
-    blocks = [
-        LayerWeights(**dict(zip(names, init_tensors(specs, rng, dtype)))) for _ in range(depth)
-    ]
+    blocks = [dict(zip(names, init_tensors(specs, rng, dtype))) for _ in range(depth)]
     return AbstractorWeights(heads=heads, blocks=blocks)
 
 
@@ -132,12 +129,12 @@ def abstractor_compress(
     if feats.ndim != 2 or q.ndim != 2 or feats.shape[1] != q.shape[1]:
         raise ShapeError(f"feature/query widths disagree: {feats.shape} vs {q.shape}")
     for blk in aw.blocks:
-        normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta)
+        normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"])
         q = q + _multi_head_attention(
-            normed, feats, blk.wq, blk.wk, blk.wv, blk.wo, aw.heads, collect
+            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], aw.heads, collect
         )
-        normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta)
-        q = q + gelu(normed @ blk.w1) @ blk.w2
+        normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"])
+        q = q + gelu(normed @ blk["w1"]) @ blk["w2"]
     return q
 
 

@@ -49,10 +49,12 @@ from .numerics import SplitMix64
 MAX_SIZE = 2**32 - 1
 
 # ``check_budget``'s cap on each activation array of a run: the cropped
-# pixels, the tile states, one state's FFN hidden array and one head's
-# softmax matrix. 2^26 elements, 256 MiB of float32. At 16 tiles plus the
-# thumbnail the paper preset holds 7.5M pixels, 11.1M state elements, a
-# 640 * 4096 = 2.6M hidden array and a 1088^2 = 1.2M exchange matrix.
+# pixels, the tile states, one state's FFN hidden array, one head's softmax
+# matrix and the projector's hidden array. 2^26 elements, 256 MiB of
+# float32. At 16 tiles plus the thumbnail the paper preset holds 7.5M
+# pixels, 11.1M state elements, a 640 * 4096 = 2.6M hidden array, a
+# 1088^2 = 1.2M exchange matrix and, at d_llm 2048, a 1088 * 2048 = 2.2M
+# projector hidden array.
 MAX_STATE_ELEMENTS = 1 << 26
 
 # ``check_budget``'s cap on the encoder weights, and apart on the
@@ -118,30 +120,6 @@ PRESETS = {
 }
 
 
-@dataclass
-class LayerWeights:
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-
-@dataclass
-class ReattenWeights:
-    ln_gamma: np.ndarray
-    ln_beta: np.ndarray
-    rq: np.ndarray
-    rk: np.ndarray
-    rv: np.ndarray
-    ro: np.ndarray
-
-
 # The weights: canonical name -> tensor, in ``tensor_specs`` order.
 Weights = dict[str, np.ndarray]
 
@@ -172,16 +150,18 @@ def layer_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
     ]
 
 
+# Each layer field that seeds an exchange-block field: the exchange block is
+# the layer's attention half under these names.
+_VIT_TO_REATTEN = {
+    "ln1_gamma": "ln_gamma", "ln1_beta": "ln_beta", "wq": "rq", "wk": "rk", "wv": "rv", "wo": "ro"
+}
+
+
 def reatten_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
-    """(field, shape, fan_in, fan_out, init) of one exchange block of width d."""
-    return [
-        ("ln_gamma", (d,), d, d, "ones"),
-        ("ln_beta", (d,), d, d, "zeros"),
-        ("rq", (d, d), d, d, "uniform"),
-        ("rk", (d, d), d, d, "uniform"),
-        ("rv", (d, d), d, d, "uniform"),
-        ("ro", (d, d), d, d, "uniform"),
-    ]
+    """(field, shape, fan_in, fan_out, init) of one exchange block of width d:
+    the attention half of ``layer_specs(d)``, renamed through ``_VIT_TO_REATTEN``."""
+    return [(_VIT_TO_REATTEN[name], *rest) for name, *rest in layer_specs(d)
+            if name in _VIT_TO_REATTEN]
 
 
 def _stem_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, int, str]]:
@@ -289,16 +269,11 @@ def load_weights(path: str, cfg: EncoderConfig, dtype) -> Mapping[str, np.ndarra
     return _ArchiveWeights(path, {name: index[name] for name, *_ in tensor_specs(cfg)}, dtype)
 
 
-def block_weights(cls, w: Weights, prefix: str):
-    """One block's weights, ``LayerWeights`` or ``ReattenWeights``, from the
-    entries of ``w`` named ``{prefix}.{field}``; ``prefix`` is e.g. "layers.0"."""
-    return cls(**{f.name: w[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
-
-
-# Each layer field that seeds an exchange-block field.
-_VIT_TO_REATTEN = {
-    "ln1_gamma": "ln_gamma", "ln1_beta": "ln_beta", "wq": "rq", "wk": "rk", "wv": "rv", "wo": "ro"
-}
+def block_weights(specs, w: Weights, prefix: str) -> dict[str, np.ndarray]:
+    """One block's ``{field: tensor}``, for each field of ``specs``
+    (``layer_specs`` or ``reatten_specs``): ``w``'s own entry named
+    ``{prefix}.{field}``, uncopied; ``prefix`` is e.g. "layers.0"."""
+    return {field: w[f"{prefix}.{field}"] for field, *_ in specs}
 
 
 def init_reatten_from_vit(w: Weights) -> Weights:
@@ -336,7 +311,9 @@ def check_budget(
 ) -> None:
     """Refuse, before anything is allocated, a run of ``count_flops``'s
     arguments whose largest arrays exceed their caps. ``crop_tiles`` builds
-    the thumbnail even when ``thumbnail`` is off."""
+    the thumbnail even when ``thumbnail`` is off. With ``d_llm``, the
+    projector's two matrices and its hidden array, one d_llm-wide row per
+    register output, are bounded too."""
     n_states = n_tiles + (1 if thumbnail else 0)
     exchange_rows = cfg.registers * n_states if cfg.reatten_enabled else 0
     budget = [
@@ -347,7 +324,10 @@ def check_budget(
         ("encoder weights", weight_elements(cfg), MAX_WEIGHT_ELEMENTS),
     ]
     if d_llm is not None:
-        budget.append(("projector weights", d_llm * (cfg.width + d_llm), MAX_WEIGHT_ELEMENTS))
+        budget += [
+            ("projector weights", d_llm * (cfg.width + d_llm), MAX_WEIGHT_ELEMENTS),
+            ("projector hidden array", cfg.registers * n_states * d_llm, MAX_STATE_ELEMENTS),
+        ]
     for what, elements, cap in budget:
         if elements > cap:
             raise ConfigError(f"{what}: {elements} elements, over the {cap}-element cap")
@@ -407,16 +387,19 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     return ad.concat(outs, axis=-1) @ wo
 
 
-def self_attention_block(x, lw: LayerWeights, cfg: EncoderConfig, collect=None):
+def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None):
     """Residual pre-norm self-attention over all N+M rows of each state
-    jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D) group."""
-    normed = ad.layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
-    out = _multi_head_attention(normed, normed, lw.wq, lw.wk, lw.wv, lw.wo, cfg.heads, collect)
+    jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D) group,
+    ``lw`` the layer's ``block_weights``."""
+    normed = ad.layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
+    out = _multi_head_attention(
+        normed, normed, lw["wq"], lw["wk"], lw["wv"], lw["wo"], cfg.heads, collect
+    )
     out += x
     return out
 
 
-def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True, collect=None):
+def reatten(states, rw: dict, cfg: EncoderConfig, enabled: bool = True, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
     ``states`` is the (S, N+M, D) state array. Its register rows are joined
@@ -429,18 +412,20 @@ def reatten(states, rw: ReattenWeights, cfg: EncoderConfig, enabled: bool = True
     regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
     if not enabled:
         return regs
-    normed = ad.layer_norm(regs, rw.ln_gamma, rw.ln_beta)
-    out = _multi_head_attention(normed, normed, rw.rq, rw.rk, rw.rv, rw.ro, cfg.heads, collect)
+    normed = ad.layer_norm(regs, rw["ln_gamma"], rw["ln_beta"])
+    out = _multi_head_attention(
+        normed, normed, rw["rq"], rw["rk"], rw["rv"], rw["ro"], cfg.heads, collect
+    )
     out += regs
     return out
 
 
-def ffn_block(x, lw: LayerWeights, cfg: EncoderConfig):
+def ffn_block(x, lw: dict, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise to one
     (N+M, D) state or a (g, N+M, D) group."""
-    normed = ad.layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
-    hidden = normed @ lw.w1
-    out = ad.gelu(hidden, out=hidden) @ lw.w2
+    normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
+    hidden = normed @ lw["w1"]
+    out = ad.gelu(hidden, out=hidden) @ lw["w2"]
     out += x
     return out
 
@@ -516,11 +501,11 @@ def encode(
     # next layer's are read, so a mapping that reads on access
     # (``load_weights``) holds one layer at a time.
     for layer in range(cfg.layers):
-        lw = block_weights(LayerWeights, w, f"layers.{layer}")
+        lw = block_weights(layer_specs(cfg.width), w, f"layers.{layer}")
         for grp in groups:
             out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start))
             states = ad.put(states, grp, out)
-        rw = block_weights(ReattenWeights, w, f"reatten.{layer}")
+        rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
         regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer))
         del rw
         states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))

@@ -355,7 +355,6 @@ class GradReport:
 
     entries: list[GradEntry]
     passed: bool
-    loss: float
     threshold: float
 
     def worst(self) -> GradEntry:
@@ -375,7 +374,7 @@ def check_encoder_gradients(
     for name, tensor in w.items():
         if tensor.dtype != np.float64:
             raise ConfigError(f"gradient check requires float64 weights, {name} is {tensor.dtype}")
-    loss, analytic = enc.parameter_gradients(tiles, w, cfg, thumbnail=thumbnail)
+    _, analytic = enc.parameter_gradients(tiles, w, cfg, thumbnail=thumbnail)
 
     def loss_fn():
         return float(enc.encode(tiles, w, cfg, thumbnail=thumbnail).sum())
@@ -389,7 +388,7 @@ def check_encoder_gradients(
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(f))), 1e-12)
         rel = max_abs / scale
         entries.append(GradEntry(name, max_abs, rel, rel <= threshold))
-    return GradReport(entries, all(e.passed for e in entries), loss, threshold)
+    return GradReport(entries, all(e.passed for e in entries), threshold)
 
 
 # ---------------------------------------------------------------------------

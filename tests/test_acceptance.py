@@ -156,18 +156,18 @@ def test_07_reatten_init_contract(capsys):
     w = enc.init_reatten_from_vit(enc.init_weights(TINY, 7, np.float32))
     blocks = [
         (
-            enc.block_weights(enc.LayerWeights, w, f"layers.{layer}"),
-            enc.block_weights(enc.ReattenWeights, w, f"reatten.{layer}"),
+            enc.block_weights(enc.layer_specs(TINY.width), w, f"layers.{layer}"),
+            enc.block_weights(enc.reatten_specs(TINY.width), w, f"reatten.{layer}"),
         )
         for layer in range(TINY.layers)
     ]
     copies_ok = all(
-        rw.rq.tobytes() == lw.wq.tobytes()
-        and rw.rk.tobytes() == lw.wk.tobytes()
-        and rw.rv.tobytes() == lw.wv.tobytes()
-        and rw.ro.tobytes() == lw.wo.tobytes()
-        and rw.ln_gamma.tobytes() == lw.ln1_gamma.tobytes()
-        and rw.ln_beta.tobytes() == lw.ln1_beta.tobytes()
+        rw["rq"].tobytes() == lw["wq"].tobytes()
+        and rw["rk"].tobytes() == lw["wk"].tobytes()
+        and rw["rv"].tobytes() == lw["wv"].tobytes()
+        and rw["ro"].tobytes() == lw["wo"].tobytes()
+        and rw["ln_gamma"].tobytes() == lw["ln1_gamma"].tobytes()
+        and rw["ln_beta"].tobytes() == lw["ln1_beta"].tobytes()
         for lw, rw in blocks
     )
     before = w["layers.0.wq"].copy()

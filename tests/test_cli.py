@@ -330,10 +330,14 @@ class TestEncode:
         #   exchange softmax matrix;
         # - at width 4096 with 4096 registers, one tile's FFN hidden array
         #   holds 4672 x 16384 elements, though its exchange matrix is
-        #   exactly at the cap.
-        img, square = tmp_path / "img.ppm", tmp_path / "square.ppm"
+        #   exactly at the cap;
+        # - 480 registers over 16 tiles and the thumbnail, projected to
+        #   d_llm 20000, pass every other row, but the projector's hidden
+        #   array holds 8160 x 20000 elements.
+        img, square, big = tmp_path / "img.ppm", tmp_path / "square.ppm", tmp_path / "big.ppm"
         make_ppm(img, 40, 40, seed=3)
         make_ppm(square, 64, 64, seed=4)
+        make_ppm(big, 128, 128, seed=5)
 
         def no_alloc(*args, **kwargs):
             raise AssertionError("allocated")
@@ -350,6 +354,8 @@ class TestEncode:
         wide_exchange = [str(square), "--preset", "tiny", "--registers", "6000", "--layers", "1"]
         wide_ffn = [str(square), "--preset", "paper", "--width", "4096", "--registers", "4096",
                     "--layers", "1"]
+        wide_projector = [str(big), "--preset", "tiny", "--registers", "480", "--project",
+                          "--d-llm", "20000"]
         for argv in (
             ["encode", *many],
             ["attn-map", *many, *attn],
@@ -358,6 +364,7 @@ class TestEncode:
             ["attn-map", *wide_attention, *attn],
             ["encode", *wide_exchange],
             ["encode", *wide_ffn],
+            ["encode", *wide_projector],
         ):
             code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
@@ -608,15 +615,16 @@ def _size_knobs(draw):
         "max-tiles": draw(_log_int(6)),
         "layers": draw(_log_int(31)),
         "reatten": draw(st.sampled_from(["on", "off"])),
+        "thumbnail": draw(st.sampled_from(["on", "off"])),
     }
 
 
-def _budget_counts(knobs, n_tiles, d_llm):
+def _budget_counts(knobs, n_tiles, d_llm, thumbnail):
     """(elements, cap) of every array the run budget bounds, counted here
     from the flags and the plan, apart from ``encoder.check_budget``."""
     p, tile, d, m = knobs["patch"], knobs["tile"], knobs["width"], knobs["registers"]
     n_tokens = (tile // p) ** 2 + m
-    n_states = n_tiles + 1
+    n_states = n_tiles + thumbnail
     exchange = m * n_states if knobs["reatten"] == "on" else 0
     # Stem: patch_embed, pos_embed and registers. Per layer: four d x d
     # attention matrices, the 4d-wide FFN and two layer norms, then four
@@ -631,6 +639,7 @@ def _budget_counts(knobs, n_tiles, d_llm):
     ]
     if d_llm is not None:
         counts.append((d_llm * (d + d_llm), encoder.MAX_WEIGHT_ELEMENTS))
+        counts.append((m * n_states * d_llm, encoder.MAX_STATE_ELEMENTS))
     return counts
 
 
@@ -674,14 +683,16 @@ def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     reference_macs = 9 * tile * tile * d + knobs["layers"] * per_layer
     reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP),
                  (reference_macs, oracle.REFERENCE_MAC_CAP)]
-    for argv, n_tiles, projector, apart in (
-        (["encode", img, *flags, *project], plan.n_tiles, d_llm, []),
+    # The selftest's fixtures always carry the thumbnail.
+    thumbnail = knobs["thumbnail"] == "on"
+    for argv, n_tiles, projector, thumb, apart in (
+        (["encode", img, *flags, *project], plan.n_tiles, d_llm, thumbnail, []),
         (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
-         plan.n_tiles, None, []),
-        (["selftest", *flags], 3, None, reference),
+         plan.n_tiles, None, thumbnail, []),
+        (["selftest", *flags], 3, None, True, reference),
     ):
         code, out, err = _main_stopped(argv)
-        budget = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector))
+        budget = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector, thumb))
         within = budget and all(n <= cap for n, cap in apart)
         if code is None:
             assert within, argv

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -142,9 +141,9 @@ class TestPixelShuffle:
 def _cross_attention_reference(queries, feats, blk, heads):
     """Per-head cross-attention written out on its own, independent of the
     encoder's attention kernel that the abstractor runs on."""
-    q = queries @ blk.wq
-    k = feats @ blk.wk
-    v = feats @ blk.wv
+    q = queries @ blk["wq"]
+    k = feats @ blk["wk"]
+    v = feats @ blk["wv"]
     dk = q.shape[1] // heads
     scale = 1.0 / math.sqrt(dk)
     outs = []
@@ -152,16 +151,16 @@ def _cross_attention_reference(queries, feats, blk, heads):
         cols = slice(h * dk, (h + 1) * dk)
         attn = softmax_rows((q[:, cols] @ k[:, cols].T) * scale)
         outs.append(attn @ v[:, cols])
-    return np.hstack(outs) @ blk.wo
+    return np.hstack(outs) @ blk["wo"]
 
 
 def _abstractor_reference(feats, queries, aw):
     q = queries
     for blk in aw.blocks:
-        normed = layer_norm(q, blk.ln1_gamma, blk.ln1_beta, 1e-6)
+        normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"], 1e-6)
         q = q + _cross_attention_reference(normed, feats, blk, aw.heads)
-        normed = layer_norm(q, blk.ln2_gamma, blk.ln2_beta, 1e-6)
-        q = q + gelu(normed @ blk.w1) @ blk.w2
+        normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"], 1e-6)
+        q = q + gelu(normed @ blk["w1"]) @ blk["w2"]
     return q
 
 
@@ -185,18 +184,18 @@ class TestAbstractor:
         for depth in (1, 3):
             aw = cmp.init_abstractor(4, 2, SplitMix64(11), depth=depth, dtype=np.float64)
             for b, blk in enumerate(aw.blocks):
-                for f in dataclasses.fields(blk):
-                    entries[f"depth{depth}.{b}.{f.name}"] = getattr(blk, f.name)
+                for field, tensor in blk.items():
+                    entries[f"depth{depth}.{b}.{field}"] = tensor
         assert falt.dumps(entries) == (GOLDEN_DIR / "abstractor_init_f64.falt").read_bytes()
 
     def test_uniform_attention_receives_mean_feature(self):
         d = 8
         aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(6), dtype=np.float64)
         for blk in aw.blocks:
-            blk.wq[:] = 0.0
-            blk.wv[:] = np.eye(d)
-            blk.wo[:] = np.eye(d)
-            blk.w1[:] = 0.0
+            blk["wq"][:] = 0.0
+            blk["wv"][:] = np.eye(d)
+            blk["wo"][:] = np.eye(d)
+            blk["w1"][:] = 0.0
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(20, d))
         queries = rng.normal(size=(5, d))
@@ -256,7 +255,7 @@ class TestComparisonRows:
         cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)
         row = cmp.comparison_row("abstractor", cfg, target_tokens=5, abstractor_depth=3)
         aw = cmp.init_abstractor(12, 3, SplitMix64(0), depth=3)
-        tensors = [getattr(b, f.name) for b in aw.blocks for f in dataclasses.fields(b)]
+        tensors = [t for b in aw.blocks for t in b.values()]
         assert row["params"] == 5 * 12 + sum(t.size for t in tensors)
 
     def test_unknown_kind_rejected(self, paper_cfg):

@@ -212,6 +212,13 @@ print(drawn, faults() - before)
         assert names[:3] == ["patch_embed", "pos_embed", "registers"]
         assert list(enc.init_weights(tiny_cfg, 0)) == names
 
+    def test_block_weights_are_the_mapping_entries(self, tiny_cfg, tiny_weights):
+        d = tiny_cfg.width
+        for specs, kind in ((enc.layer_specs(d), "layers"), (enc.reatten_specs(d), "reatten")):
+            block = enc.block_weights(specs, tiny_weights, f"{kind}.1")
+            assert list(block) == [field for field, *_ in specs]
+            assert all(block[field] is tiny_weights[f"{kind}.1.{field}"] for field in block)
+
     def test_weight_elements_and_cap(self):
         # The count per layer equals the spec list's. The run budget admits
         # the paper preset at 24 layers and a 4096-wide projector, and at 16
@@ -353,10 +360,10 @@ class TestSelfAttention:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(tiny_cfg.n_tokens, tiny_cfg.width))
         w64 = enc.init_weights(tiny_cfg, seed=1, dtype=np.float64)
-        lw = enc.block_weights(enc.LayerWeights, w64, "layers.0")
+        lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), w64, "layers.0")
         got = enc.self_attention_block(x, lw, tiny_cfg)
-        normed = layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
-        q, k, v = normed @ lw.wq, normed @ lw.wk, normed @ lw.wv
+        normed = layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
+        q, k, v = normed @ lw["wq"], normed @ lw["wk"], normed @ lw["wv"]
         dk = tiny_cfg.head_dim
         heads = [
             oracle.brute_force_attention(
@@ -366,7 +373,7 @@ class TestSelfAttention:
             )
             for h in range(tiny_cfg.heads)
         ]
-        expected = x + np.hstack(heads) @ lw.wo
+        expected = x + np.hstack(heads) @ lw["wo"]
         assert np.abs(got - expected).max() < 1e-10
 
 
@@ -375,7 +382,7 @@ class TestReatten:
         # Disabled, the returned rows are the input register rows, bit for bit.
         states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg)
         before = [s.copy() for s in states]
-        rw = enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0")
+        rw = enc.block_weights(enc.reatten_specs(tiny_cfg.width), tiny_weights, "reatten.0")
         out = enc.reatten(states, rw, tiny_cfg, enabled=False)
         expected = np.concatenate([s[tiny_cfg.n_image_tokens :] for s in before], axis=0)
         assert out.dtype == expected.dtype
@@ -386,21 +393,21 @@ class TestReatten:
         # One tile, no thumbnail, zero q/k, identity v/o, pass-through affine:
         # every register row gains the column mean of the normalized registers.
         d = tiny_cfg.width
-        rw = enc.ReattenWeights(
-            ln_gamma=np.ones(d, np.float64),
-            ln_beta=np.zeros(d, np.float64),
-            rq=np.zeros((d, d)),
-            rk=np.zeros((d, d)),
-            rv=np.eye(d),
-            ro=np.eye(d),
-        )
+        rw = {
+            "ln_gamma": np.ones(d, np.float64),
+            "ln_beta": np.zeros(d, np.float64),
+            "rq": np.zeros((d, d)),
+            "rk": np.zeros((d, d)),
+            "rv": np.eye(d),
+            "ro": np.eye(d),
+        }
         rng = np.random.default_rng(9)
         state = rng.normal(size=(tiny_cfg.n_tokens, d))
         before = state.copy()
         out = enc.reatten(np.stack([state]), rw, tiny_cfg, enabled=True)
         n = tiny_cfg.n_image_tokens
         regs = state[n:]
-        expected = regs + layer_norm(regs, rw.ln_gamma, rw.ln_beta).mean(axis=0)
+        expected = regs + layer_norm(regs, rw["ln_gamma"], rw["ln_beta"]).mean(axis=0)
         # Image-token rows are untouched: the input state is left as it was.
         assert np.array_equal(state, before)
         assert out.shape == (tiny_cfg.registers, d)
@@ -410,12 +417,12 @@ class TestReatten:
         # After one self-attention block every tile's register rows differ,
         # so a mismatched slice would show.
         tiles = random_tiles(tiny_cfg, 3, seed=4)
-        lw = enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0")
+        lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), tiny_weights, "layers.0")
         states = np.stack([
             enc.self_attention_block(s, lw, tiny_cfg)
             for s in enc.embed_tiles(tiles, tiny_weights, tiny_cfg, thumbnail=False)
         ])
-        rw = enc.block_weights(enc.ReattenWeights, tiny_weights, "reatten.0")
+        rw = enc.block_weights(enc.reatten_specs(tiny_cfg.width), tiny_weights, "reatten.0")
         m = tiny_cfg.registers
         assert not np.allclose(states[0][-m:], states[1][-m:])
         base = enc.reatten(states, rw, tiny_cfg)
@@ -430,14 +437,15 @@ class TestReatten:
 
 class TestFfn:
     def test_zero_w1_is_exact_identity(self, tiny_cfg, tiny_weights):
-        lw = copy.deepcopy(enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0"))
-        lw.w1[:] = 0.0
+        lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), tiny_weights, "layers.0")
+        lw = copy.deepcopy(lw)
+        lw["w1"][:] = 0.0
         x = np.random.default_rng(2).normal(size=(8, 8)).astype(np.float32)
         out = enc.ffn_block(x, lw, tiny_cfg)
         assert np.array_equal(out, x)
 
     def test_row_permutation_commutes(self, tiny_cfg, tiny_weights):
-        lw = enc.block_weights(enc.LayerWeights, tiny_weights, "layers.0")
+        lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), tiny_weights, "layers.0")
         x = np.random.default_rng(3).normal(size=(8, 8)).astype(np.float32)
         perm = np.random.default_rng(4).permutation(8)
         assert np.array_equal(
@@ -481,7 +489,7 @@ class TestEncode:
 
         def watch(block, fn):
             def wrapper(x, lw, cfg, *rest):
-                layer = next(i for i in range(cfg.layers) if lw.wq is w[f"layers.{i}.wq"])
+                layer = next(i for i in range(cfg.layers) if lw["wq"] is w[f"layers.{i}.wq"])
                 earlier = inputs.setdefault((block, layer), [])
                 alive = [k for k, ref in enumerate(earlier) if ref() is not None]
                 assert not alive, f"{block} layer {layer}: inputs of states {alive} still alive"
@@ -719,14 +727,14 @@ class TestReattenInit:
     def test_copy_is_bitwise(self, tiny_cfg):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))
         for layer in range(tiny_cfg.layers):
-            lw = enc.block_weights(enc.LayerWeights, w, f"layers.{layer}")
-            rw = enc.block_weights(enc.ReattenWeights, w, f"reatten.{layer}")
-            assert rw.rq.tobytes() == lw.wq.tobytes()
-            assert rw.rk.tobytes() == lw.wk.tobytes()
-            assert rw.rv.tobytes() == lw.wv.tobytes()
-            assert rw.ro.tobytes() == lw.wo.tobytes()
-            assert rw.ln_gamma.tobytes() == lw.ln1_gamma.tobytes()
-            assert rw.ln_beta.tobytes() == lw.ln1_beta.tobytes()
+            lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), w, f"layers.{layer}")
+            rw = enc.block_weights(enc.reatten_specs(tiny_cfg.width), w, f"reatten.{layer}")
+            assert rw["rq"].tobytes() == lw["wq"].tobytes()
+            assert rw["rk"].tobytes() == lw["wk"].tobytes()
+            assert rw["rv"].tobytes() == lw["wv"].tobytes()
+            assert rw["ro"].tobytes() == lw["wo"].tobytes()
+            assert rw["ln_gamma"].tobytes() == lw["ln1_gamma"].tobytes()
+            assert rw["ln_beta"].tobytes() == lw["ln1_beta"].tobytes()
 
     def test_mutation_independence(self, tiny_cfg):
         w = enc.init_reatten_from_vit(enc.init_weights(tiny_cfg, seed=2))
