@@ -39,12 +39,10 @@ class ProjectorWeights:
 
 def init_projector(d: int, d_llm: int, rng: SplitMix64, dtype=np.float32) -> ProjectorWeights:
     """W1 then W2 drawn from ``rng`` in one fill, zero biases."""
-    w1, w2 = init_tensors(
-        [((d, d_llm), d, d_llm, "uniform"), ((d_llm, d_llm), d_llm, d_llm, "uniform")], rng, dtype
-    )
-    return ProjectorWeights(
-        w1=w1, b1=np.zeros(d_llm, dtype=dtype), w2=w2, b2=np.zeros(d_llm, dtype=dtype)
-    )
+    return ProjectorWeights(**init_tensors([
+        ("w1", (d, d_llm), d, d_llm, "uniform"), ("b1", (d_llm,), d, d_llm, "zeros"),
+        ("w2", (d_llm, d_llm), d_llm, d_llm, "uniform"), ("b2", (d_llm,), d_llm, d_llm, "zeros"),
+    ], rng, dtype))
 
 
 def mlp_project(f: np.ndarray, pw: ProjectorWeights) -> np.ndarray:
@@ -100,25 +98,18 @@ def pixel_shuffle_compress(feats: np.ndarray, proj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AbstractorWeights:
-    heads: int
-    blocks: list[dict[str, np.ndarray]]  # per block, layer_specs field -> tensor
-
-
 def init_abstractor(
-    d: int, heads: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
-) -> AbstractorWeights:
-    names = [name for name, *_ in layer_specs(d)]
-    specs = [spec for _, *spec in layer_specs(d)]
-    blocks = [dict(zip(names, init_tensors(specs, rng, dtype))) for _ in range(depth)]
-    return AbstractorWeights(heads=heads, blocks=blocks)
+    d: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
+) -> list[dict[str, np.ndarray]]:
+    """``depth`` blocks, each ``layer_specs(d)``'s ``{field: tensor}``, drawn in turn."""
+    return [init_tensors(layer_specs(d), rng, dtype) for _ in range(depth)]
 
 
 def abstractor_compress(
-    feats: np.ndarray, queries: np.ndarray, aw: AbstractorWeights, collect=None
+    feats: np.ndarray, queries: np.ndarray, blocks: list, heads: int, collect=None
 ) -> np.ndarray:
-    """Learnable queries cross-attend to image features over two blocks.
+    """Learnable queries cross-attend to image features over ``blocks``
+    (``init_abstractor``'s), with ``heads`` attention heads.
 
     Each block: residual pre-norm multi-head cross-attention (queries attend
     to the raw features), then a residual pre-norm GeLU FFN on the queries.
@@ -128,10 +119,10 @@ def abstractor_compress(
     q = np.asarray(queries)
     if feats.ndim != 2 or q.ndim != 2 or feats.shape[1] != q.shape[1]:
         raise ShapeError(f"feature/query widths disagree: {feats.shape} vs {q.shape}")
-    for blk in aw.blocks:
+    for blk in blocks:
         normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"])
         q = q + _multi_head_attention(
-            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], aw.heads, collect
+            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], heads, collect
         )
         normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"])
         q = q + gelu(normed @ blk["w1"]) @ blk["w2"]

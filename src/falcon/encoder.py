@@ -189,31 +189,28 @@ def tensor_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, in
     return specs
 
 
-def init_tensors(specs, rng: SplitMix64, dtype) -> list[np.ndarray]:
-    """The tensors of (shape, fan_in, fan_out, init) ``specs``, in order. The
-    "uniform" entries are views of one flat ``dtype`` array filled by one
-    ``rng.fill_uniform``: each holds ``init_uniform``'s draws, cast."""
+def init_tensors(specs, rng: SplitMix64, dtype) -> dict[str, np.ndarray]:
+    """``{name: tensor}`` of (name, shape, fan_in, fan_out, init) ``specs``, in
+    order. The "uniform" entries are views of one flat ``dtype`` array filled
+    by one ``rng.fill_uniform``: each holds ``init_uniform``'s draws, cast."""
     drawn = [(math.prod(shape), fan_in, fan_out)
-             for shape, fan_in, fan_out, kind in specs if kind == "uniform"]
+             for _, shape, fan_in, fan_out, kind in specs if kind == "uniform"]
     flat = np.empty(sum(n for n, _, _ in drawn), dtype)
     rng.fill_uniform(flat, drawn)
-    out, start = [], 0
-    for shape, _, _, kind in specs:
+    out, start = {}, 0
+    for name, shape, _, _, kind in specs:
         if kind == "uniform":
             n = math.prod(shape)
-            out.append(flat[start : start + n].reshape(shape))
+            out[name] = flat[start : start + n].reshape(shape)
             start += n
         else:
-            out.append((np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype))
+            out[name] = (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
     return out
 
 
 def init_weights(cfg: EncoderConfig, seed: int, dtype=np.float32) -> Weights:
-    """Seeded deterministic initialization: the canonical name -> tensor
-    mapping, drawn in ``tensor_specs`` order (``init_tensors``)."""
-    specs = tensor_specs(cfg)
-    tensors = init_tensors([spec for _, *spec in specs], SplitMix64(seed), dtype)
-    return {name: tensor for (name, *_), tensor in zip(specs, tensors)}
+    """Seeded deterministic initialization: ``init_tensors`` of ``tensor_specs``."""
+    return init_tensors(tensor_specs(cfg), SplitMix64(seed), dtype)
 
 
 def _check_names_and_shapes(shapes: Mapping[str, tuple[int, ...]], cfg: EncoderConfig) -> None:
@@ -472,7 +469,7 @@ def encode(
     (S, N+M, D) array. Each block runs on groups of consecutive states
     (``_group_size``); the exchange step joins all S once per layer. ``w``
     is the canonical name -> tensor mapping; each entry is looked up once,
-    when its layer runs.
+    when its layer runs, and no ``reatten.*`` entry with the exchange off.
 
     ``collect(layer, tile, head, attn)``, when given, sees every softmax
     matrix in forward order: (N+M, N+M) for the self-attention of state
@@ -505,7 +502,8 @@ def encode(
         for grp in groups:
             out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start))
             states = ad.put(states, grp, out)
-        rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
+        rw = (block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
+              if cfg.reatten_enabled else {})
         regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer))
         del rw
         states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))

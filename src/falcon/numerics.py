@@ -95,7 +95,9 @@ def layer_norm(
     """Per-row mean/variance normalization followed by an affine map.
 
     Variance uses the 1/D convention (not 1/(D-1)). Runs in the common dtype
-    of ``x``, ``gamma`` and ``beta``.
+    of ``x``, ``gamma`` and ``beta``. The rows are blocked only when ``gamma``
+    and ``beta`` have no leading axes; ones that do broadcast over ``x``
+    whole, at every size.
     """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
@@ -104,7 +106,8 @@ def layer_norm(
     out = np.empty(x.shape, x.dtype)
     n = x.shape[-1]
     square = None
-    for rows, c in _row_blocks(x, out):
+    blocks = _row_blocks(x, out) if max(np.ndim(gamma), np.ndim(beta)) <= 1 else ((x, out),)
+    for rows, c in blocks:
         # (x - mean) is built in the output block, then scaled in place.
         mu = rows.sum(axis=-1, keepdims=True)
         mu /= n

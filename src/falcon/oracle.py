@@ -33,6 +33,11 @@ REFERENCE_MAC_CAP = 1 << 24
 _ORACLE_TILES = 2
 _PERMUTED_TILES = 3
 
+# The gradient gate: central differences of this step, and every tensor's
+# relative error (``check_encoder_gradients``) within this threshold.
+GRAD_STEP = 1e-5
+GRAD_THRESHOLD = 1e-4
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _EPS = 1e-6  # layer-norm epsilon
 
@@ -308,7 +313,7 @@ def count_flops(
 # ---------------------------------------------------------------------------
 
 
-def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5) -> dict:
+def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = GRAD_STEP) -> dict:
     """Central differences (loss(x+h) - loss(x-h)) / 2h per coordinate.
 
     ``loss_fn`` takes no arguments and reads the (temporarily perturbed)
@@ -336,41 +341,15 @@ def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5) ->
     return grads
 
 
-@dataclass
-class GradEntry:
-    name: str
-    max_abs_err: float
-    rel_err: float
-    passed: bool
-
-
-@dataclass
-class GradReport:
-    """Per-tensor agreement between analytic and finite-difference gradients.
-
-    ``rel_err`` is the max-abs difference over a tensor divided by the
-    larger of the two gradients' max-abs values, which keeps near-zero
-    coordinates from blowing up the ratio.
-    """
-
-    entries: list[GradEntry]
-    passed: bool
-    threshold: float
-
-    def worst(self) -> GradEntry:
-        return max(self.entries, key=lambda e: e.rel_err)
-
-
 def check_encoder_gradients(
-    tiles: TileSet,
-    w: Weights,
-    cfg: EncoderConfig,
-    thumbnail: bool = True,
-    h: float = 1e-5,
-    threshold: float = 1e-4,
-) -> GradReport:
-    """Compare analytic gradients of loss = sum(F_hr) against central
-    finite differences for every trainable tensor. Requires float64 weights."""
+    tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True
+) -> dict[str, float]:
+    """Per tensor, the agreement of the analytic gradients of loss = sum(F_hr)
+    with central finite differences of step ``GRAD_STEP``: the max-abs
+    difference over the tensor divided by the larger of the two gradients'
+    max-abs values, which keeps near-zero coordinates from blowing up the
+    ratio. The gate passes when each is at most ``GRAD_THRESHOLD``.
+    Requires float64 weights."""
     for name, tensor in w.items():
         if tensor.dtype != np.float64:
             raise ConfigError(f"gradient check requires float64 weights, {name} is {tensor.dtype}")
@@ -379,16 +358,13 @@ def check_encoder_gradients(
     def loss_fn():
         return float(enc.encode(tiles, w, cfg, thumbnail=thumbnail).sum())
 
-    fd = finite_diff_grad(loss_fn, w, h)
-    entries = []
+    fd = finite_diff_grad(loss_fn, w, GRAD_STEP)
+    rel_err = {}
     for name in w:
-        a = analytic[name]
-        f = fd[name]
-        max_abs = float(np.max(np.abs(a - f)))
+        a, f = analytic[name], fd[name]
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(f))), 1e-12)
-        rel = max_abs / scale
-        entries.append(GradEntry(name, max_abs, rel, rel <= threshold))
-    return GradReport(entries, all(e.passed for e in entries), threshold)
+        rel_err[name] = float(np.max(np.abs(a - f))) / scale
+    return rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +392,12 @@ def _check(name: str, passed: bool, **detail) -> dict:
 
 def check_selftest_budget(cfg: EncoderConfig) -> None:
     """Refuse, before anything is allocated, a config whose selftest
-    fixtures are over the run budget or whose reference forward is over
-    ``REFERENCE_TOKEN_CAP`` or ``REFERENCE_MAC_CAP``."""
+    fixtures exceed ``max_tiles`` or are over the run budget, or whose
+    reference forward is over ``REFERENCE_TOKEN_CAP`` or ``REFERENCE_MAC_CAP``."""
+    if cfg.max_tiles < _PERMUTED_TILES:
+        raise ConfigError(
+            f"selftest fixtures of {_PERMUTED_TILES} tiles exceed max_tiles={cfg.max_tiles}"
+        )
     enc.check_budget(cfg, _PERMUTED_TILES)
     _check_reference_tokens((_ORACLE_TILES + 1) * cfg.n_tokens)
     macs = embed_macs(cfg, _ORACLE_TILES + 1) + count_flops(cfg, _ORACLE_TILES).total
@@ -462,16 +442,16 @@ def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: boo
     checks.append(_check("oracle_equivalence_f64", err64 <= 1e-10, max_abs_err=err64, tolerance=1e-10))
 
     if verify_mode:
-        report = check_encoder_gradients(tiles, w64, cfg)
-        worst = report.worst()
+        rel_err = check_encoder_gradients(tiles, w64, cfg)
+        worst = max(rel_err, key=rel_err.get)
         checks.append(
             _check(
                 "gradient_check",
-                report.passed,
-                tensors=len(report.entries),
-                worst_tensor=worst.name,
-                worst_rel_err=worst.rel_err,
-                threshold=report.threshold,
+                all(r <= GRAD_THRESHOLD for r in rel_err.values()),
+                tensors=len(rel_err),
+                worst_tensor=worst,
+                worst_rel_err=rel_err[worst],
+                threshold=GRAD_THRESHOLD,
             )
         )
 

@@ -98,16 +98,18 @@ def test_04_gradient_check(capsys):
     start = time.perf_counter()
     tiles = oracle.fixture_tiles(TINY, 2, seed=0)
     w64 = enc.init_weights(TINY, 0, np.float64)
-    rep = oracle.check_encoder_gradients(tiles, w64, TINY, h=1e-5, threshold=1e-4)
+    rel_err = oracle.check_encoder_gradients(tiles, w64, TINY)
     elapsed = time.perf_counter() - start
-    worst = rep.worst()
-    ok = rep.passed and elapsed < 120.0
+    worst = max(rel_err, key=rel_err.get)
+    # The gate itself is pinned: step 1e-5, rel_err <= 1e-4 on every tensor.
+    gate = (oracle.GRAD_STEP, oracle.GRAD_THRESHOLD) == (1e-5, 1e-4)
+    ok = gate and all(r <= 1e-4 for r in rel_err.values()) and elapsed < 120.0
     with capsys.disabled():
         report(
             4,
             ok,
-            f"{len(rep.entries)} tensors, worst rel err {worst.rel_err:.2e} "
-            f"({worst.name}) in {elapsed:.1f}s",
+            f"{len(rel_err)} tensors, worst rel err {rel_err[worst]:.2e} "
+            f"({worst}) in {elapsed:.1f}s",
         )
 
 
@@ -186,9 +188,9 @@ def test_08_compressor_parity(capsys):
     pool_out = cmp.avg_pool_compress(feats)
     shuffle_proj = rng.normal(size=(9 * d, d)).astype(np.float32)
     shuffle_out = cmp.pixel_shuffle_compress(feats, shuffle_proj)
-    aw = cmp.init_abstractor(d, heads=2, rng=oracle.SplitMix64(8))
+    blocks = cmp.init_abstractor(d, rng=oracle.SplitMix64(8))
     queries = rng.normal(size=(64, d)).astype(np.float32)
-    abstractor_out = cmp.abstractor_compress(feats, queries, aw)
+    abstractor_out = cmp.abstractor_compress(feats, queries, blocks, heads=2)
     parity = (
         pool_out.shape[0] == 64
         and shuffle_out.shape[0] == 64

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import falcon
@@ -377,9 +377,9 @@ class TestEncode:
 
     def test_weight_cap_exits_3_before_allocating(self, capsys, small_ppm, tmp_path, monkeypatch):
         # Over-cap encoder or projector weights, selftest fixtures over the
-        # pixel cap and a selftest reference forward over its token cap are
-        # refused from the config alone; the dry run allocates nothing and
-        # still reports.
+        # pixel cap or over max_tiles and a selftest reference forward over
+        # its token cap are refused from the config alone; the dry run
+        # allocates nothing and still reports.
         def no_alloc(*args, **kwargs):
             raise AssertionError("weights allocated")
 
@@ -399,11 +399,14 @@ class TestEncode:
             ["encode", small_ppm, *projected, "200000"],
             ["selftest", *fixtures],
             ["selftest", "--preset", "paper"],
+            ["selftest", "--preset", "tiny", "--max-tiles", "2"],
+            ["selftest", "--preset", "tiny", "--max-tiles", "1"],
         ):
             code = main([*argv, "--out", str(out)])
             captured = capsys.readouterr()
             assert code == 3 and captured.out == "", argv
-            cap = "reference forward capped" if argv[-1] == "paper" else "element cap"
+            cap = ("exceed max_tiles" if "--max-tiles" in argv else
+                   "reference forward capped" if argv[-1] == "paper" else "element cap")
             assert cap in captured.err and captured.err.count("\n") == 1, argv
         assert not out.exists()
         code, report = run(capsys, "encode", small_ppm, *projected, str(encoder.MAX_SIZE),
@@ -444,6 +447,25 @@ class TestEncode:
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and repr(name) in captured.err
         assert not out_path.exists()
+
+    def test_reatten_off_reads_no_exchange_weights(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # With the exchange off, encode never reads a reatten.* entry, so a NaN
+        # in one does not stop the run.
+        cfg = encoder.PRESETS["tiny"]
+        entries = encoder.init_weights(cfg, 0)
+        entries["reatten.0.rq"][0, 0] = np.nan
+        wpath = tmp_path / "bad.falt"
+        falt.save(str(wpath), entries)
+        read = []
+        getitem = encoder._ArchiveWeights.__getitem__
+        monkeypatch.setattr(encoder._ArchiveWeights, "__getitem__",
+                            lambda self, name: read.append(name) or getitem(self, name))
+        out_path = tmp_path / "o.falt"
+        code = main(["encode", small_ppm, "--preset", "tiny", "--reatten", "off",
+                     "--weights", str(wpath), "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0 and out_path.exists()
+        assert sorted(read) == sorted(name for name in entries if not name.startswith("reatten."))
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -663,6 +685,9 @@ def _main_stopped(argv):
 
 
 @given(_size_knobs(), st.none() | _log_int(16))
+# Only the projector hidden array is over its cap: 4096 x 7 x 4096 elements.
+@example(knobs={"patch": 16, "tile": 32, "heads": 1, "width": 8, "registers": 4096,
+                "max-tiles": 16, "layers": 1, "reatten": "off", "thumbnail": "on"}, d_llm=4096)
 def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     # Each run either exits 3 with one stderr line before any allocating
     # call, or reaches one with every counted array within its cap.
@@ -683,22 +708,27 @@ def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     reference_macs = 9 * tile * tile * d + knobs["layers"] * per_layer
     reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP),
                  (reference_macs, oracle.REFERENCE_MAC_CAP)]
+    # The selftest runs 3 fixture tiles whatever --max-tiles says, and
+    # checks that row before any other.
+    fixtures = [(3, knobs["max-tiles"])]
     # The selftest's fixtures always carry the thumbnail.
     thumbnail = knobs["thumbnail"] == "on"
-    for argv, n_tiles, projector, thumb, apart in (
-        (["encode", img, *flags, *project], plan.n_tiles, d_llm, thumbnail, []),
+    for argv, n_tiles, projector, thumb, first, apart in (
+        (["encode", img, *flags, *project], plan.n_tiles, d_llm, thumbnail, [], []),
         (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
-         plan.n_tiles, None, thumbnail, []),
-        (["selftest", *flags], 3, None, True, reference),
+         plan.n_tiles, None, thumbnail, [], []),
+        (["selftest", *flags], 3, None, True, fixtures, reference),
     ):
         code, out, err = _main_stopped(argv)
+        admitted = all(n <= cap for n, cap in first)
         budget = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector, thumb))
-        within = budget and all(n <= cap for n, cap in apart)
+        within = admitted and budget and all(n <= cap for n, cap in apart)
         if code is None:
             assert within, argv
         else:
             assert code == 3 and not within, argv
-            message = "reference forward capped" if budget else "element cap"
+            message = ("exceed max_tiles" if not admitted else
+                       "reference forward capped" if budget else "element cap")
             assert out == "" and message in err and err.count("\n") == 1, argv
     # Neither the dry run nor compare allocates, so both report.
     for argv in (["encode", img, *flags, *project, "--dry-run"], ["compare", *flags]):

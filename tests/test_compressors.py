@@ -154,11 +154,11 @@ def _cross_attention_reference(queries, feats, blk, heads):
     return np.hstack(outs) @ blk["wo"]
 
 
-def _abstractor_reference(feats, queries, aw):
+def _abstractor_reference(feats, queries, blocks, heads):
     q = queries
-    for blk in aw.blocks:
+    for blk in blocks:
         normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"], 1e-6)
-        q = q + _cross_attention_reference(normed, feats, blk, aw.heads)
+        q = q + _cross_attention_reference(normed, feats, blk, heads)
         normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"], 1e-6)
         q = q + gelu(normed @ blk["w1"]) @ blk["w2"]
     return q
@@ -168,13 +168,13 @@ class TestAbstractor:
     def test_bitwise_equal_to_reference(self):
         for dtype in (np.float32, np.float64):
             for d, heads, n_q, n_feats, depth in ((8, 2, 4, 12, 2), (24, 3, 5, 30, 3)):
-                aw = cmp.init_abstractor(d, heads, SplitMix64(d), depth=depth, dtype=dtype)
+                blocks = cmp.init_abstractor(d, SplitMix64(d), depth=depth, dtype=dtype)
                 rng = np.random.default_rng(d)
                 feats = rng.normal(size=(n_feats, d)).astype(dtype)
                 queries = rng.normal(size=(n_q, d)).astype(dtype)
-                got = cmp.abstractor_compress(feats, queries, aw)
+                got = cmp.abstractor_compress(feats, queries, blocks, heads)
                 assert got.dtype == dtype
-                assert np.array_equal(got, _abstractor_reference(feats, queries, aw))
+                assert np.array_equal(got, _abstractor_reference(feats, queries, blocks, heads))
 
     def test_init_draw_stream_matches_recorded_bytes(self):
         # Recorded before the abstractor's blocks were built from the shared
@@ -182,16 +182,16 @@ class TestAbstractor:
         # byte must stay as they were.
         entries = {}
         for depth in (1, 3):
-            aw = cmp.init_abstractor(4, 2, SplitMix64(11), depth=depth, dtype=np.float64)
-            for b, blk in enumerate(aw.blocks):
+            blocks = cmp.init_abstractor(4, SplitMix64(11), depth=depth, dtype=np.float64)
+            for b, blk in enumerate(blocks):
                 for field, tensor in blk.items():
                     entries[f"depth{depth}.{b}.{field}"] = tensor
         assert falt.dumps(entries) == (GOLDEN_DIR / "abstractor_init_f64.falt").read_bytes()
 
     def test_uniform_attention_receives_mean_feature(self):
         d = 8
-        aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(6), dtype=np.float64)
-        for blk in aw.blocks:
+        blocks = cmp.init_abstractor(d, rng=SplitMix64(6), dtype=np.float64)
+        for blk in blocks:
             blk["wq"][:] = 0.0
             blk["wv"][:] = np.eye(d)
             blk["wo"][:] = np.eye(d)
@@ -199,38 +199,40 @@ class TestAbstractor:
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(20, d))
         queries = rng.normal(size=(5, d))
-        out = cmp.abstractor_compress(feats, queries, aw)
+        out = cmp.abstractor_compress(feats, queries, blocks, heads=2)
         expected = queries + 2.0 * feats.mean(axis=0)  # one mean per block
         assert np.abs(out - expected).max() < 1e-10
 
     def test_attention_rows_sum_to_one(self):
         d = 8
-        aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(8))
+        blocks = cmp.init_abstractor(d, rng=SplitMix64(8))
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(12, d)).astype(np.float32)
         queries = rng.normal(size=(4, d)).astype(np.float32)
         collected = []
-        cmp.abstractor_compress(feats, queries, aw, collect=lambda h, a: collected.append(a))
+        cmp.abstractor_compress(
+            feats, queries, blocks, heads=2, collect=lambda h, a: collected.append(a)
+        )
         assert len(collected) == 2 * 2  # blocks x heads
         for attn in collected:
             assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
     def test_output_shape_independent_of_feature_count(self):
         d = 8
-        aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(9))
+        blocks = cmp.init_abstractor(d, rng=SplitMix64(9))
         queries = np.random.default_rng(9).normal(size=(64, d)).astype(np.float32)
         for n in (16, 100, 576):
             feats = np.random.default_rng(n).normal(size=(n, d)).astype(np.float32)
-            assert cmp.abstractor_compress(feats, queries, aw).shape == (64, d)
+            assert cmp.abstractor_compress(feats, queries, blocks, heads=2).shape == (64, d)
 
     def test_feature_row_permutation_invariance(self):
         d = 8
-        aw = cmp.init_abstractor(d, heads=2, rng=SplitMix64(10))
+        blocks = cmp.init_abstractor(d, rng=SplitMix64(10))
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(30, d)).astype(np.float32)
         queries = rng.normal(size=(6, d)).astype(np.float32)
-        base = cmp.abstractor_compress(feats, queries, aw)
-        shuffled = cmp.abstractor_compress(feats[rng.permutation(30)], queries, aw)
+        base = cmp.abstractor_compress(feats, queries, blocks, heads=2)
+        shuffled = cmp.abstractor_compress(feats[rng.permutation(30)], queries, blocks, heads=2)
         assert np.abs(base - shuffled).max() < 1e-5
 
 
@@ -254,8 +256,8 @@ class TestComparisonRows:
     def test_abstractor_params_count_initialized_tensors(self):
         cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)
         row = cmp.comparison_row("abstractor", cfg, target_tokens=5, abstractor_depth=3)
-        aw = cmp.init_abstractor(12, 3, SplitMix64(0), depth=3)
-        tensors = [t for b in aw.blocks for t in b.values()]
+        blocks = cmp.init_abstractor(12, SplitMix64(0), depth=3)
+        tensors = [t for b in blocks for t in b.values()]
         assert row["params"] == 5 * 12 + sum(t.size for t in tensors)
 
     def test_unknown_kind_rejected(self, paper_cfg):

@@ -256,6 +256,15 @@ class TestBlockedKernelsMatchExpressions:
         assert same_bytes(numerics.layer_norm(rows, gamma, beta), layer_norm_expression(rows, gamma, beta))
         assert same_bytes(numerics.gelu(hidden), gelu_expression(hidden))
 
+    def test_layer_norm_leading_axes_at_module_block_size(self):
+        # A gamma and beta with leading axes broadcast over x whole, above the
+        # block size as below it.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 100, 200))
+        gamma, beta = rng.standard_normal((2, 4, 1, 200))
+        assert x.nbytes > numerics._BLOCK_BYTES
+        assert same_bytes(numerics.layer_norm(x, gamma, beta), layer_norm_expression(x, gamma, beta))
+
     def test_out_must_fit(self):
         x = np.ones((4, 3), np.float32)
         for out in (np.empty((4, 3)), np.empty((3, 4), np.float32), np.empty((3, 4), np.float32).T):

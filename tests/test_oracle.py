@@ -139,8 +139,8 @@ class TestGradientCheck:
         cfg = enc.config_with_overrides(tiny_cfg, layers=1)
         w = enc.init_weights(cfg, seed=4, dtype=np.float64)
         tiles = oracle.fixture_tiles(cfg, 1, seed=4)
-        report = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=False)
-        assert report.passed, report.worst()
+        rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=False)
+        assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
 
 
 class TestSelftest:
