@@ -468,6 +468,29 @@ class TestEncode:
         assert sorted(read) == sorted(name for name in entries if not name.startswith("reatten."))
 
     @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "2d5b0e4c7a249d19945b5d1c158337a8342e4cb1e1cd252dc86e579e1c907894"),
+            (["--verify-mode", "on", "--project"],
+             "a2d3859162599a7c0be8176cc6b582d30dc50612f1f3cbd8b32a23e8276ac046"),
+        ],
+        ids=["f32", "f64-project"],
+    )
+    def test_reatten_off_archive_matches_recorded_digest(
+        self, capsys, small_ppm, tmp_path, monkeypatch, flags, digest
+    ):
+        # Recorded from the release that still ran the disabled exchange as a
+        # pass-through; pins the exchange-off forward and its archive bytes.
+        monkeypatch.delenv("FALCON_SEED", raising=False)
+        out_path = tmp_path / "off.falt"
+        code, _ = run(
+            capsys, "encode", small_ppm, "--preset", "tiny", "--seed", "7", "--reatten", "off",
+            "--out", str(out_path), *flags,
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda d: d[: len(d) // 2],
