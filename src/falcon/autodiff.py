@@ -38,8 +38,8 @@ def _sum_to(g, shape):
 class Var:
     """An ndarray plus the tape edge that produced it."""
 
-    # Keep numpy from absorbing Var into object arrays; binary ops with an
-    # ndarray on the left then fall through to the __r*__ methods here.
+    # Keep numpy from absorbing Var into object arrays; ``ndarray @ Var``
+    # then falls through to ``__rmatmul__``, the one reflected operator.
     __array_ufunc__ = None
     __slots__ = ("value", "grad", "_parents", "_backward")
 
@@ -75,8 +75,6 @@ class Var:
         out._backward = backward
         return out
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         ov = value_of(other)
         parents = (self, other) if isinstance(other, Var) else (self,)
@@ -88,8 +86,6 @@ class Var:
 
         out._backward = backward
         return out
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         ov = value_of(other)
@@ -179,14 +175,14 @@ def softmax_rows(x, out=None):
     return out
 
 
-def layer_norm(x, gamma, beta, eps=LN_EPS):
+def layer_norm(x, gamma, beta):
     if not any(isinstance(t, Var) for t in (x, gamma, beta)):
-        return numerics.layer_norm(x, gamma, beta, eps)
+        return numerics.layer_norm(x, gamma, beta)
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
     mu = xv.mean(axis=-1, keepdims=True)
     centered = xv - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     parents = tuple(t for t in (x, gamma, beta) if isinstance(t, Var))
     out = Var(xhat * gv + bv, parents)

@@ -253,9 +253,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
 def cmd_compare(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
     rows = [
-        compressors.comparison_row(
-            kind, cfg, n_tiles=cfg.max_tiles, thumbnail=rc.thumbnail
-        )
+        compressors.comparison_row(kind, cfg, thumbnail=rc.thumbnail)
         for kind in compressors.COMPRESSOR_KINDS
     ]
     _emit(

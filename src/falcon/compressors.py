@@ -3,7 +3,7 @@
 The projector maps register outputs toward an LLM embedding width. The
 baselines (average pooling, pixel shuffle, a learnable-query abstractor)
 operate on a plain ViT's per-tile image-token features and all emit exactly
-``target_tokens`` rows per tile, so token budgets and FLOPs compare
+``BASELINE_TOKENS`` rows per tile, so token budgets and FLOPs compare
 like-for-like against the register route.
 """
 
@@ -22,6 +22,10 @@ from .numerics import SplitMix64, gelu, layer_norm
 from .oracle import attention_macs, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
+
+# Rows per tile of every baseline, and the abstractor baseline's block count.
+BASELINE_TOKENS = 64
+ABSTRACTOR_DEPTH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +62,14 @@ def mlp_project(f: np.ndarray, pw: ProjectorWeights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _square_side(feats: np.ndarray, factor: int = 3) -> int:
+def _square_side(feats: np.ndarray) -> int:
     if feats.ndim != 2:
         raise ShapeError(f"expected a 2-D token matrix, got {feats.shape}")
     side = math.isqrt(feats.shape[0])
     if side * side != feats.shape[0]:
         raise ShapeError(f"token count {feats.shape[0]} is not a perfect square")
-    if side % factor != 0:
-        raise ShapeError(f"grid side {side} not divisible by pooling factor {factor}")
+    if side % 3 != 0:
+        raise ShapeError(f"grid side {side} not divisible by pooling factor 3")
     return side
 
 
@@ -99,7 +103,7 @@ def pixel_shuffle_compress(feats: np.ndarray, proj: np.ndarray) -> np.ndarray:
 
 
 def init_abstractor(
-    d: int, rng: SplitMix64, depth: int = 2, dtype=np.float32
+    d: int, rng: SplitMix64, depth: int = ABSTRACTOR_DEPTH, dtype=np.float32
 ) -> list[dict[str, np.ndarray]]:
     """``depth`` blocks, each ``layer_specs(d)``'s ``{field: tensor}``, drawn in turn."""
     return [init_tensors(layer_specs(d), rng, dtype) for _ in range(depth)]
@@ -134,26 +138,19 @@ def abstractor_compress(
 # ---------------------------------------------------------------------------
 
 
-def comparison_row(
-    kind: str,
-    cfg: EncoderConfig,
-    target_tokens: int = 64,
-    abstractor_depth: int = 2,
-    n_tiles: int | None = None,
-    thumbnail: bool = True,
-) -> dict:
+def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dict:
     """Per-tile token/parameter/FLOP accounting for one compression route.
 
     FLOP figures are multiply-add counts. For the register route the figure
     is the marginal per-tile transformer cost of carrying M extra rows
     through all L layers; the cross-tile exchange cost is reported
     separately (it is shared across tiles, so it is quoted in total for a
-    full load of ``n_tiles`` tiles plus the thumbnail).
+    full load of ``cfg.max_tiles`` tiles plus the thumbnail).
     """
     if kind not in COMPRESSOR_KINDS:
         raise ShapeError(f"unknown compressor kind {kind!r}")
     n = cfg.n_image_tokens
-    m = cfg.registers if kind == "registers" else target_tokens
+    m = cfg.registers if kind == "registers" else BASELINE_TOKENS
     d = cfg.width
     row = {"kind": kind, "tokens_per_tile": m}
     if kind == "pool":
@@ -164,9 +161,9 @@ def comparison_row(
         row["flops_per_tile"] = m * 9 * d * d
     elif kind == "abstractor":
         block_params = element_count(layer_specs(d))
-        row["params"] = m * d + abstractor_depth * block_params
+        row["params"] = m * d + ABSTRACTOR_DEPTH * block_params
         block_flops = attention_macs(m, n, d) + ffn_macs(m, d)
-        row["flops_per_tile"] = abstractor_depth * block_flops
+        row["flops_per_tile"] = ABSTRACTOR_DEPTH * block_flops
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
 
@@ -174,7 +171,7 @@ def comparison_row(
             return attention_macs(rows, rows, d) + ffn_macs(rows, d)
 
         row["flops_per_tile"] = cfg.layers * (layer_macs(n + cfg.registers) - layer_macs(n))
-        t = (cfg.max_tiles if n_tiles is None else n_tiles) + (1 if thumbnail else 0)
+        t = cfg.max_tiles + (1 if thumbnail else 0)
         reg_tokens = cfg.registers * t
         row["reatten_flops_total"] = cfg.layers * attention_macs(reg_tokens, reg_tokens, d)
     return row

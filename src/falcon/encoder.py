@@ -396,19 +396,16 @@ def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None):
     return out
 
 
-def reatten(states, rw: dict, cfg: EncoderConfig, enabled: bool = True, collect=None):
+def reatten(states, rw: dict, cfg: EncoderConfig, *, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
     ``states`` is the (S, N+M, D) state array. Its register rows are joined
     in state order and passed through residual pre-norm multi-head
     self-attention. The result is one (M*S, D) array, state k's rows at
-    [k*M, (k+1)*M); when disabled it is the joined input rows unchanged.
-    ``states`` is not modified: putting the rows back next to each state's
-    image rows is the caller's job.
+    [k*M, (k+1)*M). ``states`` is not modified: putting the rows back next
+    to each state's image rows is the caller's job.
     """
     regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
-    if not enabled:
-        return regs
     normed = ad.layer_norm(regs, rw["ln_gamma"], rw["ln_beta"])
     out = _multi_head_attention(
         normed, normed, rw["rq"], rw["rk"], rw["rv"], rw["ro"], cfg.heads, collect
@@ -502,12 +499,12 @@ def encode(
         for grp in groups:
             out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start))
             states = ad.put(states, grp, out)
-        rw = (block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
-              if cfg.reatten_enabled else {})
-        regs = reatten(states, rw, cfg, cfg.reatten_enabled, _at(collect, layer))
-        del rw
-        states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))
-        del regs
+        if cfg.reatten_enabled:
+            rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
+            regs = reatten(states, rw, cfg, collect=_at(collect, layer))
+            del rw
+            states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))
+            del regs
         for grp in groups:
             out = ffn_block(states[grp], lw, cfg)
             states = ad.put(states, grp, out)

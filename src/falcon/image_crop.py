@@ -222,7 +222,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _blend(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w))
 
 
-def plan_crop(h: int, w: int, tile: int = 384, max_tiles: int = 16) -> CropPlan:
+def plan_crop(h: int, w: int, tile: int, max_tiles: int) -> CropPlan:
     """Pick the (rows, cols) grid whose shape best matches the image.
 
     Among all grids with 1 <= rows*cols <= max_tiles, minimize

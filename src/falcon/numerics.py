@@ -89,18 +89,15 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LN_EPS
-) -> np.ndarray:
-    """Per-row mean/variance normalization followed by an affine map.
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-row mean/variance normalization, with ``LN_EPS`` added to the
+    variance, followed by an affine map.
 
     Variance uses the 1/D convention (not 1/(D-1)). Runs in the common dtype
     of ``x``, ``gamma`` and ``beta``. The rows are blocked only when ``gamma``
     and ``beta`` have no leading axes; ones that do broadcast over ``x``
     whole, at every size.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = np.asarray(x)
     x = x.astype(np.result_type(x, gamma, beta), copy=False)
     out = np.empty(x.shape, x.dtype)
@@ -119,7 +116,7 @@ def layer_norm(
         np.multiply(c, c, out=sq)
         var = sq.sum(axis=-1, keepdims=True)
         var /= n
-        var += eps
+        var += LN_EPS
         np.sqrt(var, out=var)
         np.divide(1.0, var, out=var)
         c *= var

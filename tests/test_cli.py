@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import falcon
-from falcon import cli, encoder, falt, image_crop, oracle
+from falcon import autodiff, cli, compressors, encoder, falt, image_crop, numerics, oracle
 from falcon.cli import main
 
 from conftest import make_ppm
@@ -1061,6 +1062,26 @@ class TestParser:
             "layers", "width", "heads", "patch", "tile", "registers", "max_tiles",
             "reatten_enabled",
         ]
+
+    def test_library_settings_are_pinned(self):
+        # The parameters of the library calls that once took settings only one
+        # value reached, now constants. Re-adding a setting edits these lists
+        # and says so in CHANGES.md, as a new flag edits the one above.
+        def parameters(fn):
+            out = []
+            for p in inspect.signature(fn).parameters.values():
+                if p.kind is p.KEYWORD_ONLY and "*" not in out:
+                    out.append("*")
+                out.append(p.name if p.default is p.empty else f"{p.name}={p.default!r}")
+            return out
+
+        assert parameters(encoder.reatten) == ["states", "rw", "cfg", "*", "collect=None"]
+        assert parameters(numerics.layer_norm) == ["x", "gamma", "beta"]
+        assert parameters(autodiff.layer_norm) == ["x", "gamma", "beta"]
+        assert parameters(compressors.comparison_row) == ["kind", "cfg", "thumbnail=True"]
+        assert parameters(compressors._square_side) == ["feats"]
+        assert parameters(image_crop.plan_crop) == ["h", "w", "tile", "max_tiles"]
+        assert not hasattr(autodiff.Var, "__radd__") and not hasattr(autodiff.Var, "__rmul__")
 
     def test_parser_is_built_once_and_reused(self, capsys, small_ppm, tmp_path, monkeypatch):
         def fail():

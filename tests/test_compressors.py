@@ -157,9 +157,9 @@ def _cross_attention_reference(queries, feats, blk, heads):
 def _abstractor_reference(feats, queries, blocks, heads):
     q = queries
     for blk in blocks:
-        normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"], 1e-6)
+        normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"])
         q = q + _cross_attention_reference(normed, feats, blk, heads)
-        normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"], 1e-6)
+        normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"])
         q = q + gelu(normed @ blk["w1"]) @ blk["w2"]
     return q
 
@@ -250,15 +250,17 @@ class TestComparisonRows:
     def test_registers_row_reports_exchange_cost(self, paper_cfg):
         from falcon.oracle import count_flops
 
-        row = cmp.comparison_row("registers", paper_cfg, n_tiles=16, thumbnail=True)
+        row = cmp.comparison_row("registers", paper_cfg, thumbnail=True)
+        assert paper_cfg.max_tiles == 16
         assert row["reatten_flops_total"] == count_flops(paper_cfg, 16, thumbnail=True).reatten
 
     def test_abstractor_params_count_initialized_tensors(self):
         cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)
-        row = cmp.comparison_row("abstractor", cfg, target_tokens=5, abstractor_depth=3)
-        blocks = cmp.init_abstractor(12, SplitMix64(0), depth=3)
+        row = cmp.comparison_row("abstractor", cfg)
+        blocks = cmp.init_abstractor(12, SplitMix64(0))
+        assert len(blocks) == cmp.ABSTRACTOR_DEPTH == 2
         tensors = [t for b in blocks for t in b.values()]
-        assert row["params"] == 5 * 12 + sum(t.size for t in tensors)
+        assert row["params"] == cmp.BASELINE_TOKENS * 12 + sum(t.size for t in tensors)
 
     def test_unknown_kind_rejected(self, paper_cfg):
         with pytest.raises(ShapeError):

@@ -380,16 +380,23 @@ class TestSelfAttention:
 
 
 class TestReatten:
-    def test_disabled_is_bitwise_identity(self, tiny_cfg, tiny_weights, tiny_tiles):
-        # Disabled, the returned rows are the input register rows, bit for bit.
-        states = enc.embed_tiles(tiny_tiles, tiny_weights, tiny_cfg)
-        before = [s.copy() for s in states]
-        rw = enc.block_weights(enc.reatten_specs(tiny_cfg.width), tiny_weights, "reatten.0")
-        out = enc.reatten(states, rw, tiny_cfg, enabled=False)
-        expected = np.concatenate([s[tiny_cfg.n_image_tokens :] for s in before], axis=0)
-        assert out.dtype == expected.dtype
-        assert out.tobytes() == expected.tobytes()
-        assert all(np.array_equal(s, b) for s, b in zip(states, before))
+    def test_disabled_is_skipped(self, tiny_cfg, tiny_weights, tiny_tiles, monkeypatch):
+        # Disabled, encode makes no exchange call: each layer's self-attention
+        # output goes straight to its FFN, bit for bit.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("reatten called with the exchange off")
+
+        monkeypatch.setattr(enc, "reatten", fail)
+        f_hr = enc.encode(tiny_tiles, tiny_weights, cfg)
+        states = enc.embed_tiles(tiny_tiles, tiny_weights, cfg)
+        for layer in range(cfg.layers):
+            lw = enc.block_weights(enc.layer_specs(cfg.width), tiny_weights, f"layers.{layer}")
+            states = enc.ffn_block(enc.self_attention_block(states, lw, cfg), lw, cfg)
+        expected = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
+        assert f_hr.dtype == expected.dtype
+        assert f_hr.tobytes() == expected.tobytes()
 
     def test_uniform_attention_closed_form(self, tiny_cfg):
         # One tile, no thumbnail, zero q/k, identity v/o, pass-through affine:
@@ -406,7 +413,7 @@ class TestReatten:
         rng = np.random.default_rng(9)
         state = rng.normal(size=(tiny_cfg.n_tokens, d))
         before = state.copy()
-        out = enc.reatten(np.stack([state]), rw, tiny_cfg, enabled=True)
+        out = enc.reatten(np.stack([state]), rw, tiny_cfg)
         n = tiny_cfg.n_image_tokens
         regs = state[n:]
         expected = regs + layer_norm(regs, rw["ln_gamma"], rw["ln_beta"]).mean(axis=0)

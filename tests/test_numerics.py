@@ -70,10 +70,9 @@ class TestLayerNorm:
         assert np.allclose(out, 0.0, atol=1e-9)
 
     def test_unit_variance_fixed_point(self):
-        out = numerics.layer_norm(
-            np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-12
-        )
-        assert np.allclose(out, [[1.0, -1.0]], atol=1e-9)
+        out = numerics.layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
+        expected = np.array([[1.0, -1.0]]) / np.sqrt(1.0 + numerics.LN_EPS)
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_zero_gamma_gives_beta(self):
         beta = np.array([2.0, -1.0, 0.5])
@@ -85,10 +84,6 @@ class TestLayerNorm:
         out = numerics.layer_norm(x, np.ones(16), np.zeros(16))
         assert np.abs(out.mean(axis=1)).max() < 1e-6
         assert np.allclose(out.var(axis=1), 1.0, atol=1e-3)
-
-    def test_eps_validated(self):
-        with pytest.raises(ConfigError):
-            numerics.layer_norm(np.ones((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
 
     @given(
         arrays(
@@ -158,11 +153,11 @@ def softmax_expression(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm_expression(x, gamma, beta, eps=1e-6):
+def layer_norm_expression(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + numerics.LN_EPS)
     return (centered * inv) * gamma + beta
 
 
@@ -217,11 +212,10 @@ class TestBlockedKernelsMatchExpressions:
         x, block_bytes = case
         affine = arrays(x.dtype, x.shape[-1:], elements=st.floats(-4, 4, width=8 * x.itemsize))
         gamma, beta = data.draw(affine), data.draw(affine)
-        eps = data.draw(st.sampled_from([1e-6, 1e-12, 0.5]))
         before = x.copy()
         with mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
-            got = numerics.layer_norm(x, gamma, beta, eps)
-        assert same_bytes(got, layer_norm_expression(x, gamma, beta, eps))
+            got = numerics.layer_norm(x, gamma, beta)
+        assert same_bytes(got, layer_norm_expression(x, gamma, beta))
         assert same_bytes(x, before)
 
     @given(kernel_inputs())

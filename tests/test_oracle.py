@@ -142,6 +142,16 @@ class TestGradientCheck:
         rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=False)
         assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
 
+    def test_exchange_off_reports_no_exchange_tensor(self, tiny_cfg):
+        # No forward reads a reatten.* tensor with the exchange off, so none
+        # is finite-differenced or reported.
+        cfg = enc.config_with_overrides(tiny_cfg, layers=1, reatten_enabled=False)
+        w = enc.init_weights(cfg, seed=4, dtype=np.float64)
+        tiles = oracle.fixture_tiles(cfg, 1, seed=4)
+        rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=False)
+        assert list(rel_err) == [name for name in w if not name.startswith("reatten.")]
+        assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
+
 
 class TestSelftest:
     def test_tiny_suite_passes(self, tiny_cfg, tiny_weights_f64):
