@@ -3,12 +3,12 @@
 ``Var`` wraps an ndarray and records every operation applied to it; calling
 ``backward()`` on a scalar result accumulates gradients into all reachable
 ``Var`` leaves. The helpers at the bottom (``gelu``, ``softmax_rows``,
-``layer_norm``, ``concat``, ``put``, ``total``) accept plain arrays or
-``Var`` objects, so the encoder forward is written once and serves both the
-plain fast path and the gradient path. Every operation works over leading
-batch axes: a matrix product acts on the last two axes, the gradient of an
-operand broadcast along leading axes is summed over them, and layer norm's
-gamma and beta gradients sum over all rows. ``out`` of ``gelu`` and
+``layer_norm``, ``put``, ``total``) accept plain arrays or ``Var`` objects,
+so the encoder forward is written once and serves both the plain fast path
+and the gradient path. Every operation works over leading batch axes: a
+matrix product acts on the last two axes, the gradient of an operand
+broadcast along leading axes is summed over them, and layer norm's gamma
+and beta gradients sum over all rows. ``out`` of ``gelu`` and
 ``softmax_rows``, and the slot that ``put`` writes, are written on the plain
 path only; a ``Var`` result is always new, just as ``a *= b`` rebinds a
 ``Var``, which has no in-place operators. Analytic gradients are validated
@@ -196,24 +196,6 @@ def layer_norm(x, gamma, beta):
             m1 = gi.mean(axis=-1, keepdims=True)
             m2 = (gi * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * (gi - m1 - xhat * m2))
-
-    out._backward = backward
-    return out
-
-
-def concat(parts, axis):
-    """Join arrays along ``axis``; the gradient splits back at the seams."""
-    parts = list(parts)
-    if not any(isinstance(p, Var) for p in parts):
-        return np.concatenate(parts, axis=axis)
-    values = [value_of(p) for p in parts]
-    parents = tuple(p for p in parts if isinstance(p, Var))
-    out = Var(np.concatenate(values, axis=axis), parents)
-    seams = np.cumsum([v.shape[axis] for v in values[:-1]])
-
-    def backward(g):
-        for part, piece in zip(parts, np.split(g, seams, axis=axis)):
-            _accumulate(part, piece)
 
     out._backward = backward
     return out

@@ -363,8 +363,9 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     passes the same pre-normed rows as both; ``collect(head, attn)`` sees
     each head's softmax matrix, or the group's (g, rows, rows) stack of them.
 
-    On the plain path each head's logits are scaled and turned into its
-    softmax matrix in place; on a ``Var`` the same lines build new nodes.
+    Each head's output fills its columns of one array. On the plain path
+    the logits, their softmax and that array are written in place; on a
+    ``Var`` the same lines build new nodes.
     """
     q = x @ wq
     k = kv @ wk
@@ -372,7 +373,7 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     width = ad.value_of(q).shape[-1]
     dk = width // heads
     scale = 1.0 / math.sqrt(dk)
-    outs = []
+    out = np.empty_like(ad.value_of(q))
     for h in range(heads):
         cols = (..., slice(h * dk, (h + 1) * dk))
         logits = q[cols] @ k[cols].swapaxes(-1, -2)
@@ -380,8 +381,8 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
         attn = ad.softmax_rows(logits, out=logits)
         if collect is not None:
             collect(h, ad.value_of(attn))
-        outs.append(attn @ v[cols])
-    return ad.concat(outs, axis=-1) @ wo
+        out = ad.put(out, cols, attn @ v[cols])
+    return out @ wo
 
 
 def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None):
@@ -547,12 +548,9 @@ def extract_register_attention(
     side = math.isqrt(n)
     if side * side != n:
         raise BoundsError(f"non-square token count {n}")
-    grid = np.zeros((plan.rows * side, plan.cols * side), dtype=tile_rows[0].dtype)
-    for k in range(plan.n_tiles):
-        r, c = divmod(k, plan.cols)
-        rows = tile_rows[k][register].reshape(side, side)
-        grid[r * side : (r + 1) * side, c * side : (c + 1) * side] = rows
-    return grid
+    stacked = np.stack([rows[register] for rows in tile_rows[: plan.n_tiles]])
+    grid = stacked.reshape(plan.rows, plan.cols, side, side).swapaxes(1, 2)
+    return grid.reshape(plan.rows * side, plan.cols * side)
 
 
 def config_with_overrides(base: EncoderConfig, **overrides) -> EncoderConfig:

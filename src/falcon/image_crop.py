@@ -306,17 +306,6 @@ def patchify(tile: np.ndarray, p: int) -> np.ndarray:
     )
 
 
-def unpatchify(tokens: np.ndarray, side: int, p: int) -> np.ndarray:
-    """Inverse of patchify; round-trips bitwise."""
-    tokens = np.asarray(tokens)
-    g = side // p
-    if side % p != 0 or tokens.shape != (g * g, p * p * 3):
-        raise ShapeError(f"cannot unpatchify {tokens.shape} into side {side}, patch {p}")
-    return np.ascontiguousarray(
-        tokens.reshape(g, g, p, p, 3).transpose(0, 2, 1, 3, 4).reshape(side, side, 3)
-    )
-
-
 def heatmap_to_u8(heatmap: np.ndarray) -> np.ndarray:
     """Linearly rescale [min, max] -> [0, 255]; a flat map becomes all zeros."""
     heatmap = np.asarray(heatmap, dtype=np.float64)

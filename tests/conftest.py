@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from falcon import encoder, oracle
+from falcon import cli, encoder, oracle
 from falcon.image_crop import TileSet, write_ppm
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -22,6 +27,19 @@ def tiny_weights(tiny_cfg):
 @pytest.fixture(scope="session")
 def tiny_weights_f64(tiny_cfg):
     return encoder.init_weights(tiny_cfg, seed=0, dtype=np.float64)
+
+
+@pytest.fixture(scope="session")
+def verify_selftest():
+    """One default ``falcon selftest`` (tiny preset, seed 0, verify mode on),
+    shared by the tests that gate it: its exit code, stdout JSON and seconds."""
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.delenv("FALCON_SEED", raising=False)
+        start = time.perf_counter()
+        code = cli.main(["selftest"])
+        elapsed = time.perf_counter() - start
+    return code, json.loads(stdout.getvalue()), elapsed
 
 
 @pytest.fixture()

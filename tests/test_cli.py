@@ -921,13 +921,8 @@ class TestSelftest:
         assert "reference forward capped at 16777216 multiply-adds" in err
         assert _main_stopped([*base, "--width", "128"])[0] is None
 
-    def test_full_suite_fresh_checkout_under_60s(self, capsys):
-        import time
-
-        start = time.perf_counter()
-        code, out = run(capsys, "selftest")
-        elapsed = time.perf_counter() - start
-        payload = json.loads(out)
+    def test_full_suite_fresh_checkout_under_60s(self, verify_selftest):
+        code, payload, elapsed = verify_selftest
         validate_schema(payload, "selftest")
         assert code == 0
         assert not payload["gradient_check_skipped"]

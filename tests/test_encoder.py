@@ -637,23 +637,6 @@ class TestGroups:
         assert enc.encode(tiles, w, cfg).tobytes() == whole.tobytes()
 
 
-class TestConcat:
-    def test_gradient_splits_at_seams(self):
-        rng = np.random.default_rng(3)
-        for axis in (0, 1):
-            parts = [ad.Var(rng.normal(size=(2, 3))), rng.normal(size=(2, 3)),
-                     ad.Var(rng.normal(size=(2, 3)))]
-            joined = ad.concat(parts, axis)
-            assert np.array_equal(
-                joined.value, np.concatenate([ad.value_of(p) for p in parts], axis)
-            )
-            weight = rng.normal(size=joined.value.shape)
-            ad.total(joined * weight).backward()
-            first, _, last = np.split(weight, 3, axis=axis)
-            assert np.array_equal(parts[0].grad, first)
-            assert np.array_equal(parts[2].grad, last)
-
-
 def assert_matches_central_differences(loss, params, tol=1e-8):
     """The analytic gradients of ``loss(*Vars)`` against central differences."""
     variables = [ad.Var(p) for p in params]
@@ -721,6 +704,20 @@ class TestBatchedVarOps:
         # On the plain path the slot is written in place.
         x = self.x.copy()
         assert ad.put(x, 1, value) is x and np.array_equal(x[1], value)
+        # Two chained puts into the trailing columns of a plain empty array,
+        # as the attention kernel assembles its heads' outputs.
+        heads = np.random.default_rng(21).normal(size=(2, 3, 4, 3))
+
+        def assemble(first, second):
+            out = ad.put(np.empty((3, 4, 6)), (..., slice(0, 3)), first)
+            return ad.put(out, (..., slice(3, 6)), second)
+
+        joined = assemble(ad.Var(heads[0]), heads[1])
+        assert joined.value.tobytes() == np.concatenate(heads, axis=-1).tobytes()
+        w = self.weighted((3, 4, 6))
+        assert_matches_central_differences(
+            lambda a, b: ad.total(assemble(a, b) * w), [heads[0], heads[1]]
+        )
 
     def test_parameter_gradients_across_groups(self, tiny_cfg, monkeypatch):
         # Two tiles and the thumbnail in groups of two: a full group and a
