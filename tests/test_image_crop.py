@@ -531,7 +531,7 @@ class TestPatchify:
         rng = np.random.default_rng(grid * 31 + p)
         tile = rng.random((side, side, 3), dtype=np.float32)
         tokens = ic.patchify(tile, p)
-        # patchify's inverse: token (i, j) holds the (p, p, 3) patch at grid cell (i, j).
+        # patchify's inverse: token i * grid + j is the (p, p, 3) patch at grid cell (i, j).
         back = tokens.reshape(grid, grid, p, p, 3).transpose(0, 2, 1, 3, 4).reshape(side, side, 3)
         assert back.tobytes() == tile.tobytes()
 
