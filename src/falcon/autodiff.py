@@ -2,13 +2,16 @@
 
 ``Var`` wraps an ndarray and records every operation applied to it; calling
 ``backward()`` on a scalar result accumulates gradients into all reachable
-``Var`` leaves. The helpers at the bottom (``gelu``, ``softmax_rows``,
-``layer_norm``, ``put``, ``total``) accept plain arrays or ``Var`` objects,
-so the encoder forward is written once and serves both the plain fast path
-and the gradient path. Every operation works over leading batch axes: a
-matrix product acts on the last two axes, the gradient of an operand
-broadcast along leading axes is summed over them, and layer norm's gamma
-and beta gradients sum over all rows. ``out`` of ``gelu`` and
+``Var`` leaves. Every node is built in one call, ``Var(value, inputs,
+backward)``: ``inputs`` may mix ``Var`` objects and plain arrays, only the
+``Var`` entries become the node's parents, and ``backward(g)`` hands the
+node's gradient ``g`` on to them. The helpers at the bottom (``gelu``,
+``softmax_rows``, ``layer_norm``, ``put``, ``total``) accept plain arrays or
+``Var`` objects, so the encoder forward is written once and serves both the
+plain fast path and the gradient path. Every operation works over leading
+batch axes: a matrix product acts on the last two axes, the gradient of an
+operand broadcast along leading axes is summed over them, and layer norm's
+gamma and beta gradients sum over all rows. ``out`` of ``gelu`` and
 ``softmax_rows``, and the slot that ``put`` writes, are written on the plain
 path only; a ``Var`` result is always new, just as ``a *= b`` rebinds a
 ``Var``, which has no in-place operators. Analytic gradients are validated
@@ -43,80 +46,57 @@ class Var:
     __array_ufunc__ = None
     __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value, inputs=(), backward=None):
         self.value = np.asarray(value)
         self.grad = None
-        self._parents = parents
+        self._parents = tuple(t for t in inputs if isinstance(t, Var))
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def reshape(self, *shape) -> "Var":
-        out = Var(self.value.reshape(*shape), (self,))
-        out._backward = lambda g: _accumulate(self, g.reshape(self.value.shape))
-        return out
+        return Var(self.value.reshape(*shape), (self,),
+                   lambda g: _accumulate(self, g.reshape(self.value.shape)))
 
     def swapaxes(self, a: int, b: int) -> "Var":
-        out = Var(self.value.swapaxes(a, b), (self,))
-        out._backward = lambda g: _accumulate(self, g.swapaxes(a, b))
-        return out
+        return Var(self.value.swapaxes(a, b), (self,),
+                   lambda g: _accumulate(self, g.swapaxes(a, b)))
 
     def __add__(self, other):
-        ov = value_of(other)
-        parents = (self, other) if isinstance(other, Var) else (self,)
-        out = Var(self.value + ov, parents)
-
         def backward(g):
             _accumulate(self, g)
             _accumulate(other, g)
 
-        out._backward = backward
-        return out
+        return Var(self.value + value_of(other), (self, other), backward)
 
     def __mul__(self, other):
         ov = value_of(other)
-        parents = (self, other) if isinstance(other, Var) else (self,)
-        out = Var(self.value * ov, parents)
 
         def backward(g):
             _accumulate(self, g * ov)
             _accumulate(other, g * self.value)
 
-        out._backward = backward
-        return out
+        return Var(self.value * ov, (self, other), backward)
 
     def __matmul__(self, other):
         ov = value_of(other)
-        parents = (self, other) if isinstance(other, Var) else (self,)
-        out = Var(self.value @ ov, parents)
 
         def backward(g):
             _accumulate(self, _sum_to(g @ ov.swapaxes(-1, -2), self.value.shape))
             _accumulate(other, _sum_to(self.value.swapaxes(-1, -2) @ g, ov.shape))
 
-        out._backward = backward
-        return out
+        return Var(self.value @ ov, (self, other), backward)
 
     def __rmatmul__(self, other):
         ov = np.asarray(other)
-        out = Var(ov @ self.value, (self,))
-        out._backward = lambda g: _accumulate(
-            self, _sum_to(ov.swapaxes(-1, -2) @ g, self.value.shape)
-        )
-        return out
+        return Var(ov @ self.value, (self,), lambda g: _accumulate(
+            self, _sum_to(ov.swapaxes(-1, -2) @ g, self.value.shape)))
 
     def __getitem__(self, key):
-        out = Var(self.value[key], (self,))
-
         def backward(g):
             full = np.zeros_like(self.value)
             full[key] = g
             _accumulate(self, full)
 
-        out._backward = backward
-        return out
+        return Var(self.value[key], (self,), backward)
 
     def backward(self):
         """Seed with ones and propagate through the tape in reverse topo order."""
@@ -132,9 +112,7 @@ class Var:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if isinstance(parent, Var):
-                    stack.append((parent, False))
+            stack.extend((parent, False) for parent in node._parents)
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
@@ -151,28 +129,20 @@ def gelu(x, out=None):
     if not isinstance(x, Var):
         return numerics.gelu(x, out)
     v = x.value
-    out = Var(numerics.gelu(v), (x,))
 
     def backward(g):
         t = np.tanh(GELU_C * (v + GELU_A * v**3))
         du = GELU_C * (1.0 + 3.0 * GELU_A * v * v)
         _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du))
 
-    out._backward = backward
-    return out
+    return Var(numerics.gelu(v), (x,), backward)
 
 
 def softmax_rows(x, out=None):
     if not isinstance(x, Var):
         return numerics.softmax_rows(x, out)
     y = numerics.softmax_rows(x.value)
-    out = Var(y, (x,))
-
-    def backward(g):
-        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    out._backward = backward
-    return out
+    return Var(y, (x,), lambda g: _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
 def layer_norm(x, gamma, beta):
@@ -184,8 +154,6 @@ def layer_norm(x, gamma, beta):
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
-    parents = tuple(t for t in (x, gamma, beta) if isinstance(t, Var))
-    out = Var(xhat * gv + bv, parents)
 
     def backward(g):
         rows = (-1, xv.shape[-1])
@@ -197,8 +165,7 @@ def layer_norm(x, gamma, beta):
             m2 = (gi * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * (gi - m1 - xhat * m2))
 
-    out._backward = backward
-    return out
+    return Var(xhat * gv + bv, (x, gamma, beta), backward)
 
 
 def put(x, key, value):
@@ -213,7 +180,6 @@ def put(x, key, value):
         return x
     result = value_of(x).copy()
     result[key] = value_of(value)
-    out = Var(result, tuple(t for t in (x, value) if isinstance(t, Var)))
 
     def backward(g):
         _accumulate(value, _sum_to(g[key], value_of(value).shape))
@@ -222,14 +188,11 @@ def put(x, key, value):
             rest[key] = 0
             _accumulate(x, rest)
 
-    out._backward = backward
-    return out
+    return Var(result, (x, value), backward)
 
 
 def total(x):
     """Sum of all entries; the scalar loss used by the gradient checks."""
     if not isinstance(x, Var):
         return float(np.sum(x))
-    out = Var(np.asarray(x.value.sum()), (x,))
-    out._backward = lambda g: _accumulate(x, g * np.ones_like(x.value))
-    return out
+    return Var(x.value.sum(), (x,), lambda g: _accumulate(x, g * np.ones_like(x.value)))

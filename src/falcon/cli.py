@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "n_tiles": plan.n_tiles,
         "tokens_out": report.tokens_post,
         "compression_ratio": cfg.compression_ratio,
-        "flops": report.as_dict(),
+        "flops": asdict(report),
         "dry_run": bool(args.dry_run),
         "out": None,
     }

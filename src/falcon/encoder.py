@@ -91,10 +91,6 @@ class EncoderConfig:
             raise ConfigError(f"tile {self.tile} not divisible by patch {self.patch}")
 
     @property
-    def head_dim(self) -> int:
-        return self.width // self.heads
-
-    @property
     def n_image_tokens(self) -> int:
         return (self.tile // self.patch) ** 2
 
@@ -514,20 +510,16 @@ def encode(
 
 
 def parameter_gradients(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
-    """Analytic gradients of loss = sum(F_hr) w.r.t. every trainable tensor.
+    """Analytic gradients of loss = sum(F_hr) w.r.t. the tensors the forward read.
 
-    Returns (loss value, canonical name -> gradient array). Runs ``encode``
-    with the weights wrapped as autodiff variables.
+    Returns (loss value, canonical name -> gradient array), in ``w``'s order.
+    Runs ``encode`` with the weights wrapped as autodiff variables; a tensor
+    the forward never read (``reatten.*`` with the exchange off) gets no entry.
     """
     params = {name: ad.Var(tensor) for name, tensor in w.items()}
-    f_hr = encode(tiles, params, cfg, thumbnail=thumbnail)
-    loss = ad.total(f_hr)
+    loss = ad.total(encode(tiles, params, cfg, thumbnail=thumbnail))
     loss.backward()
-    grads = {
-        name: (v.grad if v.grad is not None else np.zeros_like(v.value))
-        for name, v in params.items()
-    }
-    return float(loss.value), grads
+    return float(loss.value), {n: v.grad for n, v in params.items() if v.grad is not None}
 
 
 def extract_register_attention(

@@ -9,7 +9,7 @@ counter, which is what the closed-form FLOP formulas are validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,9 +253,6 @@ class FlopReport:
     tokens_pre: int
     tokens_post: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def attention_macs(n_q: int, n_kv: int, d: int) -> int:
     """Multiply-adds of one multi-head attention of width d: Q and the output
@@ -344,13 +341,14 @@ def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = GRAD_STE
 def check_encoder_gradients(
     tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True
 ) -> dict[str, float]:
-    """Per tensor, the agreement of the analytic gradients of loss = sum(F_hr)
-    with central finite differences of step ``GRAD_STEP``: the max-abs
-    difference over the tensor divided by the larger of the two gradients'
-    max-abs values, which keeps near-zero coordinates from blowing up the
-    ratio. The gate passes when each is at most ``GRAD_THRESHOLD``. With
-    the exchange off no ``reatten.*`` tensor is read, so none is reported.
-    Requires float64 weights."""
+    """Per tensor the forward read, the agreement of the analytic gradients
+    of loss = sum(F_hr) with central finite differences of step
+    ``GRAD_STEP``: the max-abs difference over the tensor divided by the
+    larger of the two gradients' max-abs values, which keeps near-zero
+    coordinates from blowing up the ratio. The gate passes when each is at
+    most ``GRAD_THRESHOLD``. The tensors are those ``parameter_gradients``
+    reports, so one the forward never read is neither differenced nor
+    reported. Requires float64 weights."""
     for name, tensor in w.items():
         if tensor.dtype != np.float64:
             raise ConfigError(f"gradient check requires float64 weights, {name} is {tensor.dtype}")
@@ -359,9 +357,7 @@ def check_encoder_gradients(
     def loss_fn():
         return float(enc.encode(tiles, w, cfg, thumbnail=thumbnail).sum())
 
-    read = {name: t for name, t in w.items()
-            if cfg.reatten_enabled or not name.startswith("reatten.")}
-    fd = finite_diff_grad(loss_fn, read, GRAD_STEP)
+    fd = finite_diff_grad(loss_fn, {name: w[name] for name in analytic}, GRAD_STEP)
     rel_err = {}
     for name in fd:
         a, f = analytic[name], fd[name]

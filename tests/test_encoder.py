@@ -90,7 +90,7 @@ class TestConfig:
         assert paper.compression_ratio == 9.0
         tiny = enc.PRESETS["tiny"]
         assert tiny.n_image_tokens == 4
-        assert tiny.head_dim == 4
+        assert tiny.width // tiny.heads == 4
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -366,7 +366,7 @@ class TestSelfAttention:
         got = enc.self_attention_block(x, lw, tiny_cfg)
         normed = layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
         q, k, v = normed @ lw["wq"], normed @ lw["wk"], normed @ lw["wv"]
-        dk = tiny_cfg.head_dim
+        dk = tiny_cfg.width // tiny_cfg.heads
         heads = [
             oracle.brute_force_attention(
                 q[:, h * dk : (h + 1) * dk],
@@ -583,13 +583,19 @@ class TestEncode:
         digest = hashlib.sha256(f_hr.tobytes()).hexdigest()
         assert digest == "5cd3a8160bf3b2d3a52ae9b4061cf5626a6837681af1407c06bdeffe6b491ddd"
 
+    @pytest.mark.parametrize("reatten_on", [True, False])
     def test_parameter_gradients_loss_matches_encode(
-        self, tiny_cfg, tiny_weights_f64, tiny_tiles
+        self, tiny_cfg, tiny_weights_f64, tiny_tiles, reatten_on
     ):
-        loss, grads = enc.parameter_gradients(tiny_tiles, tiny_weights_f64, tiny_cfg)
-        f_hr = enc.encode(tiny_tiles, tiny_weights_f64, tiny_cfg)
+        # Gradients come back for exactly the tensors the forward read: all
+        # 35 with the exchange on, none of the reatten.* ones with it off.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
+        loss, grads = enc.parameter_gradients(tiny_tiles, tiny_weights_f64, cfg)
+        f_hr = enc.encode(tiny_tiles, tiny_weights_f64, cfg)
         assert loss == pytest.approx(float(f_hr.sum()), rel=1e-12)
-        assert set(grads) == {name for name, *_ in enc.tensor_specs(tiny_cfg)}
+        names = [name for name, *_ in enc.tensor_specs(cfg)]
+        assert len(names) == 35
+        assert list(grads) == [n for n in names if reatten_on or not n.startswith("reatten.")]
 
 
 class TestGroups:
@@ -719,13 +725,20 @@ class TestBatchedVarOps:
             lambda a, b: ad.total(assemble(a, b) * w), [heads[0], heads[1]]
         )
 
-    def test_parameter_gradients_across_groups(self, tiny_cfg, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_tiles, thumbnail", [(2, True), (1, False)], ids=["two-groups", "one-state"]
+    )
+    def test_parameter_gradients_across_groups(self, tiny_cfg, monkeypatch, n_tiles, thumbnail):
         # Two tiles and the thumbnail in groups of two: a full group and a
-        # partial one. The gate is the suite's: h = 1e-5, rel_err <= 1e-4.
+        # partial one. One tile without the thumbnail: a single state, whose
+        # exchange joins one state's registers. The gate is the suite's:
+        # h = 1e-5, rel_err <= 1e-4.
         cfg = enc.config_with_overrides(tiny_cfg, layers=1, width=4, patch=4, tile=8)
         force_group_size(monkeypatch, cfg, np.float64, 2)
         w = enc.init_weights(cfg, seed=4, dtype=np.float64)
-        rel_err = oracle.check_encoder_gradients(oracle.fixture_tiles(cfg, 2, seed=4), w, cfg)
+        tiles = oracle.fixture_tiles(cfg, n_tiles, seed=4)
+        rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=thumbnail)
+        assert list(rel_err) == list(w)
         assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
 
 

@@ -134,14 +134,6 @@ class TestGradientCheck:
         with pytest.raises(ConfigError):
             oracle.check_encoder_gradients(tiny_tiles, tiny_weights, tiny_cfg)
 
-    def test_single_tile_runs_clean(self, tiny_cfg):
-        # Cheap smoke version; the full two-tile check is an acceptance test.
-        cfg = enc.config_with_overrides(tiny_cfg, layers=1)
-        w = enc.init_weights(cfg, seed=4, dtype=np.float64)
-        tiles = oracle.fixture_tiles(cfg, 1, seed=4)
-        rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail=False)
-        assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
-
     def test_exchange_off_reports_no_exchange_tensor(self, tiny_cfg, monkeypatch):
         # No forward reads a reatten.* tensor with the exchange off, so none
         # is finite-differenced or reported. The differences themselves are
