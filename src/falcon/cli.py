@@ -229,7 +229,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
 
     def collect(layer, tile, head, attn):
         if tile is not None and (layer, head) == (args.layer, args.head):
-            tile_rows.append(attn[n:, :n].copy())
+            tile_rows.append(attn[-cfg.registers :, :n].copy())
 
     # Layers after --layer cannot change its attention, so they are not run.
     _forward(rc, args, cfg, img, plan, layers=args.layer + 1, collect=collect)

@@ -54,7 +54,11 @@ def mlp_project(f: np.ndarray, pw: ProjectorWeights) -> np.ndarray:
     f = np.asarray(f)
     if f.ndim != 2 or f.shape[1] != pw.w1.shape[0]:
         raise ShapeError(f"projector input {f.shape} does not match W1 {pw.w1.shape}")
-    return gelu(f @ pw.w1 + pw.b1) @ pw.w2 + pw.b2
+    hidden = f @ pw.w1
+    hidden += pw.b1
+    out = gelu(hidden, out=hidden) @ pw.w2
+    out += pw.b2
+    return out
 
 
 # ---------------------------------------------------------------------------

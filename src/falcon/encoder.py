@@ -6,7 +6,7 @@ of every tile (no masking), then a cross-tile exchange step: the register
 rows of all tiles (thumbnail included) are concatenated, passed through a
 residual multi-head self-attention of their own, and scattered back before
 the FFN. Only the register rows are emitted, so a tile's N image tokens
-compress to M output tokens.
+compress to M output tokens; the last layer computes no other rows.
 
 Block topology is pre-norm (ln -> attention -> residual, ln -> FFN ->
 residual) with a dedicated pre-norm on the exchange step. Registers carry
@@ -354,10 +354,11 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
 
 def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     """Multi-head softmax attention of query rows ``x`` over key/value rows
-    ``kv``, then the output projection. Both are (rows, D), or (g, rows, D)
+    ``kv``, then the output projection. Each is (rows, D), or (g, rows, D)
     for a group of states that each attend within themselves. Self-attention
-    passes the same pre-normed rows as both; ``collect(head, attn)`` sees
-    each head's softmax matrix, or the group's (g, rows, rows) stack of them.
+    passes the pre-normed rows as ``kv`` and all or some of them as ``x``;
+    ``collect(head, attn)`` sees each head's (x rows, kv rows) softmax
+    matrix, or the group's (g, x rows, kv rows) stack of them.
 
     Each head's output fills its columns of one array. On the plain path
     the logits, their softmax and that array are written in place; on a
@@ -381,15 +382,16 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
     return out @ wo
 
 
-def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None):
+def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None, rows=slice(None)):
     """Residual pre-norm self-attention over all N+M rows of each state
     jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D) group,
-    ``lw`` the layer's ``block_weights``."""
+    ``lw`` the layer's ``block_weights``. Only the query rows ``rows`` are
+    computed and returned, each attending over all N+M rows."""
     normed = ad.layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
     out = _multi_head_attention(
-        normed, normed, lw["wq"], lw["wk"], lw["wv"], lw["wo"], cfg.heads, collect
+        normed[..., rows, :], normed, lw["wq"], lw["wk"], lw["wv"], lw["wo"], cfg.heads, collect
     )
-    out += x
+    out += x[..., rows, :]
     return out
 
 
@@ -412,8 +414,8 @@ def reatten(states, rw: dict, cfg: EncoderConfig, *, collect=None):
 
 
 def ffn_block(x, lw: dict, cfg: EncoderConfig):
-    """Residual pre-norm two-layer GeLU MLP, applied row-wise to one
-    (N+M, D) state or a (g, N+M, D) group."""
+    """Residual pre-norm two-layer GeLU MLP, applied row-wise to the
+    (rows, D) rows of one state or the (g, rows, D) rows of a group."""
     normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
     hidden = normed @ lw["w1"]
     out = ad.gelu(hidden, out=hidden) @ lw["w2"]
@@ -465,13 +467,17 @@ def encode(
     is the canonical name -> tensor mapping; each entry is looked up once,
     when its layer runs, and no ``reatten.*`` entry with the exchange off.
 
+    Nothing reads the last layer's image rows, so its self-attention and
+    FFN compute only the register rows; their keys and values still span
+    all N+M rows.
+
     ``collect(layer, tile, head, attn)``, when given, sees every softmax
-    matrix in forward order: (N+M, N+M) for the self-attention of state
-    ``tile`` (thumbnail last), (M*S, M*S) with ``tile=None`` for the
-    exchange step. A layer's groups run in state order; within a group the
-    head is the outer loop and the state the inner one, so each (layer,
-    head) sees the states in ascending order. ``attn`` is the working
-    array; copy what you keep.
+    matrix in forward order: for the self-attention of state ``tile``
+    (thumbnail last), (N+M, N+M), or (M, N+M), the register query rows, in
+    the last layer; (M*S, M*S) with ``tile=None`` for the exchange step. A
+    layer's groups run in state order; within a group the head is the outer
+    loop and the state the inner one, so each (layer, head) sees the states
+    in ascending order. ``attn`` is the working array; copy what you keep.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
     # The callee's frame owns its arguments (CPython >= 3.11): when the
@@ -481,7 +487,8 @@ def encode(
     n_states = len(ad.value_of(states))
     g = _group_size(states)
     groups = [slice(lo, lo + g) for lo in range(0, n_states, g)]
-    registers = (slice(None), slice(cfg.n_image_tokens, None))
+    register_rows = slice(cfg.n_image_tokens, None)
+    registers = (slice(None), register_rows)
     # On the plain path each result is written over its input in the one
     # state array, so only one generation of tile states is alive at a time.
     # ``out`` holds the last group's result until the next one replaces it.
@@ -493,9 +500,10 @@ def encode(
     # (``load_weights``) holds one layer at a time.
     for layer in range(cfg.layers):
         lw = block_weights(layer_specs(cfg.width), w, f"layers.{layer}")
+        rows = register_rows if layer == cfg.layers - 1 else slice(None)
         for grp in groups:
-            out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start))
-            states = ad.put(states, grp, out)
+            out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start), rows)
+            states = ad.put(states, (grp, rows), out)
         if cfg.reatten_enabled:
             rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
             regs = reatten(states, rw, cfg, collect=_at(collect, layer))
@@ -503,8 +511,8 @@ def encode(
             states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))
             del regs
         for grp in groups:
-            out = ffn_block(states[grp], lw, cfg)
-            states = ad.put(states, grp, out)
+            out = ffn_block(states[grp, rows], lw, cfg)
+            states = ad.put(states, (grp, rows), out)
         del lw
     return states[registers].reshape(-1, cfg.width)
 

@@ -280,6 +280,12 @@ def count_flops(
     hidden width is ``FFN_MULT`` times the model's. The exchange step per
     layer runs on M*T rows, T counting the thumbnail. Projector counts are
     included when a target width is given.
+
+    Every row of every layer is counted, as the loop oracle runs them.
+    ``encode`` computes only the register rows of its last layer: at paper
+    geometry 2.10 G multiply-adds per state there against 8.89 G, so a
+    2-layer encode runs 38% fewer self-attention and FFN multiply-adds than
+    counted, a 24-layer one 3.2% fewer.
     """
     if n_tiles < 1:
         raise ConfigError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -425,7 +431,7 @@ def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: boo
     def check_attention(layer, tile, head, attn):
         ok = np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
         if tile is not None:
-            rows = attn[n:, :n]
+            rows = attn[-cfg.registers :, :n]
             ok = ok and rows.min() >= 0.0 and rows.max() <= 1.0
         normalized.append(bool(ok))
 

@@ -270,7 +270,7 @@ def test_10_attention_normalization(capsys):
             reatten_rows.append(attn.copy())
         else:
             full_rows.append(attn.copy())
-            register_rows.append(attn[n:, :n].copy())
+            register_rows.append(attn[-TINY.registers :, :n].copy())
 
     enc.encode(tiles, w, TINY, collect=collect)
     n_entries = TINY.layers * TINY.heads * (len(tiles.tiles) + 1)

@@ -816,6 +816,42 @@ class TestAttnMap:
             }
             assert got == expected, flags
 
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_rows_match_full_encode(self, capsys, small_ppm, tmp_path, monkeypatch, layer):
+        # attn-map runs layers 0..layer, so its last layer computes only the
+        # register query rows; they equal, byte for byte, the register rows
+        # that a full encode collects at that layer, for every state and head.
+        monkeypatch.delenv("FALCON_SEED", raising=False)
+        cfg = encoder.PRESETS["tiny"]
+        with open(small_ppm, "rb") as f:
+            img = image_crop.load_ppm(f)
+        plan = image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
+        n = cfg.n_image_tokens
+        full = {}
+
+        def collect(l, tile, head, attn):
+            if l == layer and tile is not None:
+                full.setdefault(head, []).append(attn[-cfg.registers :, :n].tobytes())
+
+        w = encoder.init_weights(cfg, 5)
+        encoder.encode(image_crop.crop_tiles(img, plan), w, cfg, collect=collect)
+        extract = encoder.extract_register_attention
+        for head in range(cfg.heads):
+            seen = []
+
+            def capture(tile_rows, register, plan):
+                seen.extend(rows.tobytes() for rows in tile_rows)
+                return extract(tile_rows, register, plan)
+
+            monkeypatch.setattr(encoder, "extract_register_attention", capture)
+            code, _ = run(
+                capsys, "attn-map", small_ppm, "--preset", "tiny", "--seed", "5",
+                "--layer", str(layer), "--head", str(head), "--register", "0",
+                "--out", str(tmp_path / "h.pgm"),
+            )
+            assert code == 0
+            assert seen == full[head] and len(seen) == plan.n_tiles + 1
+
     def test_runs_only_layers_up_to_requested(self, capsys, tmp_path, monkeypatch):
         # 64x64 at tile 32: 4 tiles + thumbnail, so the FFN sees 5 states per layer run.
         ppm = tmp_path / "sq.ppm"
@@ -1071,6 +1107,10 @@ class TestParser:
             return out
 
         assert parameters(encoder.reatten) == ["states", "rw", "cfg", "*", "collect=None"]
+        # bench/tracer.py reads the block's x and cfg as args[0] and args[2].
+        assert parameters(encoder.self_attention_block) == [
+            "x", "lw", "cfg", "collect=None", "rows=slice(None, None, None)"
+        ]
         assert parameters(numerics.layer_norm) == ["x", "gamma", "beta"]
         assert parameters(autodiff.layer_norm) == ["x", "gamma", "beta"]
         assert parameters(compressors.comparison_row) == ["kind", "cfg", "thumbnail=True"]
