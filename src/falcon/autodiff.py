@@ -61,18 +61,20 @@ class Var:
                    lambda g: _accumulate(self, g.swapaxes(a, b)))
 
     def __add__(self, other):
-        def backward(g):
-            _accumulate(self, g)
-            _accumulate(other, g)
+        ov = value_of(other)
 
-        return Var(self.value + value_of(other), (self, other), backward)
+        def backward(g):
+            _accumulate(self, _sum_to(g, self.value.shape))
+            _accumulate(other, _sum_to(g, np.shape(ov)))
+
+        return Var(self.value + ov, (self, other), backward)
 
     def __mul__(self, other):
         ov = value_of(other)
 
         def backward(g):
-            _accumulate(self, g * ov)
-            _accumulate(other, g * self.value)
+            _accumulate(self, _sum_to(g * ov, self.value.shape))
+            _accumulate(other, _sum_to(g * self.value, np.shape(ov)))
 
         return Var(self.value * ov, (self, other), backward)
 

@@ -13,8 +13,9 @@ residual) with a dedicated pre-norm on the exchange step. Registers carry
 no positional embedding, and no positional information crosses tiles, which
 makes the encoder equivariant under tile permutation.
 
-The tile states of one image are a single (S, N+M, D) array, thumbnail
-last. ``encode`` runs each block on groups of consecutive states, as many as
+The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
+tile states a single (S, N+M, D) array, thumbnail last in both. The patch
+embedding and each block run on groups of consecutive states, as many as
 keep a group's FFN hidden array within a fixed byte budget: the tiny preset
 runs all its states in one group, the paper preset one state per group.
 Every matrix product of a group is one batched ``matmul``, which runs each
@@ -329,26 +330,26 @@ def check_budget(
 def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
     """Layer-0 token states: one (S, N+M, D) array, one state per tile.
 
-    Per state: image rows are patchify(normalized tile) @ patch_embed +
-    pos_embed; register rows are the single shared register tensor. The
-    thumbnail, when included, is appended last and treated exactly like a
-    tile.
+    The tiles are ``tiles.raster``, the thumbnail last and treated exactly
+    like a tile, or ``tiles.tiles`` with it off. Image rows are
+    patchify(normalized tile) @ patch_embed + pos_embed, one normalize,
+    patchify and batched product per group (``_groups``); register rows are
+    the single shared register tensor.
     """
     if len(tiles.tiles) > cfg.max_tiles:
         raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
+    raster = tiles.raster if thumbnail else tiles.tiles
+    if raster.shape[1:] != (cfg.tile, cfg.tile, 3):
+        raise ConfigError(f"tile shape {raster.shape[1:]} does not match config tile {cfg.tile}")
     patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]
     dtype = np.asarray(ad.value_of(patch_embed)).dtype
-    raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
     n = cfg.n_image_tokens
     states = np.empty((len(raster), cfg.n_tokens, cfg.width), dtype)
-    for k, tile in enumerate(raster):
-        tile = np.asarray(tile)
-        if tile.shape != (cfg.tile, cfg.tile, 3):
-            raise ConfigError(f"tile shape {tile.shape} does not match config tile {cfg.tile}")
-        tokens = patchify(normalize_pixels(tile.astype(dtype, copy=False)), cfg.patch)
+    for grp in _groups(states):
+        tokens = patchify(normalize_pixels(raster[grp].astype(dtype, copy=False)), cfg.patch)
         image_rows = tokens @ patch_embed
         image_rows += pos_embed
-        states = ad.put(states, (k, slice(None, n)), image_rows)
+        states = ad.put(states, (grp, slice(None, n)), image_rows)
     return ad.put(states, (slice(None), slice(n, None)), registers)
 
 
@@ -423,19 +424,21 @@ def ffn_block(x, lw: dict, cfg: EncoderConfig):
     return out
 
 
-# ``encode`` runs its blocks on groups of consecutive states: as many as keep
-# one group's FFN hidden array, g * (N+M) * FFN_MULT * D elements, within this
-# many bytes, so it stays in L2 as ``numerics._BLOCK_BYTES`` argues. The tiny
-# preset runs all its states in one group; the paper preset needs 10 MiB per
-# state and runs one state per group.
+# ``embed_tiles`` and ``encode`` run on groups of consecutive states: as many
+# as keep one group's FFN hidden array, g * (N+M) * FFN_MULT * D elements,
+# within this many bytes, so it stays in L2 as ``numerics._BLOCK_BYTES``
+# argues. The tiny preset runs all its states in one group; the paper preset
+# needs 10 MiB per state and runs one state per group.
 _GROUP_BYTES = 1 << 18
 
 
-def _group_size(states) -> int:
-    """States per group of the (S, N+M, D) state array: at least 1, at most S."""
+def _groups(states) -> list[slice]:
+    """The groups of the (S, N+M, D) state array, in state order: slices of
+    g consecutive states, 1 <= g <= S, the last one possibly partial."""
     value = ad.value_of(states)
     s, rows, d = value.shape
-    return max(1, min(s, _GROUP_BYTES // (rows * FFN_MULT * d * value.itemsize)))
+    g = max(1, min(s, _GROUP_BYTES // (rows * FFN_MULT * d * value.itemsize)))
+    return [slice(lo, lo + g) for lo in range(0, s, g)]
 
 
 def _at(collect, layer: int, first: int | None = None):
@@ -463,7 +466,7 @@ def encode(
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
     Image-token outputs are discarded. The S tile states are one
     (S, N+M, D) array. Each block runs on groups of consecutive states
-    (``_group_size``); the exchange step joins all S once per layer. ``w``
+    (``_groups``); the exchange step joins all S once per layer. ``w``
     is the canonical name -> tensor mapping; each entry is looked up once,
     when its layer runs, and no ``reatten.*`` entry with the exchange off.
 
@@ -484,9 +487,7 @@ def encode(
     # caller passes the TileSet as a temporary, as ``cli.cmd_encode`` does,
     # its pixels are freed here, before layer 0.
     del tiles
-    n_states = len(ad.value_of(states))
-    g = _group_size(states)
-    groups = [slice(lo, lo + g) for lo in range(0, n_states, g)]
+    groups = _groups(states)
     register_rows = slice(cfg.n_image_tokens, None)
     registers = (slice(None), register_rows)
     # On the plain path each result is written over its input in the one
@@ -508,7 +509,7 @@ def encode(
             rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
             regs = reatten(states, rw, cfg, collect=_at(collect, layer))
             del rw
-            states = ad.put(states, registers, regs.reshape(n_states, -1, cfg.width))
+            states = ad.put(states, registers, regs.reshape(-1, cfg.registers, cfg.width))
             del regs
         for grp in groups:
             out = ffn_block(states[grp, rows], lw, cfg)

@@ -6,7 +6,7 @@ from the loader, float32 in [0, 1] everywhere else. ``crop_tiles`` and
 the pixels each output needs and read those as ``to_float`` values, so no
 float copy of the whole image is made. ``normalize_pixels`` applies the
 fixed per-channel affine (mean 0.5, std 0.5) expected by the encoder just
-before patchification.
+before patchification. ``crop_tiles`` returns one raster, thumbnail last.
 """
 
 from __future__ import annotations
@@ -45,10 +45,15 @@ class CropPlan:
 
 @dataclass
 class TileSet:
-    """Row-major tiles plus the whole image resized to a single tile."""
+    """One (n_tiles + 1, T, T, 3) raster: the row-major tiles, then the
+    whole image resized to a single tile, the thumbnail."""
 
-    tiles: list[np.ndarray]
-    global_thumb: np.ndarray
+    raster: np.ndarray
+
+    @property
+    def tiles(self) -> np.ndarray:
+        """The tiles without the thumbnail, a view of the raster."""
+        return self.raster[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +271,22 @@ def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
 
     Every band (row of tiles) is blended from its slice of the full-grid
     source coordinates, so the tiles are exactly those of one whole-grid
-    resize, without seams, while only one band is held at a time. The
-    global thumbnail is produced for every input, including 1x1 plans. A
-    uint8 ``img``, as ``load_ppm`` returns it, is read as ``to_float``
-    pixels; the result is float32 either way.
+    resize, without seams. Each band's tiles, then the global thumbnail
+    (made for every input, 1x1 plans included), are written straight into
+    the raster. A uint8 ``img``, as ``load_ppm`` returns it, is read as
+    ``to_float`` pixels; the raster is float32 either way.
     """
     img = _pixels(img)
     in_h, in_w = img.shape[:2]
-    t = plan.tile
+    t, cols, channels = plan.tile, plan.cols, img.shape[2:]
     ys = _source_coords(plan.resize_h, in_h)
     xs = _source_coords(plan.resize_w, in_w)
-    tiles = []
+    raster = np.empty((plan.n_tiles + 1, t, t, *channels), np.float32)
     for r in range(plan.rows):
         band = _blend(img, tuple(a[r * t : (r + 1) * t] for a in ys), xs)
-        tiles.extend(np.ascontiguousarray(band[:, c * t : (c + 1) * t]) for c in range(plan.cols))
-    return TileSet(tiles=tiles, global_thumb=resize_bilinear(img, t, t))
+        raster[r * cols : (r + 1) * cols] = band.reshape(t, cols, t, *channels).swapaxes(0, 1)
+    raster[-1] = resize_bilinear(img, t, t)
+    return TileSet(raster)
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +294,21 @@ def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
 # ---------------------------------------------------------------------------
 
 
-def patchify(tile: np.ndarray, p: int) -> np.ndarray:
-    """Split a square (T, T, 3) tile into (T/p)^2 rows of flattened patches.
+def patchify(tiles: np.ndarray, p: int) -> np.ndarray:
+    """Split square (..., T, T, 3) tiles into (..., (T/p)^2, 3p^2) patch rows.
 
-    Row k is the row-major, channel-last flattening of patch k, with patches
-    themselves ordered row-major.
+    Row k of a tile is the row-major, channel-last flattening of its patch
+    k, with patches themselves ordered row-major.
     """
-    tile = np.asarray(tile)
-    if tile.ndim != 3 or tile.shape[0] != tile.shape[1] or tile.shape[2] != 3:
-        raise ShapeError(f"patchify expects a square (T, T, 3) tile, got {tile.shape}")
-    side = tile.shape[0]
+    tiles = np.asarray(tiles)
+    if tiles.ndim < 3 or tiles.shape[-3] != tiles.shape[-2] or tiles.shape[-1] != 3:
+        raise ShapeError(f"patchify expects square (..., T, T, 3) tiles, got {tiles.shape}")
+    *lead, side, _, _ = tiles.shape
     if side % p != 0:
         raise ShapeError(f"tile side {side} not divisible by patch size {p}")
     g = side // p
     return np.ascontiguousarray(
-        tile.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4).reshape(g * g, p * p * 3)
+        tiles.reshape(*lead, g, p, g, p, 3).swapaxes(-4, -3).reshape(*lead, g * g, p * p * 3)
     )
 
 

@@ -172,7 +172,7 @@ def encode_reference(
     Returns (register outputs, multiply-add counts per component). Refuses
     inputs larger than the documented cap so it stays auditable and fast.
     """
-    raster = list(tiles.tiles) + ([tiles.global_thumb] if thumbnail else [])
+    raster = tiles.raster if thumbnail else tiles.tiles
     _check_reference_tokens(len(raster) * cfg.n_tokens)
     wd = {name: np.asarray(t, dtype=np.float64).tolist() for name, t in w.items()}
     counts = {"embed": 0, "self_attention": 0, "reatten": 0, "ffn": 0}
@@ -181,7 +181,7 @@ def encode_reference(
 
     states = []
     for tile in raster:
-        patches = _patchify_ref(np.asarray(tile), cfg.patch)
+        patches = _patchify_ref(tile, cfg.patch)
         image_rows = _add(_mm(patches, wd["patch_embed"], counts, "embed"), wd["pos_embed"])
         states.append(image_rows + [list(row) for row in wd["registers"]])
 
@@ -378,17 +378,11 @@ def check_encoder_gradients(
 
 
 def fixture_tiles(cfg: EncoderConfig, n_tiles: int, seed: int) -> TileSet:
-    """Deterministic pseudo-random tiles in [0, 1], one extra as thumbnail."""
-    rng = SplitMix64(seed)
-    shape = (cfg.tile, cfg.tile, 3)
-    count = int(np.prod(shape))
-
-    def draw():
-        u = (rng.fill_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape).astype(np.float32)
-
-    tiles = [draw() for _ in range(n_tiles)]
-    return TileSet(tiles=tiles, global_thumb=draw())
+    """Deterministic pseudo-random tiles in [0, 1], one extra as thumbnail:
+    one draw of the seed's stream fills the raster."""
+    shape = (n_tiles + 1, cfg.tile, cfg.tile, 3)
+    u = (SplitMix64(seed).fill_u64(math.prod(shape)) >> np.uint64(11)).astype(np.float64)
+    return TileSet((u * 2.0**-53).reshape(shape).astype(np.float32))
 
 
 def _check(name: str, passed: bool, **detail) -> dict:
@@ -462,7 +456,7 @@ def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: boo
 
     checks.append(_check("attention_normalization", all(normalized)))
 
-    budget_ok = f32.shape == (cfg.registers * (len(tiles.tiles) + 1), cfg.width)
+    budget_ok = f32.shape == (cfg.registers * len(tiles.raster), cfg.width)
     checks.append(_check("token_budget", budget_ok, rows=int(f32.shape[0])))
 
     perm_err = 0.0
@@ -470,7 +464,7 @@ def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: boo
         pt = fixture_tiles(cfg, _PERMUTED_TILES, seed + 100 + s)
         base = enc.encode(pt, w32, cfg)
         perm = [2, 0, 1]
-        swapped = enc.encode(TileSet([pt.tiles[i] for i in perm], pt.global_thumb), w32, cfg)
+        swapped = enc.encode(TileSet(pt.raster[[*perm, -1]]), w32, cfg)
         m = cfg.registers
         for new_pos, old_pos in enumerate(perm):
             diff = np.abs(
@@ -483,8 +477,8 @@ def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: boo
     joint = enc.encode(tiles, w32, cfg_off, thumbnail=False)
     m = cfg.registers
     solo_ok = True
-    for i, tile in enumerate(tiles.tiles):
-        solo = enc.encode(TileSet([tile], tiles.global_thumb), w32, cfg_off, thumbnail=False)
+    for i in range(len(tiles.tiles)):
+        solo = enc.encode(TileSet(tiles.raster[[i, -1]]), w32, cfg_off, thumbnail=False)
         if not np.array_equal(solo, joint[i * m : (i + 1) * m]):
             solo_ok = False
     checks.append(_check("reatten_off_independence", solo_ok))

@@ -49,9 +49,7 @@ def tiny_tiles(tiny_cfg):
 
 def random_tiles(cfg, n_tiles, seed):
     rng = np.random.default_rng(seed)
-    shape = (cfg.tile, cfg.tile, 3)
-    tiles = [rng.random(shape, dtype=np.float32) for _ in range(n_tiles)]
-    return TileSet(tiles=tiles, global_thumb=rng.random(shape, dtype=np.float32))
+    return TileSet(rng.random((n_tiles + 1, cfg.tile, cfg.tile, 3), dtype=np.float32))
 
 
 def make_ppm(path, h, w, seed=0):

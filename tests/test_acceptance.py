@@ -126,9 +126,7 @@ def test_05_permutation_equivariance(capsys):
         tiles = random_tiles(TINY, 3, seed=seed)
         perm = list(np.random.default_rng(seed).permutation(3))
         base = enc.encode(tiles, w, TINY)
-        swapped = enc.encode(
-            TileSet([tiles.tiles[i] for i in perm], tiles.global_thumb), w, TINY
-        )
+        swapped = enc.encode(TileSet(tiles.raster[[*perm, -1]]), w, TINY)
         m = TINY.registers
         for new_pos, old_pos in enumerate(perm):
             diff = np.abs(
@@ -149,8 +147,8 @@ def test_06_reatten_off_independence(capsys):
     joint = enc.encode(tiles, w, cfg, thumbnail=False)
     m = cfg.registers
     bitwise = True
-    for i, tile in enumerate(tiles.tiles):
-        solo = enc.encode(TileSet([tile], tiles.global_thumb), w, cfg, thumbnail=False)
+    for i in range(len(tiles.tiles)):
+        solo = enc.encode(TileSet(tiles.raster[[i, -1]]), w, cfg, thumbnail=False)
         if solo.tobytes() != joint[i * m : (i + 1) * m].tobytes():
             bitwise = False
     elapsed = time.perf_counter() - start

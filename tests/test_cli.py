@@ -531,12 +531,14 @@ class TestEncode:
     def test_tiles_freed_before_layer_0(self, capsys, small_ppm, tmp_path, monkeypatch):
         # encode owns the TileSet that encode and attn-map pass as a
         # temporary, so the cropped pixels are gone when the first block runs.
+        # The ref is to the raster itself: views of it would die at once
+        # even while encode kept the raster alive.
         refs = []
         crop_tiles = image_crop.crop_tiles
 
         def crop_and_watch(img, plan):
             tiles = crop_tiles(img, plan)
-            refs.extend(weakref.ref(t) for t in [*tiles.tiles, tiles.global_thumb])
+            refs.append(weakref.ref(tiles.raster))
             return tiles
 
         alive_at_first_block = []
@@ -558,7 +560,7 @@ class TestEncode:
             out = tmp_path / command
             code, _ = run(capsys, command, small_ppm, "--preset", "tiny", "--out", str(out), *extra)
             assert code == 0 and out.exists(), command
-            assert len(refs) == 7, command  # 6 tiles of the 96x64 image and the thumbnail
+            assert len(refs) == 1, command  # the raster of 6 tiles and the thumbnail
             assert alive_at_first_block == [0], command
 
     def test_weights_peak_memory_flat_in_depth(self, capsys, small_ppm, tmp_path):

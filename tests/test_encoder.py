@@ -52,7 +52,7 @@ class KeyLog(dict):
 
 
 def force_group_size(monkeypatch, cfg, dtype, g):
-    """Make ``encode`` run its blocks on groups of ``g`` states."""
+    """Make ``embed_tiles`` and ``encode`` run on groups of ``g`` states."""
     hidden = cfg.n_tokens * enc.FFN_MULT * cfg.width * np.dtype(dtype).itemsize
     monkeypatch.setattr(enc, "_GROUP_BYTES", g * hidden)
 
@@ -318,7 +318,7 @@ class TestEmbedTiles:
         assert all(s.shape == (8, 8) for s in states)
 
     def test_identical_tiles_identical_states(self, tiny_cfg, tiny_weights, tiny_tiles):
-        twin = TileSet([tiny_tiles.tiles[0], tiny_tiles.tiles[0]], tiny_tiles.global_thumb)
+        twin = TileSet(tiny_tiles.raster[[0, 0, -1]])
         states = enc.embed_tiles(twin, tiny_weights, tiny_cfg)
         assert np.array_equal(states[0], states[1])
 
@@ -340,9 +340,10 @@ class TestEmbedTiles:
             enc.embed_tiles(crowded, tiny_weights, tiny_cfg)
 
     def test_wrong_tile_shape_rejected(self, tiny_cfg, tiny_weights):
-        bad = TileSet([np.zeros((16, 16, 3), np.float32)], np.zeros((32, 32, 3), np.float32))
-        with pytest.raises(ConfigError):
-            enc.embed_tiles(bad, tiny_weights, tiny_cfg)
+        # A raster of the wrong side, and one with the wrong channel count.
+        for shape in ((2, 16, 16, 3), (2, 32, 32, 1)):
+            with pytest.raises(ConfigError):
+                enc.embed_tiles(TileSet(np.zeros(shape, np.float32)), tiny_weights, tiny_cfg)
 
 
 class TestSelfAttention:
@@ -476,10 +477,8 @@ class TestEncode:
         tiles = random_tiles(cfg, 3, seed=8)
         joint = enc.encode(tiles, tiny_weights, cfg, thumbnail=False)
         m = cfg.registers
-        for i, tile in enumerate(tiles.tiles):
-            solo = enc.encode(
-                TileSet([tile], tiles.global_thumb), tiny_weights, cfg, thumbnail=False
-            )
+        for i in range(len(tiles.tiles)):
+            solo = enc.encode(TileSet(tiles.raster[[i, -1]]), tiny_weights, cfg, thumbnail=False)
             assert solo.tobytes() == joint[i * m : (i + 1) * m].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -556,11 +555,7 @@ class TestEncode:
         tiles = random_tiles(tiny_cfg, 4, seed=12)
         base = enc.encode(tiles, tiny_weights, tiny_cfg)
         perm = [3, 1, 0, 2]
-        swapped = enc.encode(
-            TileSet([tiles.tiles[i] for i in perm], tiles.global_thumb),
-            tiny_weights,
-            tiny_cfg,
-        )
+        swapped = enc.encode(TileSet(tiles.raster[[*perm, -1]]), tiny_weights, tiny_cfg)
         m = tiny_cfg.registers
         for new_pos, old_pos in enumerate(perm):
             assert (
@@ -630,21 +625,30 @@ class TestEncode:
 
 
 class TestGroups:
-    def test_group_size_from_shapes(self):
+    def test_group_size_from_shapes(self, monkeypatch):
         # The tiny preset's FFN hidden is 1 KiB per float32 state, so all 17
         # states fit one group; the paper preset's is 10 MiB, one per group.
+        def grouped(cfg, dtype):
+            states = np.broadcast_to(np.zeros((), dtype), (17, cfg.n_tokens, cfg.width))
+            return [np.arange(17)[grp].tolist() for grp in enc._groups(states)]
+
         for name, dtype, g in (("tiny", np.float32, 17), ("tiny", np.float64, 17),
                                ("paper", np.float32, 1)):
-            cfg = enc.PRESETS[name]
-            states = np.broadcast_to(np.zeros((), dtype), (17, cfg.n_tokens, cfg.width))
-            assert enc._group_size(states) == g, name
+            want = [list(range(lo, lo + g)) for lo in range(0, 17, g)]
+            assert grouped(enc.PRESETS[name], dtype) == want, name
+        # Groups of 5: the last one holds the 2 states left over.
+        force_group_size(monkeypatch, enc.PRESETS["tiny"], np.float32, 5)
+        assert grouped(enc.PRESETS["tiny"], np.float32) == [
+            [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13, 14], [15, 16]
+        ]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reatten_on", [True, False])
     @pytest.mark.parametrize("thumbnail", [True, False])
     def test_split_keeps_bytes(self, tiny_cfg, monkeypatch, dtype, reatten_on, thumbnail):
         # 16 tiles in groups of 1, 2, 5 (a partial last group) and all of
-        # them: every output and every softmax matrix is byte-identical.
+        # them: every output and every softmax matrix is byte-identical. The
+        # patch embedding runs on the same groups, so this covers it too.
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
         w = enc.init_weights(cfg, seed=6, dtype=dtype)
         tiles = random_tiles(cfg, 16, seed=31)
@@ -717,6 +721,15 @@ class TestBatchedVarOps:
         assert_matches_central_differences(
             lambda x, y: ad.total((x @ y.swapaxes(-1, -2)) * w), [self.x, self.x + 0.5]
         )
+
+    def test_add_and_mul_broadcast(self):
+        # An operand broadcast along leading axes gets its own shape's
+        # gradient, summed over them, as the embedding's pos_embed does.
+        w = self.weighted((3, 4, 5))
+        for op in (lambda x, y: x + y, lambda x, y: x * y):
+            assert_matches_central_differences(
+                lambda x, y: ad.total(op(x, y) * w), [self.x, self.x[0] + 0.5]
+            )
 
     def test_layer_norm_and_softmax_rows(self):
         gamma, beta = np.random.default_rng(19).normal(size=(2, 5))

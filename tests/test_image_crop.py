@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 
@@ -346,7 +347,7 @@ class TestCropTiles:
         ts = ic.crop_tiles(img, plan)
         assert len(ts.tiles) == 1
         assert np.array_equal(ts.tiles[0], ic.resize_bilinear(img, 96, 96))
-        assert np.array_equal(ts.tiles[0], ts.global_thumb)
+        assert np.array_equal(ts.tiles[0], ts.raster[-1])
 
     def test_tiles_partition_resized_image(self):
         rng = np.random.default_rng(2)
@@ -358,6 +359,16 @@ class TestCropTiles:
         for k, tile in enumerate(ts.tiles):
             r, c = divmod(k, plan.cols)
             assert np.array_equal(tile, resized[r * t : (r + 1) * t, c * t : (c + 1) * t])
+
+    def test_tileset_is_one_raster(self):
+        # bench/tracer.py's _forward_key counts an encode's tiles as
+        # len(tiles.tiles): that must stay the plan's tile count, without
+        # the thumbnail, and the raster the TileSet's one field.
+        img = np.random.default_rng(6).random((65, 97, 3), dtype=np.float32)
+        plan = ic.plan_crop(65, 97, 32, 16)
+        ts = ic.crop_tiles(img, plan)
+        assert len(ts.tiles) == plan.n_tiles and len(ts.raster) == plan.n_tiles + 1
+        assert [f.name for f in dataclasses.fields(ic.TileSet)] == ["raster"]
 
     def test_quadrant_colors_stay_constant(self):
         img = np.zeros((64, 64, 3), dtype=np.float32)
@@ -413,8 +424,8 @@ def _assert_uint8_crop_is_float_crop(img, tile):
         assert a.dtype == np.float32 and a.flags.c_contiguous
         assert a.tobytes() == b.tobytes() == ref[r * t : (r + 1) * t, c * t : (c + 1) * t].tobytes()
     thumb = _four_tap_resize(pixels, t, t)
-    assert got.global_thumb.dtype == np.float32
-    assert got.global_thumb.tobytes() == want.global_thumb.tobytes() == thumb.tobytes()
+    assert got.raster.dtype == np.float32
+    assert got.raster[-1].tobytes() == want.raster[-1].tobytes() == thumb.tobytes()
 
 
 class TestFourTapReference:
@@ -449,7 +460,7 @@ class TestFourTapReference:
             r, c = divmod(k, plan.cols)
             assert got.flags.c_contiguous and got.dtype == np.float32
             assert np.array_equal(got, ref[r * t : (r + 1) * t, c * t : (c + 1) * t])
-        assert np.array_equal(ts.global_thumb, _four_tap_resize(img, t, t))
+        assert np.array_equal(ts.raster[-1], _four_tap_resize(img, t, t))
 
     def test_uint8_input(self):
         # A uint8 image is read as to_float pixels, as load_ppm's array is.
@@ -520,6 +531,14 @@ class TestPatchify:
         assert tokens.shape == (4, 768)
         for row, value in zip(tokens, values):
             assert np.all(row == np.float32(value))
+
+    def test_stack_is_each_tile_patchified(self):
+        # Leading axes are kept: each tile of a stack gets its own tile's rows.
+        stack = np.random.default_rng(4).random((2, 3, 32, 32, 3), dtype=np.float32)
+        tokens = ic.patchify(stack, 16)
+        assert tokens.shape == (2, 3, 4, 768)
+        for k in np.ndindex(2, 3):
+            assert tokens[k].tobytes() == ic.patchify(stack[k], 16).tobytes()
 
     def test_non_divisible_side_rejected(self):
         with pytest.raises(ShapeError):
