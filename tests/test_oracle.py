@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,27 @@ class TestEncodeReference:
         w = {name: np.zeros(shape, np.float32) for name, shape, *_ in enc.tensor_specs(tiny_cfg)}
         ref, _ = oracle.encode_reference(tiny_tiles, w, tiny_cfg)
         assert np.abs(ref - ref[0]).max() < 1e-12
+
+    def test_reference_bytes_are_pinned(self, tiny_cfg):
+        # The tolerances above would let a changed summation order through;
+        # this pins the reference forward's float64 bytes and its MAC counts
+        # over f32 and f64 weights, the exchange on and off, the thumbnail on
+        # and off, and one and two heads.
+        digest = hashlib.sha256()
+        for dtype in (np.float32, np.float64):
+            for reatten in (True, False):
+                for thumbnail in (True, False):
+                    for heads in (1, 2):
+                        cfg = enc.config_with_overrides(
+                            tiny_cfg, heads=heads, reatten_enabled=reatten
+                        )
+                        w = enc.init_weights(cfg, seed=heads, dtype=dtype)
+                        tiles = oracle.fixture_tiles(cfg, 2, seed=heads)
+                        ref, counts = oracle.encode_reference(tiles, w, cfg, thumbnail)
+                        digest.update(ref.tobytes())
+                        digest.update(json.dumps(counts, sort_keys=True).encode())
+        recorded = "967bf14859e668457b338505025fe5c615a9347b184f555e04b54e731cdd6839"
+        assert digest.hexdigest() == recorded
 
     def test_size_cap_enforced(self, tiny_weights, tiny_cfg):
         big = oracle.fixture_tiles(tiny_cfg, 2, seed=0)
