@@ -115,14 +115,8 @@ def resolve_run_config(args, command_defaults: dict | None = None) -> RunConfig:
 def encoder_config(rc: RunConfig) -> encoder.EncoderConfig:
     return encoder.config_with_overrides(
         encoder.PRESETS[rc.preset],
-        layers=rc.layers,
-        width=rc.width,
-        heads=rc.heads,
-        patch=rc.patch,
-        tile=rc.tile,
-        registers=rc.registers,
-        max_tiles=rc.max_tiles,
         reatten_enabled=rc.reatten,
+        **{name: getattr(rc, name) for name in encoder.SIZE_FIELDS},
     )
 
 

@@ -10,7 +10,7 @@ like-for-like against the register route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .encoder import (
 )
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu, layer_norm
-from .oracle import attention_macs, ffn_macs
+from .oracle import attention_macs, count_flops, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
@@ -149,7 +149,9 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
     is the marginal per-tile transformer cost of carrying M extra rows
     through all L layers; the cross-tile exchange cost is reported
     separately (it is shared across tiles, so it is quoted in total for a
-    full load of ``cfg.max_tiles`` tiles plus the thumbnail).
+    full load of ``cfg.max_tiles`` tiles plus the thumbnail, with the
+    exchange on even where ``cfg`` turns it off: the cost of the step, not of
+    one run).
     """
     if kind not in COMPRESSOR_KINDS:
         raise ShapeError(f"unknown compressor kind {kind!r}")
@@ -175,7 +177,6 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
             return attention_macs(rows, rows, d) + ffn_macs(rows, d)
 
         row["flops_per_tile"] = cfg.layers * (layer_macs(n + cfg.registers) - layer_macs(n))
-        t = cfg.max_tiles + (1 if thumbnail else 0)
-        reg_tokens = cfg.registers * t
-        row["reatten_flops_total"] = cfg.layers * attention_macs(reg_tokens, reg_tokens, d)
+        with_exchange = replace(cfg, reatten_enabled=True)
+        row["reatten_flops_total"] = count_flops(with_exchange, cfg.max_tiles, thumbnail).reatten
     return row

@@ -49,6 +49,10 @@ from .numerics import SplitMix64
 # JSON number can hold.
 MAX_SIZE = 2**32 - 1
 
+# The integer config fields, each bounded by MAX_SIZE. A run option of the
+# same name overrides the preset's (``cli.encoder_config``).
+SIZE_FIELDS = ("layers", "width", "heads", "patch", "tile", "registers", "max_tiles")
+
 # ``check_budget``'s cap on each activation array of a run: the cropped
 # pixels, the tile states, one state's FFN hidden array, one head's softmax
 # matrix and the projector's hidden array. 2^26 elements, 256 MiB of
@@ -82,7 +86,7 @@ class EncoderConfig:
     reatten_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("layers", "width", "heads", "patch", "tile", "registers", "max_tiles"):
+        for name in SIZE_FIELDS:
             value = getattr(self, name)
             if not 1 <= value <= MAX_SIZE:
                 raise ConfigError(f"{name} must be in [1, {MAX_SIZE}], got {value}")

@@ -1,9 +1,12 @@
 """Independent reference implementations and numerical checkers.
 
-Everything here is deliberately naive and single-threaded: pure-Python
-triple loops over lists, no numpy kernels, no code shared with the main
-encoder. The reference forward doubles as an instrumented multiply-add
-counter, which is what the closed-form FLOP formulas are validated against.
+The reference forward (``encode_reference``, ``brute_force_attention`` and
+the loop primitives under them) is deliberately naive and single-threaded:
+pure-Python triple loops over lists, no numpy kernels, no code shared with
+the encoder. Attention is written once, in ``_attend_ref``. The reference
+forward doubles as an instrumented multiply-add counter, which is what the
+closed-form FLOP formulas are validated against. The selftest and the
+gradient gate call the encoder on purpose: they are what checks it.
 """
 
 from __future__ import annotations
@@ -93,26 +96,19 @@ def _gelu_scalar(v):
     return 0.5 * v * (1.0 + math.tanh(_GELU_C * (v + 0.044715 * v**3)))
 
 
+def _attend_ref(q, k, v, counts=None, key=None):
+    """softmax(q k^T / sqrt(d)) v over lists of rows: any number of query rows
+    over any number of key and value rows."""
+    scale = 1.0 / math.sqrt(len(q[0]))
+    logits = _mm(q, _transpose(k), counts, key)
+    return _mm([_softmax_row([s * scale for s in row]) for row in logits], v, counts, key)
+
+
 def brute_force_attention(q, k, v) -> np.ndarray:
-    """Softmax(q k^T / sqrt(d)) v via triple loops, 64-bit accumulation."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n, d = q.shape
-    scale = 1.0 / math.sqrt(d)
-    out = np.zeros((n, v.shape[1]))
-    for i in range(n):
-        logits = []
-        for j in range(n):
-            s = 0.0
-            for t in range(d):
-                s += q[i, t] * k[j, t]
-            logits.append(s * scale)
-        weights = _softmax_row(logits)
-        for j in range(n):
-            for t in range(v.shape[1]):
-                out[i, t] += weights[j] * v[j, t]
-    return out
+    """Softmax(q k^T / sqrt(d)) v via triple loops, 64-bit accumulation, for
+    any number of query rows over any number of key and value rows."""
+    rows = (np.asarray(a, dtype=np.float64).tolist() for a in (q, k, v))
+    return np.array(_attend_ref(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +120,13 @@ def _mha_ref(x, wq, wk, wv, wo, heads, counts, key):
     q = _mm(x, wq, counts, key)
     k = _mm(x, wk, counts, key)
     v = _mm(x, wv, counts, key)
-    n = len(x)
     width = len(wq[0])
     dk = width // heads
-    scale = 1.0 / math.sqrt(dk)
-    concat = [[0.0] * width for _ in range(n)]
-    for h in range(heads):
-        lo = h * dk
-        qh = [row[lo : lo + dk] for row in q]
-        kh = [row[lo : lo + dk] for row in k]
-        vh = [row[lo : lo + dk] for row in v]
-        logits = _mm(qh, _transpose(kh), counts, key)
-        attn = [_softmax_row([s * scale for s in row]) for row in logits]
-        out_h = _mm(attn, vh, counts, key)
-        for i in range(n):
-            concat[i][lo : lo + dk] = out_h[i]
+    concat = [[] for _ in x]
+    for lo in range(0, width, dk):
+        qh, kh, vh = ([row[lo : lo + dk] for row in t] for t in (q, k, v))
+        for row, out in zip(concat, _attend_ref(qh, kh, vh, counts, key)):
+            row.extend(out)
     return _mm(concat, wo, counts, key)
 
 
@@ -185,52 +173,25 @@ def encode_reference(
         image_rows = _add(_mm(patches, wd["patch_embed"], counts, "embed"), wd["pos_embed"])
         states.append(image_rows + [list(row) for row in wd["registers"]])
 
+    def residual_attention(x, prefix, ln, proj, key):
+        """``x`` plus multi-head attention over its pre-norm: the layer norm
+        ``{prefix}.{ln}_*`` and the projections ``{prefix}.{proj}q`` to ``o``."""
+        normed = _ln_rows(x, wd[f"{prefix}.{ln}_gamma"], wd[f"{prefix}.{ln}_beta"])
+        w = [wd[f"{prefix}.{proj}{p}"] for p in "qkvo"]
+        return _add(x, _mha_ref(normed, *w, cfg.heads, counts, key))
+
     for layer in range(cfg.layers):
-        ln1_g = wd[f"layers.{layer}.ln1_gamma"]
-        ln1_b = wd[f"layers.{layer}.ln1_beta"]
-        ln2_g = wd[f"layers.{layer}.ln2_gamma"]
-        ln2_b = wd[f"layers.{layer}.ln2_beta"]
-        states = [
-            _add(
-                x,
-                _mha_ref(
-                    _ln_rows(x, ln1_g, ln1_b),
-                    wd[f"layers.{layer}.wq"],
-                    wd[f"layers.{layer}.wk"],
-                    wd[f"layers.{layer}.wv"],
-                    wd[f"layers.{layer}.wo"],
-                    cfg.heads,
-                    counts,
-                    "self_attention",
-                ),
-            )
-            for x in states
-        ]
+        lp = f"layers.{layer}"
+        states = [residual_attention(x, lp, "ln1", "w", "self_attention") for x in states]
         if cfg.reatten_enabled:
             regs = [row for x in states for row in x[n:]]
-            exchanged = _add(
-                regs,
-                _mha_ref(
-                    _ln_rows(regs, wd[f"reatten.{layer}.ln_gamma"], wd[f"reatten.{layer}.ln_beta"]),
-                    wd[f"reatten.{layer}.rq"],
-                    wd[f"reatten.{layer}.rk"],
-                    wd[f"reatten.{layer}.rv"],
-                    wd[f"reatten.{layer}.ro"],
-                    cfg.heads,
-                    counts,
-                    "reatten",
-                ),
-            )
-            states = [
-                x[:n] + exchanged[i * m : (i + 1) * m] for i, x in enumerate(states)
-            ]
-        new_states = []
-        for x in states:
-            normed = _ln_rows(x, ln2_g, ln2_b)
-            hidden = _mm(normed, wd[f"layers.{layer}.w1"], counts, "ffn")
+            regs = residual_attention(regs, f"reatten.{layer}", "ln", "r", "reatten")
+            states = [x[:n] + regs[i * m : (i + 1) * m] for i, x in enumerate(states)]
+        for i, x in enumerate(states):
+            normed = _ln_rows(x, wd[f"{lp}.ln2_gamma"], wd[f"{lp}.ln2_beta"])
+            hidden = _mm(normed, wd[f"{lp}.w1"], counts, "ffn")
             hidden = [[_gelu_scalar(v) for v in row] for row in hidden]
-            new_states.append(_add(x, _mm(hidden, wd[f"layers.{layer}.w2"], counts, "ffn")))
-        states = new_states
+            states[i] = _add(x, _mm(hidden, wd[f"{lp}.w2"], counts, "ffn"))
 
     f_hr = [row for x in states for row in x[n:]]
     return np.array(f_hr, dtype=np.float64), counts

@@ -359,14 +359,20 @@ class TestSelfAttention:
         for rows in full_rows:
             assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_block_matches_brute_force(self, tiny_cfg):
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(None), slice(enc.PRESETS["tiny"].n_image_tokens, None)],
+        ids=["all-rows", "register-rows"],
+    )
+    def test_block_matches_brute_force(self, tiny_cfg, rows):
+        # The register rows are the last layer's queries: M rows over N+M keys.
         rng = np.random.default_rng(5)
         x = rng.normal(size=(tiny_cfg.n_tokens, tiny_cfg.width))
         w64 = enc.init_weights(tiny_cfg, seed=1, dtype=np.float64)
         lw = enc.block_weights(enc.layer_specs(tiny_cfg.width), w64, "layers.0")
-        got = enc.self_attention_block(x, lw, tiny_cfg)
+        got = enc.self_attention_block(x, lw, tiny_cfg, None, rows)
         normed = layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
-        q, k, v = normed @ lw["wq"], normed @ lw["wk"], normed @ lw["wv"]
+        q, k, v = normed[rows] @ lw["wq"], normed @ lw["wk"], normed @ lw["wv"]
         dk = tiny_cfg.width // tiny_cfg.heads
         heads = [
             oracle.brute_force_attention(
@@ -376,7 +382,8 @@ class TestSelfAttention:
             )
             for h in range(tiny_cfg.heads)
         ]
-        expected = x + np.hstack(heads) @ lw["wo"]
+        expected = x[rows] + np.hstack(heads) @ lw["wo"]
+        assert got.shape == expected.shape
         assert np.abs(got - expected).max() < 1e-10
 
 

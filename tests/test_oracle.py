@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
@@ -32,6 +35,20 @@ class TestBruteForceAttention:
 
         fast = softmax_rows((q @ k.T) / np.sqrt(3.0)) @ v
         assert np.abs(oracle.brute_force_attention(q, k, v) - fast).max() < 1e-5
+
+    @pytest.mark.parametrize("n_q", [2, 6], ids=["fewer-queries", "more-queries"])
+    def test_query_and_key_counts_differ(self, n_q):
+        # The encoder's last layer runs M query rows over N+M keys. Looping
+        # keys over the query count dropped keys for 2 queries over 5 and
+        # indexed past the keys for 6.
+        rng = np.random.default_rng(2)
+        q = rng.normal(size=(n_q, 3))
+        k = rng.normal(size=(5, 3))
+        v = rng.normal(size=(5, 4))
+        expected = numerics.softmax_rows((q @ k.T) / np.sqrt(3.0)) @ v
+        got = oracle.brute_force_attention(q, k, v)
+        assert got.shape == (n_q, 4)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 class TestEncodeReference:
@@ -81,6 +98,54 @@ class TestEncodeReference:
             oracle.encode_reference(tiles, w, cfg)
         # The tiny preset itself stays under the cap.
         oracle.encode_reference(big, tiny_weights, tiny_cfg)
+
+
+class TestReferenceIndependence:
+    FORWARD = (
+        "_mm", "_transpose", "_add", "_ln_rows", "_softmax_row", "_gelu_scalar", "_attend_ref",
+        "brute_force_attention", "_mha_ref", "_patchify_ref", "encode_reference",
+    )
+    # numpy only converts arrays in and out; dtypes and annotations name it too.
+    NUMPY_ALLOWED = {"asarray", "array", "zeros", "float32", "float64", "ndarray"}
+
+    @staticmethod
+    def fast_path_names():
+        """The names oracle binds from the encoder, numerics and autodiff."""
+        names = set()
+        for node in ast.parse(inspect.getsource(oracle)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                fast = node.module in ("encoder", "numerics", "autodiff")
+                for alias in node.names:
+                    if fast or alias.name in ("encoder", "numerics", "autodiff"):
+                        names.add(alias.asname or alias.name)
+        return names
+
+    @staticmethod
+    def body_nodes(name):
+        """Every node of the function ``name`` but its annotations."""
+        fn = ast.parse(textwrap.dedent(inspect.getsource(getattr(oracle, name)))).body[0]
+        fn.returns = None
+        for arg in ast.walk(fn.args):
+            if isinstance(arg, ast.arg):
+                arg.annotation = None
+        return list(ast.walk(fn))
+
+    def test_reference_forward_shares_no_code(self):
+        fast = self.fast_path_names()
+        assert {"enc", "EncoderConfig", "SplitMix64"} <= fast
+        for name in self.FORWARD:
+            nodes = self.body_nodes(name)
+            assert not any(isinstance(n, ast.MatMult) for n in nodes), name
+            used = {n.id for n in nodes if isinstance(n, ast.Name)}
+            assert not used & fast, (name, used & fast)
+            np_attrs = [
+                n.attr for n in nodes
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "np"
+            ]
+            assert set(np_attrs) <= self.NUMPY_ALLOWED, (name, np_attrs)
+            bare_np = sum(isinstance(n, ast.Name) and n.id == "np" for n in nodes)
+            assert bare_np == len(np_attrs), name
 
 
 class TestFiniteDiff:
