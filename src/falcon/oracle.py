@@ -6,7 +6,7 @@ pure-Python triple loops over lists, no numpy kernels, no code shared with
 the encoder. Attention is written once, in ``_attend_ref``. The reference
 forward doubles as an instrumented multiply-add counter, which is what the
 closed-form FLOP formulas are validated against. The selftest and the
-gradient gate call the encoder on purpose: they are what checks it.
+gradient gate call the encoder on purpose: it is what they check.
 """
 
 from __future__ import annotations
