@@ -8,7 +8,9 @@ backward)``: ``inputs`` may mix ``Var`` objects and plain arrays, only the
 node's gradient ``g`` on to them. The helpers at the bottom (``gelu``,
 ``softmax_rows``, ``layer_norm``, ``put``, ``total``) accept plain arrays or
 ``Var`` objects, so the encoder forward is written once and serves both the
-plain fast path and the gradient path. Every operation works over leading
+plain fast path and the gradient path. ``gelu``, ``softmax_rows`` and
+``layer_norm`` take a ``Var`` result's value from the ``numerics`` kernel,
+so each forward rule is stated once. Every operation works over leading
 batch axes: a matrix product acts on the last two axes, the gradient of an
 operand broadcast along leading axes is summed over them, and layer norm's
 gamma and beta gradients sum over all rows. ``out`` of ``gelu`` and
@@ -151,13 +153,11 @@ def layer_norm(x, gamma, beta):
     if not any(isinstance(t, Var) for t in (x, gamma, beta)):
         return numerics.layer_norm(x, gamma, beta)
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
-    mu = xv.mean(axis=-1, keepdims=True)
-    centered = xv - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
 
     def backward(g):
+        centered = xv - xv.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS)
+        xhat = centered * inv
         rows = (-1, xv.shape[-1])
         _accumulate(gamma, (g * xhat).reshape(rows).sum(axis=0))
         _accumulate(beta, g.reshape(rows).sum(axis=0))
@@ -167,7 +167,7 @@ def layer_norm(x, gamma, beta):
             m2 = (gi * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * (gi - m1 - xhat * m2))
 
-    return Var(xhat * gv + bv, (x, gamma, beta), backward)
+    return Var(numerics.layer_norm(xv, gv, bv), (x, gamma, beta), backward)
 
 
 def put(x, key, value):

@@ -8,7 +8,8 @@ byte-identical artifacts.
 
 Exit codes: 0 success, 1 selftest failure; a package error exits with its
 type's ``exit_code`` (``errors``): 2 input error, 3 config/weight error,
-4 bad indices. An ``OSError`` exits 2.
+4 bad indices. An ``OSError`` exits 2, and a ``MemoryError`` 3, the code of
+the run budget's refusals.
 """
 
 from __future__ import annotations
@@ -268,6 +269,11 @@ def cmd_compare(rc: RunConfig, args) -> int:
 def cmd_selftest(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
     oracle.check_selftest_budget(cfg)
+    if rc.verify_mode and cfg.width == 2:
+        raise ConfigError(
+            "verify mode refuses width 2: a layer norm over 2 features discards its input's "
+            "scale, so central differences cannot resolve the gradients"
+        )
     # dict(...) reads and checks every tensor of an archive before any check runs.
     w = dict(_weights(rc, args, cfg, np.float64))
     result = oracle.run_selftest(cfg, w, rc.seed, rc.verify_mode)
@@ -363,6 +369,9 @@ def main(argv=None) -> int:
     except (FalconError, OSError) as exc:  # an OSError is an input error, as ImageError is
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", ImageError.exit_code)
+    except MemoryError as exc:  # a run the budget admits, too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

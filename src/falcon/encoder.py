@@ -16,8 +16,9 @@ makes the encoder equivariant under tile permutation.
 The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
 tile states a single (S, N+M, D) array, thumbnail last in both. The patch
 embedding and each block run on groups of consecutive states, as many as
-keep a group's FFN hidden array within a fixed byte budget: the tiny preset
-runs all its states in one group, the paper preset one state per group.
+keep a group's FFN hidden array and one head's softmax stack within a fixed
+byte budget: the tiny preset runs all its states in one group, the paper
+preset one state per group.
 Every matrix product of a group is one batched ``matmul``, which runs each
 state's GEMM just as a lone state's, so the bytes do not depend on the group
 size. (One 2-D GEMM over all of a group's rows would not keep them: past a
@@ -429,10 +430,11 @@ def ffn_block(x, lw: dict, cfg: EncoderConfig):
 
 
 # ``embed_tiles`` and ``encode`` run on groups of consecutive states: as many
-# as keep one group's FFN hidden array, g * (N+M) * FFN_MULT * D elements,
-# within this many bytes, so it stays in L2 as ``numerics._BLOCK_BYTES``
-# argues. The tiny preset runs all its states in one group; the paper preset
-# needs 10 MiB per state and runs one state per group.
+# as keep the larger of a group's FFN hidden array, g * (N+M) * FFN_MULT * D
+# elements, and one head's softmax stack, g * (N+M)^2, within this many
+# bytes, so it stays in L2 as ``numerics._BLOCK_BYTES`` argues. The tiny
+# preset runs all its states in one group; the paper preset needs 10 MiB per
+# state and runs one state per group.
 _GROUP_BYTES = 1 << 18
 
 
@@ -441,7 +443,7 @@ def _groups(states) -> list[slice]:
     g consecutive states, 1 <= g <= S, the last one possibly partial."""
     value = ad.value_of(states)
     s, rows, d = value.shape
-    g = max(1, min(s, _GROUP_BYTES // (rows * FFN_MULT * d * value.itemsize)))
+    g = max(1, min(s, _GROUP_BYTES // (rows * max(FFN_MULT * d, rows) * value.itemsize)))
     return [slice(lo, lo + g) for lo in range(0, s, g)]
 
 

@@ -24,11 +24,11 @@ from .numerics import SplitMix64
 
 REFERENCE_TOKEN_CAP = 512
 
-# ``check_selftest_budget``'s cap on the multiply-adds of one reference
-# forward over the selftest's fixture. The pure-Python forward runs about
-# 5-9 million a second on a 2-core Xeon, and the selftest runs it twice:
-# tiny at one head and width 128 (12.4M) takes 3.5 s; width 256 (46.7M) is
-# refused.
+# The cap on the multiply-adds of one reference forward, which
+# ``_check_reference`` adds to the token cap. The pure-Python forward runs
+# about 5-9 million a second on a 2-core Xeon, and the selftest runs it
+# twice: tiny at one head and width 128 (12.4M) takes 3.5 s; width 256
+# (46.7M) is refused.
 REFERENCE_MAC_CAP = 1 << 24
 
 # run_selftest's fixtures, each plus the thumbnail: the oracle checks run on
@@ -145,11 +145,14 @@ def _patchify_ref(tile, p):
     return rows
 
 
-def _check_reference_tokens(tokens: int) -> None:
-    if tokens > REFERENCE_TOKEN_CAP:
-        raise ConfigError(
-            f"reference forward capped at {REFERENCE_TOKEN_CAP} total tokens, got {tokens}"
-        )
+def _check_reference(cfg: EncoderConfig, n_states: int) -> None:
+    """Refuse a reference forward over ``n_states`` states past either cap."""
+    tokens = n_states * cfg.n_tokens
+    macs = embed_macs(cfg, n_states) + count_flops(cfg, n_states, thumbnail=False).total
+    for got, cap, what in ((tokens, REFERENCE_TOKEN_CAP, "total tokens"),
+                           (macs, REFERENCE_MAC_CAP, "multiply-adds")):
+        if got > cap:
+            raise ConfigError(f"reference forward capped at {cap} {what}, got {got}")
 
 
 def encode_reference(
@@ -158,10 +161,10 @@ def encode_reference(
     """Loop-based re-implementation of the full forward, float64 throughout.
 
     Returns (register outputs, multiply-add counts per component). Refuses
-    inputs larger than the documented cap so it stays auditable and fast.
+    inputs over ``_check_reference``'s caps before it reads ``w``.
     """
     raster = tiles.raster if thumbnail else tiles.tiles
-    _check_reference_tokens(len(raster) * cfg.n_tokens)
+    _check_reference(cfg, len(raster))
     wd = {name: np.asarray(t, dtype=np.float64).tolist() for name, t in w.items()}
     counts = {"embed": 0, "self_attention": 0, "reatten": 0, "ffn": 0}
     n = cfg.n_image_tokens
@@ -359,12 +362,7 @@ def check_selftest_budget(cfg: EncoderConfig) -> None:
             f"selftest fixtures of {_PERMUTED_TILES} tiles exceed max_tiles={cfg.max_tiles}"
         )
     enc.check_budget(cfg, _PERMUTED_TILES)
-    _check_reference_tokens((_ORACLE_TILES + 1) * cfg.n_tokens)
-    macs = embed_macs(cfg, _ORACLE_TILES + 1) + count_flops(cfg, _ORACLE_TILES).total
-    if macs > REFERENCE_MAC_CAP:
-        raise ConfigError(
-            f"reference forward capped at {REFERENCE_MAC_CAP} multiply-adds, got {macs}"
-        )
+    _check_reference(cfg, _ORACLE_TILES + 1)
 
 
 def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: bool = True) -> dict:

@@ -416,6 +416,28 @@ class TestEncode:
         code, _ = run(capsys, "compare", *wide)
         assert code == 0
 
+    def test_out_of_memory_exits_3(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # A run the budget admits but the machine cannot hold: the seeded
+        # draw's one allocation fails as numpy reports it, never for real.
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+
+        def exhausted(*args, **kwargs):
+            raise _ArrayMemoryError((1 << 40,), np.dtype(np.float32))
+
+        monkeypatch.setattr(encoder, "init_tensors", exhausted)
+        out = tmp_path / "o.falt"
+        code = main(["encode", small_ppm, "--preset", "tiny", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "error: out of memory: Unable to allocate 4.00 TiB for an array with shape "
+            "(1099511627776,) and data type float32\n"
+        )
+        assert not out.exists()
+
     def test_mismatched_weights_exit_3(self, capsys, small_ppm, tmp_path):
         other = encoder.config_with_overrides(encoder.PRESETS["tiny"], registers=3)
         w = encoder.init_weights(other, 0)
@@ -714,6 +736,9 @@ def _main_stopped(argv):
 # Only the projector hidden array is over its cap: 4096 x 7 x 4096 elements.
 @example(knobs={"patch": 16, "tile": 32, "heads": 1, "width": 8, "registers": 4096,
                 "max-tiles": 16, "layers": 1, "reatten": "off", "thumbnail": "on"}, d_llm=4096)
+# Every cap is met; only the selftest's verify mode refuses width 2.
+@example(knobs={"patch": 16, "tile": 32, "heads": 1, "width": 2, "registers": 4,
+                "max-tiles": 16, "layers": 2, "reatten": "on", "thumbnail": "on"}, d_llm=None)
 def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     # Each run either exits 3 with one stderr line before any allocating
     # call, or reaches one with every counted array within its cap.
@@ -735,26 +760,30 @@ def test_budget_refuses_or_admits_within_caps(config_fuzz_dir, knobs, d_llm):
     reference = [(3 * n_tokens, oracle.REFERENCE_TOKEN_CAP),
                  (reference_macs, oracle.REFERENCE_MAC_CAP)]
     # The selftest runs 3 fixture tiles whatever --max-tiles says, and
-    # checks that row before any other.
+    # checks that row before any other. Its verify mode, on by default,
+    # refuses width 2 after every cap.
     fixtures = [(3, knobs["max-tiles"])]
+    width_2 = knobs["width"] == 2
     # The selftest's fixtures always carry the thumbnail.
     thumbnail = knobs["thumbnail"] == "on"
-    for argv, n_tiles, projector, thumb, first, apart in (
-        (["encode", img, *flags, *project], plan.n_tiles, d_llm, thumbnail, [], []),
+    for argv, n_tiles, projector, thumb, first, apart, refused_width in (
+        (["encode", img, *flags, *project], plan.n_tiles, d_llm, thumbnail, [], [], False),
         (["attn-map", img, *flags, "--layer", "0", "--head", "0", "--register", "0"],
-         plan.n_tiles, None, thumbnail, [], []),
-        (["selftest", *flags], 3, None, True, fixtures, reference),
+         plan.n_tiles, None, thumbnail, [], [], False),
+        (["selftest", *flags], 3, None, True, fixtures, reference, width_2),
     ):
         code, out, err = _main_stopped(argv)
         admitted = all(n <= cap for n, cap in first)
         budget = all(n <= cap for n, cap in _budget_counts(knobs, n_tiles, projector, thumb))
-        within = admitted and budget and all(n <= cap for n, cap in apart)
+        capped = admitted and budget and all(n <= cap for n, cap in apart)
+        within = capped and not refused_width
         if code is None:
             assert within, argv
         else:
             assert code == 3 and not within, argv
             message = ("exceed max_tiles" if not admitted else
-                       "reference forward capped" if budget else "element cap")
+                       "element cap" if not budget else
+                       "reference forward capped" if not capped else "refuses width 2")
             assert out == "" and message in err and err.count("\n") == 1, argv
     # Neither the dry run nor compare allocates, so both report.
     for argv in (["encode", img, *flags, *project, "--dry-run"], ["compare", *flags]):
@@ -958,6 +987,21 @@ class TestSelftest:
         assert code == 3 and out == "" and err.count("\n") == 1
         assert "reference forward capped at 16777216 multiply-adds" in err
         assert _main_stopped([*base, "--width", "128"])[0] is None
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_verify_mode_refuses_width_2_before_weights(self, heads):
+        # A layer norm over 2 features outputs about +-gamma + beta whatever
+        # its input, so central differences cannot resolve the gradients
+        # behind it: verify mode is refused before any weight is read or
+        # drawn. Without it, and at widths 1 and 3, the suite runs.
+        base = ["selftest", "--preset", "tiny", "--heads", str(heads)]
+        code, out, err = _main_stopped([*base, "--width", "2"])
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert "verify mode refuses width 2" in err
+        assert _main_stopped([*base, "--width", "2", "--verify-mode", "off"])[0] is None
+        for width in ("1", "3"):
+            argv = ["selftest", "--preset", "tiny", "--heads", "1", "--width", width]
+            assert _main_stopped(argv)[0] is None
 
     def test_full_suite_fresh_checkout_under_60s(self, verify_selftest):
         code, payload, elapsed = verify_selftest

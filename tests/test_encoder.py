@@ -53,8 +53,9 @@ class KeyLog(dict):
 
 def force_group_size(monkeypatch, cfg, dtype, g):
     """Make ``embed_tiles`` and ``encode`` run on groups of ``g`` states."""
-    hidden = cfg.n_tokens * enc.FFN_MULT * cfg.width * np.dtype(dtype).itemsize
-    monkeypatch.setattr(enc, "_GROUP_BYTES", g * hidden)
+    rows = cfg.n_tokens
+    per_state = rows * max(enc.FFN_MULT * cfg.width, rows) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(enc, "_GROUP_BYTES", g * per_state)
 
 
 def self_attention_rows(tiles, w, cfg):
@@ -244,6 +245,18 @@ print(drawn, faults() - before)
         wide = enc.config_with_overrides(paper, width=4096, registers=4096, layers=1)
         with pytest.raises(ConfigError, match="one state's FFN hidden array: 76546048 elements"):
             enc.check_budget(wide, 1)
+
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    def test_pixel_row_counts_three_channels(self, thumbnail):
+        # One 1024-pixel patch per tile leaves the cropped pixels the only row
+        # near its cap. The crop builds the thumbnail either way: 20 tiles
+        # are 21 * 1024^2 * 3 = 66,060,288 elements, within 2^26; 21 tiles
+        # are over it.
+        cfg = enc.EncoderConfig(layers=1, width=1, heads=1, patch=1024, tile=1024, registers=1)
+        enc.check_budget(cfg, 20, thumbnail)
+        assert 21 * 1024**2 * 3 == 66_060_288 <= enc.MAX_STATE_ELEMENTS
+        with pytest.raises(ConfigError, match="^cropped pixels: 69206016 elements"):
+            enc.check_budget(cfg, 21, thumbnail)
 
     def test_archive_round_trip(self, tiny_cfg, tiny_weights, tmp_path):
         path = tmp_path / "w.falt"
@@ -643,6 +656,11 @@ class TestGroups:
                                ("paper", np.float32, 1)):
             want = [list(range(lo, lo + g)) for lo in range(0, 17, g)]
             assert grouped(enc.PRESETS[name], dtype) == want, name
+        # At 8192 rows of width 1 one head's softmax stack, not the FFN
+        # hidden array, sizes a group: 8192^2 float32 elements (256 MiB) per
+        # state, so each state is a group of its own.
+        stack = np.broadcast_to(np.zeros((), np.float32), (2, 8192, 1))
+        assert [(grp.start, grp.stop) for grp in enc._groups(stack)] == [(0, 1), (1, 2)]
         # Groups of 5: the last one holds the 2 states left over.
         force_group_size(monkeypatch, enc.PRESETS["tiny"], np.float32, 5)
         assert grouped(enc.PRESETS["tiny"], np.float32) == [

@@ -2,6 +2,8 @@ import ast
 import hashlib
 import inspect
 import json
+import os
+import sys
 import textwrap
 
 import numpy as np
@@ -99,6 +101,60 @@ class TestEncodeReference:
         # The tiny preset itself stays under the cap.
         oracle.encode_reference(big, tiny_weights, tiny_cfg)
 
+    def test_mac_cap_enforced_before_weights_are_read(self):
+        # Paper geometry at 32-pixel tiles is 3 * 68 = 204 tokens, under the
+        # token cap, but 83.4G multiply-adds: refused before any weight is
+        # looked up, so an empty mapping serves.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], tile=32)
+        tiles = oracle.fixture_tiles(cfg, 2, seed=0)
+        with pytest.raises(ConfigError, match="capped at 16777216 multiply-adds, got 83436503040$"):
+            oracle.encode_reference(tiles, {}, cfg)
+
+
+def drawn_layer_norm_weights(cfg, seed):
+    """Float64 ``init_weights(cfg, seed)``, but with every layer norm's gamma
+    in [0.5, 1.5) and beta in [-0.5, 0.5), drawn from a SplitMix64 stream of
+    their own; every other tensor is as ``init_weights`` draws it."""
+    w = enc.init_weights(cfg, seed, dtype=np.float64)
+    rng = numerics.SplitMix64(seed + 1000)
+    for name, tensor in w.items():
+        field = name.rsplit(".", 1)[-1]
+        if field.startswith("ln"):
+            drawn = numerics.init_uniform(tensor.shape, 12, 12, rng)  # bound sqrt(6/24)
+            tensor[...] = drawn + 1.0 if field.endswith("gamma") else drawn
+    return w
+
+
+class TestLayerNormAffine:
+    """The gates at layer-norm parameters other than init's gamma = 1 and
+    beta = 0, which every other integrated check uses: one layer of width 4
+    over one tile and the thumbnail."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        cfg = enc.config_with_overrides(enc.PRESETS["tiny"], layers=1, width=4, patch=4, tile=8)
+        return cfg, drawn_layer_norm_weights(cfg, seed=5), oracle.fixture_tiles(cfg, 1, seed=5)
+
+    def test_encode_matches_reference(self, case):
+        cfg, w, tiles = case
+        w32 = {name: t.astype(np.float32) for name, t in w.items()}
+        ref32, _ = oracle.encode_reference(tiles, w32, cfg)
+        assert np.abs(enc.encode(tiles, w32, cfg).astype(np.float64) - ref32).max() <= 1e-5
+        ref64, _ = oracle.encode_reference(tiles, w, cfg)
+        assert np.abs(enc.encode(tiles, w, cfg) - ref64).max() <= 1e-10
+
+    def test_gradient_gate_passes(self, case):
+        cfg, w, tiles = case
+        rel_err = oracle.check_encoder_gradients(tiles, w, cfg)
+        assert list(rel_err) == list(w)
+        assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
+
+    def test_loss_matches_encode(self, case):
+        cfg, w, tiles = case
+        loss, grads = enc.parameter_gradients(tiles, w, cfg)
+        assert loss == pytest.approx(float(enc.encode(tiles, w, cfg).sum()), rel=1e-12)
+        assert list(grads) == list(w)
+
 
 class TestReferenceIndependence:
     FORWARD = (
@@ -146,6 +202,53 @@ class TestReferenceIndependence:
             assert set(np_attrs) <= self.NUMPY_ALLOWED, (name, np_attrs)
             bare_np = sum(isinstance(n, ast.Name) and n.id == "np" for n in nodes)
             assert bare_np == len(np_attrs), name
+
+    def test_reference_forward_computes_on_lists(self, tiny_cfg, tiny_weights, tiny_tiles):
+        # The AST check above does not see numpy reached through an array's
+        # methods, as in ``np.asarray(a).T.tolist()``. So a run of the forward
+        # is watched too: no primitive calls into numpy or returns anything
+        # but Python floats and lists of them, and the two entry points call
+        # numpy only to convert arrays in and out.
+        converters = {"encode_reference", "brute_force_attention"}
+        numpy_dir = os.path.dirname(np.__file__)
+        strays, converted, returned = [], set(), set()
+
+        def in_numpy(fn):
+            module = getattr(fn, "__module__", None) or type(getattr(fn, "__self__", None)).__module__
+            return module.split(".")[0] == "numpy"
+
+        def plain(value):
+            if type(value) is list:
+                return all(plain(v) for v in value)
+            return type(value) is float
+
+        def profile(frame, event, arg):
+            qualname = frame.f_code.co_qualname
+            owner = qualname.split(".")[0]
+            if event == "c_call" and owner in self.FORWARD and in_numpy(arg):
+                if owner in converters and arg.__name__ in ("asarray", "array", "tolist"):
+                    converted.add(arg.__name__)
+                else:
+                    strays.append((qualname, arg.__name__))
+            elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                caller = frame.f_back.f_code.co_qualname
+                if caller.split(".")[0] in self.FORWARD:
+                    strays.append((caller, frame.f_code.co_name))
+            elif event == "return" and qualname in self.FORWARD and owner not in converters:
+                returned.add(qualname)
+                if not plain(arg):
+                    strays.append((qualname, type(arg).__name__))
+
+        sys.setprofile(profile)
+        try:
+            oracle.encode_reference(tiny_tiles, tiny_weights, tiny_cfg)
+            oracle.brute_force_attention(*np.eye(3).reshape(3, 1, 3))
+        finally:
+            sys.setprofile(None)
+        assert strays == []
+        # The hook saw the conversions and every primitive.
+        assert converted == {"asarray", "array", "tolist"}
+        assert returned == set(self.FORWARD) - converters
 
 
 class TestFiniteDiff:
