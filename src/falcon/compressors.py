@@ -114,7 +114,7 @@ def init_abstractor(
 
 
 def abstractor_compress(
-    feats: np.ndarray, queries: np.ndarray, blocks: list, heads: int, collect=None
+    feats: np.ndarray, queries: np.ndarray, blocks: list, heads: int
 ) -> np.ndarray:
     """Learnable queries cross-attend to image features over ``blocks``
     (``init_abstractor``'s), with ``heads`` attention heads.
@@ -130,7 +130,7 @@ def abstractor_compress(
     for blk in blocks:
         normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"])
         q = q + _multi_head_attention(
-            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], heads, collect
+            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], heads
         )
         normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"])
         q = q + gelu(normed @ blk["w1"]) @ blk["w2"]

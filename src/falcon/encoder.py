@@ -16,9 +16,9 @@ makes the encoder equivariant under tile permutation.
 The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
 tile states a single (S, N+M, D) array, thumbnail last in both. The patch
 embedding and each block run on groups of consecutive states, as many as
-keep a group's FFN hidden array and one head's softmax stack within a fixed
-byte budget: the tiny preset runs all its states in one group, the paper
-preset one state per group.
+keep each array a state adds to a group (``state_elements``) within
+``numerics._BLOCK_BYTES``: the tiny preset runs all its float32 states in one
+group, the paper preset one state per group.
 Every matrix product of a group is one batched ``matmul``, which runs each
 state's GEMM just as a lone state's, so the bytes do not depend on the group
 size. (One 2-D GEMM over all of a group's rows would not keep them: past a
@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from . import falt
+from . import falt, numerics
 from .errors import BoundsError, ConfigError
 from .image_crop import CropPlan, TileSet, normalize_pixels, patchify
 from .numerics import SplitMix64
@@ -305,6 +305,13 @@ def weight_elements(cfg: EncoderConfig) -> int:
     return element_count(_stem_specs(cfg)) + cfg.layers * element_count(block)
 
 
+def state_elements(cfg: EncoderConfig) -> tuple[int, int, int]:
+    """Elements of each array one state adds to a group of states: its pixels
+    (and as many in its patch rows), its FFN hidden array and one head's
+    softmax matrix."""
+    return 3 * cfg.tile**2, cfg.n_tokens * FFN_MULT * cfg.width, cfg.n_tokens**2
+
+
 def check_budget(
     cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
 ) -> None:
@@ -315,11 +322,12 @@ def check_budget(
     register output, are bounded too."""
     n_states = n_tiles + (1 if thumbnail else 0)
     exchange_rows = cfg.registers * n_states if cfg.reatten_enabled else 0
+    pixels, hidden, softmax = state_elements(cfg)
     budget = [
-        ("cropped pixels", (n_tiles + 1) * cfg.tile**2 * 3, MAX_STATE_ELEMENTS),
+        ("cropped pixels", (n_tiles + 1) * pixels, MAX_STATE_ELEMENTS),
         ("tile states", n_states * cfg.n_tokens * cfg.width, MAX_STATE_ELEMENTS),
-        ("one state's FFN hidden array", cfg.n_tokens * FFN_MULT * cfg.width, MAX_STATE_ELEMENTS),
-        ("one head's softmax matrix", max(cfg.n_tokens, exchange_rows) ** 2, MAX_STATE_ELEMENTS),
+        ("one state's FFN hidden array", hidden, MAX_STATE_ELEMENTS),
+        ("one head's softmax matrix", max(softmax, exchange_rows**2), MAX_STATE_ELEMENTS),
         ("encoder weights", weight_elements(cfg), MAX_WEIGHT_ELEMENTS),
     ]
     if d_llm is not None:
@@ -350,7 +358,7 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
     dtype = np.asarray(ad.value_of(patch_embed)).dtype
     n = cfg.n_image_tokens
     states = np.empty((len(raster), cfg.n_tokens, cfg.width), dtype)
-    for grp in _groups(states):
+    for grp in _groups(states, cfg):
         tokens = patchify(normalize_pixels(raster[grp].astype(dtype, copy=False)), cfg.patch)
         image_rows = tokens @ patch_embed
         image_rows += pos_embed
@@ -429,22 +437,15 @@ def ffn_block(x, lw: dict, cfg: EncoderConfig):
     return out
 
 
-# ``embed_tiles`` and ``encode`` run on groups of consecutive states: as many
-# as keep the larger of a group's FFN hidden array, g * (N+M) * FFN_MULT * D
-# elements, and one head's softmax stack, g * (N+M)^2, within this many
-# bytes, so it stays in L2 as ``numerics._BLOCK_BYTES`` argues. The tiny
-# preset runs all its states in one group; the paper preset needs 10 MiB per
-# state and runs one state per group.
-_GROUP_BYTES = 1 << 18
-
-
-def _groups(states) -> list[slice]:
+def _groups(states, cfg: EncoderConfig) -> list[slice]:
     """The groups of the (S, N+M, D) state array, in state order: slices of
-    g consecutive states, 1 <= g <= S, the last one possibly partial."""
+    g consecutive states, 1 <= g <= S, the last one possibly partial. g keeps
+    the largest array of ``state_elements``, at the states' itemsize, within
+    ``numerics._BLOCK_BYTES`` for the whole group."""
     value = ad.value_of(states)
-    s, rows, d = value.shape
-    g = max(1, min(s, _GROUP_BYTES // (rows * max(FFN_MULT * d, rows) * value.itemsize)))
-    return [slice(lo, lo + g) for lo in range(0, s, g)]
+    per_state = max(state_elements(cfg)) * value.itemsize
+    g = max(1, min(len(value), numerics._BLOCK_BYTES // per_state))
+    return [slice(lo, lo + g) for lo in range(0, len(value), g)]
 
 
 def _at(collect, layer: int, first: int | None = None):
@@ -493,7 +494,7 @@ def encode(
     # caller passes the TileSet as a temporary, as ``cli.cmd_encode`` does,
     # its pixels are freed here, before layer 0.
     del tiles
-    groups = _groups(states)
+    groups = _groups(states, cfg)
     register_rows = slice(cfg.n_image_tokens, None)
     registers = (slice(None), register_rows)
     # On the plain path each result is written over its input in the one

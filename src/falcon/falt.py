@@ -51,6 +51,10 @@ def _chunks(entries: dict[str, np.ndarray]) -> list:
         if array.ndim == 0 or array.ndim > 255:
             raise ArchiveError(f"unsupported ndim {array.ndim} for entry {name!r}")
         encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ArchiveError(f"entry name of {len(encoded)} UTF-8 bytes, over the u16 field")
+        if max(array.shape) > 0xFFFFFFFF:
+            raise ArchiveError(f"entry {name!r} has dims {array.shape}, over the u32 dim field")
         chunks.append(
             struct.pack("<H", len(encoded))
             + encoded

@@ -22,18 +22,17 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK_64 = (1 << 64) - 1
 
-# Bulk draws run in chunks of this many outputs, so each chunk's working
-# arrays stay in L2 and no full-size temporary is built.
-_CHUNK = 32768
+# The working-set budget, sized to stay in L2 between passes: softmax_rows,
+# layer_norm and gelu make each pass over a block of about this many bytes
+# before the next, bulk draws run in chunks of this many bytes of uint64
+# outputs, and ``encoder._groups`` batches as many states as keep each array
+# a group adds within it. Every element still goes through the unblocked
+# expression's operations in its order, so no byte of a result depends on it.
+_BLOCK_BYTES = 1 << 18
+_CHUNK = _BLOCK_BYTES // 8
 # k * GOLDEN_GAMMA (mod 2**64) for k = 1.._CHUNK: one chunk's state offsets.
 _CHUNK_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
 _CHUNK_STEPS.flags.writeable = False
-
-# softmax_rows, layer_norm and gelu make each pass over a block of about this
-# many bytes before the next, so the block and its temporary stay in L2
-# between passes. Every element still goes through the unblocked
-# expression's operations in its order, so the bytes do not depend on it.
-_BLOCK_BYTES = 1 << 18
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715

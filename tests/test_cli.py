@@ -97,6 +97,9 @@ class TestPlanCrop:
         assert code == 2
 
 
+TINY = ["--preset", "tiny"]
+
+
 class TestEncode:
     def test_summary_and_archive(self, capsys, small_ppm, tmp_path):
         out_path = tmp_path / "f.falt"
@@ -256,6 +259,37 @@ class TestEncode:
             assert code == 3, data[:40]
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, seed, flags, message",
+        [
+            ([1], None, TINY, "config file must hold a JSON object"),
+            (None, "abc", TINY, "FALCON_SEED must be an integer, got 'abc'"),
+            # A --preset flag would override the file's, so none is passed.
+            ({"preset": "huge"}, None, [], "unknown preset 'huge'"),
+            (None, None, [*TINY, "--threads", "0"], "threads must be >= 1, got 0"),
+            (None, None, [*TINY, "--weights", "missing.falt"], "cannot read archive"),
+        ],
+        ids=["config-not-object", "env-seed", "config-preset", "threads-0", "missing-weights"],
+    )
+    def test_run_option_refusals_exit_3(
+        self, capsys, small_ppm, tmp_path, monkeypatch, config, seed, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        if seed is None:
+            monkeypatch.delenv("FALCON_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FALCON_SEED", seed)
+        argv = ["encode", small_ppm, "--out", "o.falt", *flags]
+        if config is not None:
+            Path("run.json").write_text(json.dumps(config))
+            argv += ["--config", "run.json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not Path("o.falt").exists()
 
     def test_pixel_cap_exits_2(self, capsys, tmp_path):
         # A header-only file naming more pixels than the cap.

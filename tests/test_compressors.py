@@ -203,16 +203,20 @@ class TestAbstractor:
         expected = queries + 2.0 * feats.mean(axis=0)  # one mean per block
         assert np.abs(out - expected).max() < 1e-10
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
+        # abstractor_compress takes no collect; its attention calls are
+        # watched through the shared kernel's own collect.
         d = 8
         blocks = cmp.init_abstractor(d, rng=SplitMix64(8))
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(12, d)).astype(np.float32)
         queries = rng.normal(size=(4, d)).astype(np.float32)
         collected = []
-        cmp.abstractor_compress(
-            feats, queries, blocks, heads=2, collect=lambda h, a: collected.append(a)
-        )
+        attention = cmp._multi_head_attention
+        monkeypatch.setattr(cmp, "_multi_head_attention", lambda *args: attention(
+            *args, collect=lambda h, a: collected.append(a)
+        ))
+        cmp.abstractor_compress(feats, queries, blocks, heads=2)
         assert len(collected) == 2 * 2  # blocks x heads
         for attn in collected:
             assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)

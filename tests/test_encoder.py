@@ -53,9 +53,8 @@ class KeyLog(dict):
 
 def force_group_size(monkeypatch, cfg, dtype, g):
     """Make ``embed_tiles`` and ``encode`` run on groups of ``g`` states."""
-    rows = cfg.n_tokens
-    per_state = rows * max(enc.FFN_MULT * cfg.width, rows) * np.dtype(dtype).itemsize
-    monkeypatch.setattr(enc, "_GROUP_BYTES", g * per_state)
+    per_state = max(enc.state_elements(cfg)) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(numerics, "_BLOCK_BYTES", g * per_state)
 
 
 def self_attention_rows(tiles, w, cfg):
@@ -509,7 +508,7 @@ class TestEncode:
         # the inputs of that loop's states 0..k-1 are already freed: each
         # result was written over its input. Every input is a view of the one
         # state array.
-        monkeypatch.setattr(enc, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
         w = enc.init_weights(cfg, seed=0, dtype=dtype)
         inputs = {}  # (block, layer) -> weakrefs to that loop's inputs so far
@@ -646,26 +645,47 @@ class TestEncode:
 
 class TestGroups:
     def test_group_size_from_shapes(self, monkeypatch):
-        # The tiny preset's FFN hidden is 1 KiB per float32 state, so all 17
-        # states fit one group; the paper preset's is 10 MiB, one per group.
-        def grouped(cfg, dtype):
-            states = np.broadcast_to(np.zeros((), dtype), (17, cfg.n_tokens, cfg.width))
-            return [np.arange(17)[grp].tolist() for grp in enc._groups(states)]
+        # A tiny preset state's largest array is its 3 * 32^2 pixels: 12 KiB
+        # in float32, so all 17 states fit one 256 KiB group, and 24 KiB in
+        # float64, so groups of 10. The paper preset's FFN hidden array is
+        # 10 MiB, one state per group.
+        def grouped(cfg, dtype, s=17):
+            states = np.broadcast_to(np.zeros((), dtype), (s, cfg.n_tokens, cfg.width))
+            return [np.arange(s)[grp].tolist() for grp in enc._groups(states, cfg)]
 
-        for name, dtype, g in (("tiny", np.float32, 17), ("tiny", np.float64, 17),
+        for name, dtype, g in (("tiny", np.float32, 17), ("tiny", np.float64, 10),
                                ("paper", np.float32, 1)):
-            want = [list(range(lo, lo + g)) for lo in range(0, 17, g)]
+            want = [list(range(lo, min(lo + g, 17))) for lo in range(0, 17, g)]
             assert grouped(enc.PRESETS[name], dtype) == want, name
         # At 8192 rows of width 1 one head's softmax stack, not the FFN
         # hidden array, sizes a group: 8192^2 float32 elements (256 MiB) per
         # state, so each state is a group of its own.
-        stack = np.broadcast_to(np.zeros((), np.float32), (2, 8192, 1))
-        assert [(grp.start, grp.stop) for grp in enc._groups(stack)] == [(0, 1), (1, 2)]
+        tall = enc.EncoderConfig(layers=1, width=1, heads=1, patch=1, tile=1, registers=8191)
+        assert grouped(tall, np.float32, s=2) == [[0], [1]]
         # Groups of 5: the last one holds the 2 states left over.
         force_group_size(monkeypatch, enc.PRESETS["tiny"], np.float32, 5)
         assert grouped(enc.PRESETS["tiny"], np.float32) == [
             [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13, 14], [15, 16]
         ]
+
+    def test_pixels_size_a_group(self):
+        # At 256-pixel tiles of one patch each, a state's 3 * 256^2 float32
+        # pixels (768 KiB) are its largest array, though its FFN hidden array
+        # and softmax matrix hold a few elements: every state is a group of
+        # its own, and the patch embedding normalizes one tile at a time (in
+        # one group of 17 its peak was the whole raster again, 12.75 MiB).
+        cfg = enc.EncoderConfig(layers=1, width=1, heads=1, patch=256, tile=256, registers=1)
+        states = np.broadcast_to(np.zeros((), np.float32), (17, cfg.n_tokens, cfg.width))
+        assert enc._groups(states, cfg) == [slice(k, k + 1) for k in range(17)]
+        tiles = random_tiles(cfg, 16, seed=0)
+        w = enc.init_weights(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            enc.embed_tiles(tiles, w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reatten_on", [True, False])

@@ -98,6 +98,29 @@ def test_zero_ndim_rejected():
         falt.loads(_single_entry(struct.pack("<B", 0), np.float32(1.0).tobytes()))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [{"\u00e9" * 32768: np.zeros(1, np.float32)}, {"x": np.empty((0, 2**32), np.float32)}],
+    ids=["name-65536-bytes", "dim-2^32"],
+)
+def test_unencodable_entry_refused_before_writing(tmp_path, entries):
+    # A name's length field is a u16 and a dim a u32: past them struct.pack
+    # fails, so the writer refuses the entry before any byte is written.
+    path = tmp_path / "t.falt"
+    path.write_bytes(b"kept")
+    with pytest.raises(ArchiveError):
+        falt.dumps(entries)
+    with pytest.raises(ArchiveError):
+        falt.save(str(path), entries)
+    assert path.read_bytes() == b"kept"
+
+
+def test_largest_encodable_name_and_dim_round_trip():
+    entries = {"\u00e9" * 32767 + "x": np.zeros(1, np.float32), "y": np.empty((0, 2**32 - 1))}
+    back = falt.loads(falt.dumps(entries))
+    assert list(back) == list(entries) and back["y"].shape == (0, 2**32 - 1)
+
+
 _BASE = np.arange(24, dtype=np.float64).reshape(4, 6) / 7
 
 

@@ -5,9 +5,12 @@ import json
 import os
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from falcon import encoder as enc
 from falcon import numerics, oracle
@@ -154,6 +157,54 @@ class TestLayerNormAffine:
         loss, grads = enc.parameter_gradients(tiles, w, cfg)
         assert loss == pytest.approx(float(enc.encode(tiles, w, cfg).sum()), rel=1e-12)
         assert list(grads) == list(w)
+
+
+@st.composite
+def small_runs(draw, min_width, max_width, max_tile, max_layers, max_tiles, max_registers):
+    """(cfg, tiles, thumbnail, float64 weights, block bytes) of one small run:
+    the exchange on or off, layer norms at init or drawn, and the states in
+    the budget's groups or, at a 1-byte budget, in groups of one."""
+    heads = draw(st.integers(1, 3))
+    width = heads * draw(st.integers(-(-min_width // heads), max_width // heads))
+    patch = draw(st.integers(1, 4))
+    cfg = enc.EncoderConfig(
+        layers=draw(st.integers(1, max_layers)), width=width, heads=heads, patch=patch,
+        tile=patch * draw(st.integers(1, max_tile // patch)),
+        registers=draw(st.integers(1, max_registers)), reatten_enabled=draw(st.booleans()),
+    )
+    n_tiles, thumbnail = draw(st.integers(1, max_tiles)), draw(st.booleans())
+    # Within the loop forward's token cap, and at most about 0.15 s of it.
+    n_states = n_tiles + thumbnail
+    assume(n_states * cfg.n_tokens <= oracle.REFERENCE_TOKEN_CAP)
+    assume(oracle.count_flops(cfg, n_states, thumbnail=False).total <= 1 << 20)
+    seed = draw(st.integers(0, 2**16))
+    draw_ln = draw(st.booleans())
+    w = drawn_layer_norm_weights(cfg, seed) if draw_ln else enc.init_weights(cfg, seed, np.float64)
+    block_bytes = draw(st.sampled_from([numerics._BLOCK_BYTES, 1]))
+    return cfg, oracle.fixture_tiles(cfg, n_tiles, seed), thumbnail, w, block_bytes
+
+
+class TestDifferential:
+    """``encode`` against the loop forward and the gradient gate over drawn
+    small geometries, not only the presets' and the fixtures'."""
+
+    @given(small_runs(1, max_width=12, max_tile=12, max_layers=3, max_tiles=4, max_registers=5))
+    def test_encode_matches_reference(self, run):
+        cfg, tiles, thumbnail, w, block_bytes = run
+        ref, _ = oracle.encode_reference(tiles, w, cfg, thumbnail)
+        with mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
+            f_hr = enc.encode(tiles, w, cfg, thumbnail=thumbnail)
+        assert f_hr.shape == ref.shape
+        assert (np.abs(f_hr - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))).all()
+
+    @settings(max_examples=3)
+    # A layer norm over 1 or 2 features discards its input's scale.
+    @given(small_runs(3, max_width=4, max_tile=4, max_layers=1, max_tiles=2, max_registers=3))
+    def test_gradient_gate_passes(self, run):
+        cfg, tiles, thumbnail, w, block_bytes = run
+        with mock.patch.object(numerics, "_BLOCK_BYTES", block_bytes):
+            rel_err = oracle.check_encoder_gradients(tiles, w, cfg, thumbnail)
+        assert all(r <= oracle.GRAD_THRESHOLD for r in rel_err.values()), rel_err
 
 
 class TestReferenceIndependence:
