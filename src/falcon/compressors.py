@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .encoder import (
-    EncoderConfig, _multi_head_attention, element_count, init_tensors, layer_specs, reatten_specs,
+    _VIT_TO_REATTEN, EncoderConfig, _attention, element_count, ffn_block, init_tensors,
+    layer_specs, reatten_specs,
 )
 from .errors import ShapeError
-from .numerics import SplitMix64, gelu, layer_norm
+from .numerics import SplitMix64, gelu
 from .oracle import attention_macs, count_flops, ffn_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
@@ -119,21 +120,17 @@ def abstractor_compress(
     """Learnable queries cross-attend to image features over ``blocks``
     (``init_abstractor``'s), with ``heads`` attention heads.
 
-    Each block: residual pre-norm multi-head cross-attention (queries attend
-    to the raw features), then a residual pre-norm GeLU FFN on the queries.
-    Output row count always equals the query count.
+    Each block is an encoder layer run as cross-attention: the encoder's
+    attention step (``encoder._attention``) with the raw features as keys
+    and values, then ``encoder.ffn_block`` on the queries. Output row count
+    always equals the query count.
     """
     feats = np.asarray(feats)
     q = np.asarray(queries)
     if feats.ndim != 2 or q.ndim != 2 or feats.shape[1] != q.shape[1]:
         raise ShapeError(f"feature/query widths disagree: {feats.shape} vs {q.shape}")
     for blk in blocks:
-        normed = layer_norm(q, blk["ln1_gamma"], blk["ln1_beta"])
-        q = q + _multi_head_attention(
-            normed, feats, blk["wq"], blk["wk"], blk["wv"], blk["wo"], heads
-        )
-        normed = layer_norm(q, blk["ln2_gamma"], blk["ln2_beta"])
-        q = q + gelu(normed @ blk["w1"]) @ blk["w2"]
+        q = ffn_block(_attention(q, [blk[f] for f in _VIT_TO_REATTEN], heads, kv=feats), blk, None)
     return q
 
 

@@ -3,15 +3,17 @@
 A ViT whose per-tile input is the image tokens concatenated with M shared
 learnable registers. Each layer runs joint self-attention over all N+M rows
 of every tile (no masking), then a cross-tile exchange step: the register
-rows of all tiles (thumbnail included) are concatenated, passed through a
-residual multi-head self-attention of their own, and scattered back before
-the FFN. Only the register rows are emitted, so a tile's N image tokens
-compress to M output tokens; the last layer computes no other rows.
+rows of all tiles (thumbnail included) are concatenated, passed through the
+same attention step with the exchange's own weights, and scattered back
+before the FFN. Only the register rows are emitted, so a tile's N image
+tokens compress to M output tokens; the last layer computes no other rows.
 
 Block topology is pre-norm (ln -> attention -> residual, ln -> FFN ->
-residual) with a dedicated pre-norm on the exchange step. Registers carry
-no positional embedding, and no positional information crosses tiles, which
-makes the encoder equivariant under tile permutation.
+residual). One function, ``_attention``, is that attention step for the
+self-attention, the exchange and the abstractor baseline
+(``compressors.abstractor_compress``, which runs it as cross-attention).
+Registers carry no positional embedding, and no positional information
+crosses tiles, which makes the encoder equivariant under tile permutation.
 
 The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
 tile states a single (S, N+M, D) array, thumbnail last in both. The patch
@@ -366,19 +368,25 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
     return ad.put(states, (slice(None), slice(n, None)), registers)
 
 
-def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
-    """Multi-head softmax attention of query rows ``x`` over key/value rows
-    ``kv``, then the output projection. Each is (rows, D), or (g, rows, D)
-    for a group of states that each attend within themselves. Self-attention
-    passes the pre-normed rows as ``kv`` and all or some of them as ``x``;
-    ``collect(head, attn)`` sees each head's (x rows, kv rows) softmax
-    matrix, or the group's (g, x rows, kv rows) stack of them.
+def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
+    """The attention step: layer norm, multi-head softmax attention of the
+    normed query rows ``rows`` over all normed rows of ``x``, or over the raw
+    rows ``kv`` when given, the output projection and the residual on
+    ``x[..., rows, :]``. ``x`` and ``kv`` are (rows, D), or (g, rows, D) for
+    a group of states that each attend within themselves; ``weights`` are six
+    tensors in ``_VIT_TO_REATTEN``'s order (ln gamma, ln beta, wq, wk, wv,
+    wo). ``collect(head, attn)`` sees each head's (query rows, key rows)
+    softmax matrix, or the group's (g, query rows, key rows) stack of them.
 
     Each head's output fills its columns of one array. On the plain path
     the logits, their softmax and that array are written in place; on a
     ``Var`` the same lines build new nodes.
     """
-    q = x @ wq
+    ln_gamma, ln_beta, wq, wk, wv, wo = weights
+    normed = ad.layer_norm(x, ln_gamma, ln_beta)
+    if kv is None:
+        kv = normed
+    q = normed[..., rows, :] @ wq
     k = kv @ wk
     v = kv @ wv
     width = ad.value_of(q).shape[-1]
@@ -393,43 +401,37 @@ def _multi_head_attention(x, kv, wq, wk, wv, wo, heads: int, collect=None):
         if collect is not None:
             collect(h, ad.value_of(attn))
         out = ad.put(out, cols, attn @ v[cols])
-    return out @ wo
+    out = out @ wo
+    out += x[..., rows, :]
+    return out
 
 
 def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None, rows=slice(None)):
-    """Residual pre-norm self-attention over all N+M rows of each state
-    jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D) group,
-    ``lw`` the layer's ``block_weights``. Only the query rows ``rows`` are
-    computed and returned, each attending over all N+M rows."""
-    normed = ad.layer_norm(x, lw["ln1_gamma"], lw["ln1_beta"])
-    out = _multi_head_attention(
-        normed[..., rows, :], normed, lw["wq"], lw["wk"], lw["wv"], lw["wo"], cfg.heads, collect
-    )
-    out += x[..., rows, :]
-    return out
+    """The layer's attention step (``_attention``) over all N+M rows of each
+    state jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D)
+    group, ``lw`` the layer's ``block_weights``. Only the query rows ``rows``
+    are computed and returned, each attending over all N+M rows."""
+    return _attention(x, [lw[f] for f in _VIT_TO_REATTEN], cfg.heads, collect, rows)
 
 
 def reatten(states, rw: dict, cfg: EncoderConfig, *, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
     ``states`` is the (S, N+M, D) state array. Its register rows are joined
-    in state order and passed through residual pre-norm multi-head
-    self-attention. The result is one (M*S, D) array, state k's rows at
+    in state order and passed through the attention step (``_attention``)
+    with the exchange block's weights, which ``_VIT_TO_REATTEN`` maps onto a
+    layer's. The result is one (M*S, D) array, state k's rows at
     [k*M, (k+1)*M). ``states`` is not modified: putting the rows back next
     to each state's image rows is the caller's job.
     """
     regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
-    normed = ad.layer_norm(regs, rw["ln_gamma"], rw["ln_beta"])
-    out = _multi_head_attention(
-        normed, normed, rw["rq"], rw["rk"], rw["rv"], rw["ro"], cfg.heads, collect
-    )
-    out += regs
-    return out
+    return _attention(regs, [rw[f] for f in _VIT_TO_REATTEN.values()], cfg.heads, collect)
 
 
 def ffn_block(x, lw: dict, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise to the
-    (rows, D) rows of one state or the (g, rows, D) rows of a group."""
+    (rows, D) rows of one state or the (g, rows, D) rows of a group.
+    ``cfg`` is not read; the abstractor's blocks pass None."""
     normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
     hidden = normed @ lw["w1"]
     out = ad.gelu(hidden, out=hidden) @ lw["w2"]

@@ -50,7 +50,12 @@ def _chunks(entries: dict[str, np.ndarray]) -> list:
             raise ArchiveError(f"unsupported dtype {array.dtype} for entry {name!r}")
         if array.ndim == 0 or array.ndim > 255:
             raise ArchiveError(f"unsupported ndim {array.ndim} for entry {name!r}")
-        encoded = name.encode("utf-8")
+        if not isinstance(name, str):
+            raise ArchiveError(f"entry name {name!r} is not a str")
+        try:
+            encoded = name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ArchiveError(f"entry name {name!r} has no UTF-8 encoding") from exc
         if len(encoded) > 0xFFFF:
             raise ArchiveError(f"entry name of {len(encoded)} UTF-8 bytes, over the u16 field")
         if max(array.shape) > 0xFFFFFFFF:

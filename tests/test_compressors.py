@@ -91,6 +91,11 @@ class TestAvgPool:
         with pytest.raises(ShapeError):
             cmp.avg_pool_compress(np.zeros((577, 8)))
 
+    @pytest.mark.parametrize("shape", [(576,), (16, 8)], ids=["1-D", "side-not-multiple-of-3"])
+    def test_malformed_token_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            cmp.avg_pool_compress(np.zeros(shape))
+
     def test_linearity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(36, 5))
@@ -205,21 +210,26 @@ class TestAbstractor:
 
     def test_attention_rows_sum_to_one(self, monkeypatch):
         # abstractor_compress takes no collect; its attention calls are
-        # watched through the shared kernel's own collect.
+        # watched through the shared attention step's own collect.
         d = 8
         blocks = cmp.init_abstractor(d, rng=SplitMix64(8))
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(12, d)).astype(np.float32)
         queries = rng.normal(size=(4, d)).astype(np.float32)
         collected = []
-        attention = cmp._multi_head_attention
-        monkeypatch.setattr(cmp, "_multi_head_attention", lambda *args: attention(
-            *args, collect=lambda h, a: collected.append(a)
+        attention = cmp._attention
+        monkeypatch.setattr(cmp, "_attention", lambda *args, **kwargs: attention(
+            *args, collect=lambda h, a: collected.append(a), **kwargs
         ))
         cmp.abstractor_compress(feats, queries, blocks, heads=2)
         assert len(collected) == 2 * 2  # blocks x heads
         for attn in collected:
             assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_width_mismatch_rejected(self):
+        blocks = cmp.init_abstractor(8, rng=SplitMix64(9))
+        with pytest.raises(ShapeError):
+            cmp.abstractor_compress(np.zeros((12, 6)), np.zeros((4, 8)), blocks, heads=2)
 
     def test_output_shape_independent_of_feature_count(self):
         d = 8

@@ -858,6 +858,20 @@ class TestReattenInit:
         )
         assert np.abs(on - off).max() > 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exchange_is_the_layers_attention_step(self, tiny_cfg, dtype):
+        # With copied weights, the exchange is the layer's self-attention
+        # block over the joined register rows, byte for byte.
+        cfg, d = tiny_cfg, tiny_cfg.width
+        w = enc.init_reatten_from_vit(dict(enc.init_weights(cfg, 3, dtype)))
+        lw = enc.block_weights(enc.layer_specs(d), w, "layers.0")
+        rw = enc.block_weights(enc.reatten_specs(d), w, "reatten.0")
+        states = np.random.default_rng(3).normal(size=(3, cfg.n_tokens, d)).astype(dtype)
+        regs = states[:, cfg.n_image_tokens :].reshape(-1, d)  # a contiguous copy
+        got = enc.reatten(states, rw, cfg)
+        assert got.dtype == dtype
+        assert np.array_equal(got, enc.self_attention_block(regs, lw, cfg))
+
 
 class TestAttentionHook:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -937,3 +951,8 @@ class TestRegisterAttentionExtraction:
             enc.extract_register_attention(
                 register_rows(tiles, tiny_weights, tiny_cfg, 9, 0), 0, plan
             )
+
+    def test_non_square_token_count_rejected(self):
+        plan = plan_crop(32, 32, 32, 16)
+        with pytest.raises(BoundsError):
+            enc.extract_register_attention([np.zeros((4, 5), np.float32)], 0, plan)

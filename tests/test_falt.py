@@ -100,12 +100,18 @@ def test_zero_ndim_rejected():
 
 @pytest.mark.parametrize(
     "entries",
-    [{"\u00e9" * 32768: np.zeros(1, np.float32)}, {"x": np.empty((0, 2**32), np.float32)}],
-    ids=["name-65536-bytes", "dim-2^32"],
+    [
+        {"\u00e9" * 32768: np.zeros(1, np.float32)},
+        {"x": np.empty((0, 2**32), np.float32)},
+        {"ok": np.zeros(1, np.float32), "\ud800": np.zeros(1, np.float32)},
+        {"ok": np.zeros(1, np.float32), 1: np.zeros(1, np.float32)},
+    ],
+    ids=["name-65536-bytes", "dim-2^32", "lone-surrogate-name", "int-name"],
 )
 def test_unencodable_entry_refused_before_writing(tmp_path, entries):
     # A name's length field is a u16 and a dim a u32: past them struct.pack
-    # fails, so the writer refuses the entry before any byte is written.
+    # fails. A name must be a str with a UTF-8 encoding. The writer refuses
+    # the entry before any byte is written.
     path = tmp_path / "t.falt"
     path.write_bytes(b"kept")
     with pytest.raises(ArchiveError):

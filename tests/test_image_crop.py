@@ -8,10 +8,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falcon import image_crop as ic
-from falcon.errors import ImageError, ShapeError
+from falcon.errors import ConfigError, ImageError, ShapeError
 
 
 class TestPpm:
+    @pytest.mark.parametrize(
+        "write, shape", [(ic.write_ppm, (2, 3, 3)), (ic.write_pgm, (2, 3))], ids=["ppm", "pgm"]
+    )
+    def test_writer_refuses_non_uint8(self, write, shape):
+        with pytest.raises(ShapeError):
+            write(np.zeros(shape, np.float32))
+
     def test_minimal_file(self):
         img = ic.load_ppm(b"P6\n1 1\n255\n\xff\x00\x00")
         assert img.shape == (1, 1, 3)
@@ -288,8 +295,20 @@ class TestResizeBilinear:
         out = ic.resize_bilinear(img, 6, 8)
         assert out.shape == (6, 8)
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ShapeError):
+            ic.resize_bilinear(np.zeros((4, 4, 3), np.float32), 0, 4)
+
 
 class TestPlanCrop:
+    @pytest.mark.parametrize(
+        "args", [(0, 384, 384, 16), (384, 384, 0, 16), (384, 384, 384, 0)],
+        ids=["zero-height", "zero-tile", "zero-max-tiles"],
+    )
+    def test_zero_argument_rejected(self, args):
+        with pytest.raises(ConfigError):
+            ic.plan_crop(*args)
+
     def test_exact_fit(self):
         plan = ic.plan_crop(384, 384, 384, 16)
         assert (plan.rows, plan.cols) == (1, 1)
@@ -509,6 +528,16 @@ class TestFourTapReference:
 
 
 class TestPatchify:
+    def test_non_square_tile_rejected(self):
+        with pytest.raises(ShapeError):
+            ic.patchify(np.zeros((32, 16, 3), np.float32), 16)
+
+    def test_normalize_casts_uint8_to_float32(self):
+        img = np.array([[[0, 128, 255]]], np.uint8)
+        out = ic.normalize_pixels(img)
+        assert out.dtype == np.float32
+        assert out.tobytes() == ic.normalize_pixels(img.astype(np.float32)).tobytes()
+
     def test_paper_token_count(self):
         tile = np.zeros((384, 384, 3), dtype=np.float32)
         assert ic.patchify(tile, 16).shape == (576, 768)

@@ -34,6 +34,12 @@ class TestSoftmaxRows:
         with pytest.raises(NumericError):
             numerics.softmax_rows(np.array([[np.nan, 0.0]]))
 
+    def test_integer_input_runs_in_float64(self):
+        x = np.array([[0, 1, 2], [3, 3, -1]], np.int32)
+        out = numerics.softmax_rows(x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == numerics.softmax_rows(x.astype(np.float64)).tobytes()
+
     @pytest.mark.parametrize(
         "row",
         [[np.inf, 0.0], [0.0, np.nan], [-np.inf, -np.inf]],
@@ -117,6 +123,12 @@ class TestGelu:
         out = numerics.gelu(x)
         assert out.shape == (3,)
         assert out[1] == 0.0
+
+    def test_integer_input_runs_in_float64(self):
+        x = np.array([[-2, 0], [1, 3]], np.int64)
+        out = numerics.gelu(x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == numerics.gelu(x.astype(np.float64)).tobytes()
 
     @pytest.mark.parametrize(
         "x",

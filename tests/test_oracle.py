@@ -330,8 +330,21 @@ class TestFiniteDiff:
         with pytest.raises(NumericError):
             oracle.finite_diff_grad(lambda: float("nan"), params, h=1e-5)
 
+    @pytest.mark.parametrize(
+        "params, h",
+        [({"theta": np.array([1.0])}, 0.0), ({"theta": np.ones((3, 4))[:, ::2]}, 1e-5)],
+        ids=["zero-step", "non-contiguous"],
+    )
+    def test_bad_step_or_parameter_rejected(self, params, h):
+        with pytest.raises(ConfigError):
+            oracle.finite_diff_grad(lambda: 0.0, params, h=h)
+
 
 class TestCountFlops:
+    def test_zero_tiles_rejected(self):
+        with pytest.raises(ConfigError):
+            oracle.count_flops(enc.PRESETS["tiny"], 0)
+
     def test_reatten_cheaper_than_self_attention_at_scale(self):
         report = oracle.count_flops(enc.PRESETS["paper"], 16)
         assert report.reatten < report.self_attention
