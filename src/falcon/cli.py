@@ -212,12 +212,9 @@ def cmd_encode(rc: RunConfig, args) -> int:
 
 def cmd_attn_map(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    if not 0 <= args.layer < cfg.layers:
-        raise BoundsError(f"layer {args.layer} out of range [0, {cfg.layers})")
-    if not 0 <= args.head < cfg.heads:
-        raise BoundsError(f"head {args.head} out of range [0, {cfg.heads})")
-    if not 0 <= args.register < cfg.registers:
-        raise BoundsError(f"register {args.register} out of range [0, {cfg.registers})")
+    for name, n in (("layer", cfg.layers), ("head", cfg.heads), ("register", cfg.registers)):
+        if not 0 <= getattr(args, name) < n:
+            raise BoundsError(f"{name} {getattr(args, name)} out of range [0, {n})")
     img, plan = _plan(cfg, args.image)
     n = cfg.n_image_tokens
     tile_rows = []
@@ -268,12 +265,7 @@ def cmd_compare(rc: RunConfig, args) -> int:
 
 def cmd_selftest(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    oracle.check_selftest_budget(cfg)
-    if rc.verify_mode and cfg.width == 2:
-        raise ConfigError(
-            "verify mode refuses width 2: a layer norm over 2 features discards its input's "
-            "scale, so central differences cannot resolve the gradients"
-        )
+    oracle.check_selftest_budget(cfg, rc.verify_mode)
     # dict(...) reads and checks every tensor of an archive before any check runs.
     w = dict(_weights(rc, args, cfg, np.float64))
     result = oracle.run_selftest(cfg, w, rc.seed, rc.verify_mode)
@@ -291,13 +283,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file mirroring the run configuration")
     p.add_argument("--preset", choices=sorted(encoder.PRESETS))
     p.add_argument("--seed", type=int, help="PRNG seed (FALCON_SEED overrides)")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--patch", type=int)
-    p.add_argument("--tile", type=int, help="square tile side in pixels (default 384)")
-    p.add_argument("--registers", type=int)
-    p.add_argument("--max-tiles", type=int, dest="max_tiles", help="tile cap (default 16)")
+    for name in encoder.SIZE_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p.add_argument("--thumbnail", choices=["on", "off"])
     p.add_argument("--reatten", choices=["on", "off"])
     p.add_argument("--verify-mode", choices=["on", "off"], dest="verify_mode")

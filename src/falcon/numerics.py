@@ -1,5 +1,5 @@
-"""Deterministic numeric kernels: dense linear algebra, activations, and a
-portable seeded PRNG.
+"""Deterministic numeric kernels: softmax, layer norm, GeLU, and a portable
+seeded PRNG.
 
 All kernels operate on C-contiguous (row-major) numpy arrays and are
 bit-deterministic for a fixed input dtype: the same inputs always produce
@@ -154,21 +154,11 @@ def gelu(x, out: np.ndarray | None = None):
     return y if out is not None or y.ndim else y[()]
 
 
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """One SplitMix64 step; returns (advanced state, 64-bit output)."""
-    state = (state + GOLDEN_GAMMA) & _MASK_64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK_64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK_64
-    return state, z ^ (z >> 31)
-
-
 class SplitMix64:
     """Minimal portable PRNG; the single entropy source of the package.
 
-    SplitMix64 states form an arithmetic sequence, so bulk draws can be
-    vectorized while producing exactly the same stream as repeated
-    single-step calls.
+    Draw k after state s mixes s + k * GOLDEN_GAMMA (mod 2**64), so
+    ``_walk`` mixes a chunk of draws at once; both fills draw through it.
     """
 
     __slots__ = ("state",)
@@ -176,18 +166,32 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK_64
 
-    def next_u64(self) -> int:
-        self.state, z = splitmix64_next(self.state)
-        return z
+    def _walk(self, n: int):
+        """Yield (start, z, t) per ``_CHUNK`` of the next n draws, then advance
+        the state n steps: ``z`` holds draws start .. start + len(z), ``t`` is
+        scratch of its size, both views of two arrays allocated once."""
+        draws = np.empty(min(n, _CHUNK), dtype=np.uint64)
+        scratch = np.empty_like(draws)
+        for start in range(0, n, _CHUNK):
+            z = draws[: n - start]
+            t = scratch[: len(z)]
+            # k * GOLDEN_GAMMA for step k, plus the chunk's starting state.
+            state = np.uint64((self.state + start * GOLDEN_GAMMA) & _MASK_64)
+            np.add(_CHUNK_STEPS[: len(z)], state, out=z)
+            for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+                np.right_shift(z, np.uint64(shift), out=t)
+                z ^= t
+                z *= np.uint64(mix)
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
+            yield start, z, t
+        self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
 
     def fill_u64(self, n: int) -> np.ndarray:
         """Draw n outputs as a uint64 array, advancing the state n steps."""
         out = np.empty(n, dtype=np.uint64)
-        tmp = np.empty(min(n, _CHUNK), dtype=np.uint64)
-        for start in range(0, n, _CHUNK):
-            z = out[start : start + _CHUNK]
-            _splitmix64_chunk(self.state + start * GOLDEN_GAMMA, z, tmp[: len(z)])
-        self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
+        for start, z, _ in self._walk(n):
+            out[start : start + len(z)] = z
         return out
 
     def fill_uniform(self, out: np.ndarray, entries) -> None:
@@ -195,12 +199,13 @@ class SplitMix64:
         advancing the state ``len(out)`` steps.
 
         ``entries`` holds (count, fan_in, fan_out) per entry, the counts
-        summing to ``len(out)``. The stream is walked ``_CHUNK`` draws at a
-        time whatever the entry edges, consecutive entries with the same
-        bound are scaled as one slice, and each chunk is cast straight into
-        ``out``. The scratch is two chunk arrays, allocated once: the draws,
-        and the mixing scratch, which then holds the chunk in float64.
+        summing to ``len(out)``; anything else, or an ``out`` that is not 1-D
+        float, is refused before any draw. Consecutive entries with the same
+        bound are scaled as one slice, whatever the chunk edges; each chunk
+        is mapped in the walk's scratch, as float64, and cast into ``out``.
         """
+        if out.ndim != 1 or out.dtype.kind != "f":
+            raise ShapeError(f"out must be a 1-D float array, got {out.dtype} {out.shape}")
         ends, bounds, stop = [], [], 0
         for count, fan_in, fan_out in entries:
             if fan_in < 1 or fan_out < 1:
@@ -215,13 +220,8 @@ class SplitMix64:
         n = len(out)
         if stop != n:
             raise ShapeError(f"entries hold {stop} draws, out holds {n}")
-        draws = np.empty(min(n, _CHUNK), dtype=np.uint64)
-        scratch = np.empty_like(draws)
         i = 0
-        for start in range(0, n, _CHUNK):
-            z = draws[: n - start]
-            t = scratch[: len(z)]
-            _splitmix64_chunk(self.state + start * GOLDEN_GAMMA, z, t)
+        for start, z, t in self._walk(n):
             z >>= np.uint64(11)
             u = t.view(np.float64)
             u[...] = z
@@ -235,20 +235,6 @@ class SplitMix64:
                 x -= bounds[i]
                 lo += len(x)
             out[start:hi] = u
-        self.state = (self.state + n * GOLDEN_GAMMA) & _MASK_64
-
-
-def _splitmix64_chunk(state: int, z: np.ndarray, t: np.ndarray) -> None:
-    """Write into ``z`` the SplitMix64 outputs of the ``len(z)`` steps after
-    ``state``; ``t`` is scratch of the same size."""
-    # k * GOLDEN_GAMMA for step k, plus the state.
-    np.add(_CHUNK_STEPS[: len(z)], np.uint64(state & _MASK_64), out=z)
-    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        z *= np.uint64(mix)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
 
 
 def init_uniform(

@@ -353,16 +353,22 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def check_selftest_budget(cfg: EncoderConfig) -> None:
+def check_selftest_budget(cfg: EncoderConfig, verify_mode: bool = True) -> None:
     """Refuse, before anything is allocated, a config whose selftest
     fixtures exceed ``max_tiles`` or are over the run budget, or whose
-    reference forward is over ``REFERENCE_TOKEN_CAP`` or ``REFERENCE_MAC_CAP``."""
+    reference forward is over ``REFERENCE_TOKEN_CAP`` or ``REFERENCE_MAC_CAP``;
+    then, in verify mode, width 2."""
     if cfg.max_tiles < _PERMUTED_TILES:
         raise ConfigError(
             f"selftest fixtures of {_PERMUTED_TILES} tiles exceed max_tiles={cfg.max_tiles}"
         )
     enc.check_budget(cfg, _PERMUTED_TILES)
     _check_reference(cfg, _ORACLE_TILES + 1)
+    if verify_mode and cfg.width == 2:
+        raise ConfigError(
+            "verify mode refuses width 2: a layer norm over 2 features discards its input's "
+            "scale, so central differences cannot resolve the gradients"
+        )
 
 
 def run_selftest(cfg: EncoderConfig, w: Weights, seed: int = 0, verify_mode: bool = True) -> dict:

@@ -970,15 +970,19 @@ class TestAttnMap:
         assert not out_path.exists()
 
     def test_out_of_range_indices_exit_4(self, capsys, small_ppm, tmp_path):
-        for flags in (("--layer", "9"), ("--head", "9"), ("--register", "9")):
-            args = {"--layer": "0", "--head": "0", "--register": "0"}
-            args[flags[0]] = flags[1]
-            code, _ = run(
-                capsys, "attn-map", small_ppm, "--preset", "tiny",
-                "--layer", args["--layer"], "--head", args["--head"],
-                "--register", args["--register"], "--out", str(tmp_path / "x.pgm"),
-            )
-            assert code == 4
+        # Each index is checked against the tiny preset's 2 layers, 2 heads
+        # and 4 registers before the image is read, so a missing image with
+        # a bad index still exits 4, and no heatmap is written.
+        out = tmp_path / "x.pgm"
+        for name, n in (("layer", 2), ("head", 2), ("register", 4)):
+            args = {"--layer": "0", "--head": "0", "--register": "0", f"--{name}": "9"}
+            for image in (small_ppm, str(tmp_path / "missing.ppm")):
+                argv = ["attn-map", image, "--preset", "tiny", "--out", str(out)]
+                code = main([*argv, *(s for kv in args.items() for s in kv)])
+                captured = capsys.readouterr()
+                assert code == 4 and captured.out == ""
+                assert captured.err == f"error: {name} 9 out of range [0, {n})\n"
+                assert not out.exists()
 
 
 class TestCompare:

@@ -296,50 +296,56 @@ def _splitmix64_reference(seed, n):
 
 class TestSplitMix64:
     def test_reference_vector_seed0(self):
-        state, out = numerics.splitmix64_next(0)
-        assert out == 0xE220A8397B1DCDAF
-        assert _splitmix64_reference(0, 1)[0] == out
+        rng = numerics.SplitMix64(0)
+        assert rng.fill_u64(1).tolist() == [0xE220A8397B1DCDAF]
+        assert _splitmix64_reference(0, 1) == [0xE220A8397B1DCDAF]
+        assert rng.state == numerics.GOLDEN_GAMMA
 
     def test_sequence_matches_reference(self):
         rng = numerics.SplitMix64(12345)
-        got = [rng.next_u64() for _ in range(16)]
-        assert got == _splitmix64_reference(12345, 16)
+        assert rng.fill_u64(16).tolist() == _splitmix64_reference(12345, 16)
 
     def test_determinism(self):
         a = numerics.SplitMix64(7)
         b = numerics.SplitMix64(7)
-        assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
+        assert [a.fill_u64(1)[0] for _ in range(8)] == [b.fill_u64(1)[0] for _ in range(8)]
 
     def test_seed_sensitivity(self):
-        assert numerics.SplitMix64(0).next_u64() != numerics.SplitMix64(1).next_u64()
-        assert numerics.SplitMix64(1).next_u64() == _splitmix64_reference(1, 1)[0]
+        assert numerics.SplitMix64(0).fill_u64(1)[0] != numerics.SplitMix64(1).fill_u64(1)[0]
+        assert numerics.SplitMix64(1).fill_u64(1).tolist() == _splitmix64_reference(1, 1)
 
     def test_bulk_matches_single_steps(self):
         a = numerics.SplitMix64(99)
         b = numerics.SplitMix64(99)
         bulk = a.fill_u64(1000)
-        singles = [b.next_u64() for _ in range(1000)]
-        assert bulk.tolist() == singles
-        assert a.state == b.state
+        singles = [int(b.fill_u64(1)[0]) for _ in range(1000)]
+        assert bulk.tolist() == singles == _splitmix64_reference(99, 1000)
+        assert a.state == b.state == (99 + 1000 * numerics.GOLDEN_GAMMA) % 2**64
 
     @pytest.mark.parametrize("seed", [0, 99, 12345, 2**64 - 1])
     def test_bulk_matches_single_steps_across_chunks(self, seed):
         chunk = numerics._CHUNK
-        ref = numerics.SplitMix64(seed)
-        singles, states = [], [ref.state]
-        for _ in range(2 * chunk + 3):
-            singles.append(ref.next_u64())
-            states.append(ref.state)
+        singles = _splitmix64_reference(seed, 2 * chunk + 3)
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
             rng = numerics.SplitMix64(seed)
             bulk = rng.fill_u64(n)
             assert bulk.dtype == np.uint64 and bulk.shape == (n,)
             assert bulk.tolist() == singles[:n]
-            assert rng.state == states[n]
+            assert rng.state == (seed + n * numerics.GOLDEN_GAMMA) % 2**64
         # A second bulk draw continues the stream where the first stopped.
         rng = numerics.SplitMix64(seed)
         rng.fill_u64(chunk + 1)
         assert rng.fill_u64(chunk + 2).tolist() == singles[chunk + 1 :]
+
+    def test_zero_draws_leave_the_state(self):
+        # An empty walk allocates empty results and advances nothing.
+        rng = numerics.SplitMix64(5)
+        assert rng.fill_u64(0).shape == (0,)
+        out = np.empty(0, np.float32)
+        rng.fill_uniform(out, [])
+        t = numerics.init_uniform((0, 3), 1, 1, rng)
+        assert t.shape == (0, 3) and t.dtype == np.float64
+        assert rng.state == 5
 
 
 class TestInitUniform:
@@ -382,9 +388,15 @@ class TestInitUniform:
 
     def test_fill_uniform_counts_must_fill_out(self):
         # Counts that sum to more or fewer draws than the array holds are
-        # refused before any draw, so no entry of out is left unwritten.
+        # refused before any draw, so no entry of out is left unwritten. So
+        # is an out that is not 1-D float: a 2-D one would take one row's
+        # draws broadcast over every row, an int one truncated draws.
         rng = numerics.SplitMix64(0)
         for entries in ([(4, 1, 1)], [(3, 1, 1), (3, 2, 2)]):
             with pytest.raises(ShapeError):
                 rng.fill_uniform(np.empty(5), entries)
+        for out in (np.zeros((4, 4)), np.zeros(16, np.int32)):
+            with pytest.raises(ShapeError, match="1-D float"):
+                rng.fill_uniform(out, [(4, 1, 1)] if out.ndim == 2 else [(16, 1, 1)])
+            assert not out.any()
         assert rng.state == 0

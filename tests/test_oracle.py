@@ -442,6 +442,18 @@ class TestSelftest:
             with pytest.raises(ConfigError, match=f"capped at 512 total tokens, got {tokens}$"):
                 oracle.check_selftest_budget(cfg)
 
+    def test_budget_refuses_width_2_in_verify_mode_last(self, tiny_cfg):
+        # Verify mode's width-2 refusal is the last check: a config over
+        # another cap is refused for that cap first.
+        narrow = enc.config_with_overrides(tiny_cfg, width=2, heads=1)
+        with pytest.raises(ConfigError, match="^verify mode refuses width 2"):
+            oracle.check_selftest_budget(narrow)
+        oracle.check_selftest_budget(narrow, verify_mode=False)
+        oracle.check_selftest_budget(enc.config_with_overrides(tiny_cfg, width=3, heads=1))
+        over = enc.config_with_overrides(narrow, registers=167)
+        with pytest.raises(ConfigError, match="capped at 512 total tokens"):
+            oracle.check_selftest_budget(over)
+
     def test_budget_refuses_reference_over_mac_cap(self, tiny_cfg, tiny_weights_f64):
         # The reference forward's multiply-adds, as the instrumented forward
         # counts them on the selftest fixture: width 128 at one head (12.4M)
