@@ -192,6 +192,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "tokens_out": report.tokens_post,
         "compression_ratio": cfg.compression_ratio,
         "flops": asdict(report),
+        "run_macs": oracle.run_macs(cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=d_llm),
         "dry_run": bool(args.dry_run),
         "out": None,
     }

@@ -20,7 +20,7 @@ from .encoder import (
 )
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu
-from .oracle import attention_macs, count_flops, ffn_macs
+from .oracle import block_macs, count_flops
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
@@ -165,15 +165,11 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
     elif kind == "abstractor":
         block_params = element_count(layer_specs(d))
         row["params"] = m * d + ABSTRACTOR_DEPTH * block_params
-        block_flops = attention_macs(m, n, d) + ffn_macs(m, d)
-        row["flops_per_tile"] = ABSTRACTOR_DEPTH * block_flops
+        row["flops_per_tile"] = ABSTRACTOR_DEPTH * block_macs(m, n, d)
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
-
-        def layer_macs(rows):
-            return attention_macs(rows, rows, d) + ffn_macs(rows, d)
-
-        row["flops_per_tile"] = cfg.layers * (layer_macs(n + cfg.registers) - layer_macs(n))
+        rows = cfg.n_tokens
+        row["flops_per_tile"] = cfg.layers * (block_macs(rows, rows, d) - block_macs(n, n, d))
         with_exchange = replace(cfg, reatten_enabled=True)
         row["reatten_flops_total"] = count_flops(with_exchange, cfg.max_tiles, thumbnail).reatten
     return row

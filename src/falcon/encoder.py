@@ -319,9 +319,11 @@ def check_budget(
 ) -> None:
     """Refuse, before anything is allocated, a run of ``count_flops``'s
     arguments whose largest arrays exceed their caps. ``crop_tiles`` builds
-    the thumbnail even when ``thumbnail`` is off. With ``d_llm``, the
-    projector's two matrices and its hidden array, one d_llm-wide row per
-    register output, are bounded too."""
+    the thumbnail even when ``thumbnail`` is off. With ``d_llm``, which
+    must be at least 1, the projector's two matrices and its hidden array,
+    one d_llm-wide row per register output, are bounded too."""
+    if d_llm is not None and d_llm < 1:
+        raise ConfigError(f"d_llm must be >= 1, got {d_llm}")
     n_states = n_tiles + (1 if thumbnail else 0)
     exchange_rows = cfg.registers * n_states if cfg.reatten_enabled else 0
     pixels, hidden, softmax = state_elements(cfg)
@@ -354,6 +356,8 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
     if len(tiles.tiles) > cfg.max_tiles:
         raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
     raster = tiles.raster if thumbnail else tiles.tiles
+    if len(raster) == 0:
+        raise ConfigError("no state to encode: no tile, and the thumbnail is off")
     if raster.shape[1:] != (cfg.tile, cfg.tile, 3):
         raise ConfigError(f"tile shape {raster.shape[1:]} does not match config tile {cfg.tile}")
     patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]

@@ -148,7 +148,7 @@ def _patchify_ref(tile, p):
 def _check_reference(cfg: EncoderConfig, n_states: int) -> None:
     """Refuse a reference forward over ``n_states`` states past either cap."""
     tokens = n_states * cfg.n_tokens
-    macs = embed_macs(cfg, n_states) + count_flops(cfg, n_states, thumbnail=False).total
+    macs = sum(_macs(cfg, n_states, False, None, cfg.n_tokens).values())
     for got, cap, what in ((tokens, REFERENCE_TOKEN_CAP, "total tokens"),
                            (macs, REFERENCE_MAC_CAP, "multiply-adds")):
         if got > cap:
@@ -230,49 +230,68 @@ def ffn_macs(n: int, d: int) -> int:
     return 2 * n * d * (enc.FFN_MULT * d)
 
 
+def block_macs(n_q: int, n_kv: int, d: int) -> int:
+    """Multiply-adds of one block of width d: the attention of n_q query rows
+    over n_kv key rows, then the FFN on the n_q rows."""
+    return attention_macs(n_q, n_kv, d) + ffn_macs(n_q, d)
+
+
 def embed_macs(cfg: EncoderConfig, n_states: int) -> int:
     """Multiply-adds of the patch embedding of ``n_states`` tiles."""
     return n_states * cfg.n_image_tokens * 3 * cfg.patch**2 * cfg.width
 
 
+def _macs(
+    cfg: EncoderConfig, n_tiles: int, thumbnail: bool, d_llm: int | None, last_rows: int
+) -> dict[str, int]:
+    """Multiply-adds per component of a forward whose last layer computes
+    ``last_rows`` query rows per state, over all N+M key rows; the layers
+    before it compute all N+M. The exchange step runs on the M*T register
+    rows of every layer, T counting the thumbnail; the projector, when
+    ``d_llm`` is given, on the same rows."""
+    if n_tiles < 1:
+        raise ConfigError(f"n_tiles must be >= 1, got {n_tiles}")
+    if d_llm is not None and d_llm < 1:
+        raise ConfigError(f"d_llm must be >= 1, got {d_llm}")
+    t = n_tiles + (1 if thumbnail else 0)
+    n, d, full = cfg.n_tokens, cfg.width, cfg.layers - 1
+    reg_tokens = cfg.registers * t
+    return {
+        "embed": embed_macs(cfg, t),
+        "self_attention": t * (full * attention_macs(n, n, d) + attention_macs(last_rows, n, d)),
+        "reatten": (
+            cfg.layers * attention_macs(reg_tokens, reg_tokens, d) if cfg.reatten_enabled else 0
+        ),
+        "ffn": t * (full * ffn_macs(n, d) + ffn_macs(last_rows, d)),
+        "projector": reg_tokens * (d * d_llm + d_llm * d_llm) if d_llm else 0,
+    }
+
+
 def count_flops(
     cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
 ) -> FlopReport:
-    """Closed-form multiply-add counts for a full encode.
-
-    Per tile per layer: self-attention over N+M rows and the FFN, whose
-    hidden width is ``FFN_MULT`` times the model's. The exchange step per
-    layer runs on M*T rows, T counting the thumbnail. Projector counts are
-    included when a target width is given.
-
-    Every row of every layer is counted, as the loop oracle runs them.
-    ``encode`` computes only the register rows of its last layer: at paper
-    geometry 2.10 G multiply-adds per state there against 8.89 G, so a
-    2-layer encode runs 38% fewer self-attention and FFN multiply-adds than
-    counted, a 24-layer one 3.2% fewer.
-    """
-    if n_tiles < 1:
-        raise ConfigError(f"n_tiles must be >= 1, got {n_tiles}")
+    """Closed-form multiply-add counts for a full encode (``_macs``), every
+    row of every layer counted, as the loop oracle runs them; the patch
+    embedding is not. ``run_macs`` counts what ``encode`` runs."""
+    macs = _macs(cfg, n_tiles, thumbnail, d_llm, cfg.n_tokens)
+    del macs["embed"]
     t = n_tiles + (1 if thumbnail else 0)
-    tokens = cfg.n_tokens
-    d = cfg.width
-    self_attention = cfg.layers * t * attention_macs(tokens, tokens, d)
-    ffn = cfg.layers * t * ffn_macs(tokens, d)
-    reg_tokens = cfg.registers * t
-    reatten = (
-        cfg.layers * attention_macs(reg_tokens, reg_tokens, d) if cfg.reatten_enabled else 0
-    )
-    projector = reg_tokens * (d * d_llm + d_llm * d_llm) if d_llm else 0
-    total = self_attention + reatten + ffn + projector
     return FlopReport(
-        self_attention=self_attention,
-        reatten=reatten,
-        ffn=ffn,
-        projector=projector,
-        total=total,
+        **macs,
+        total=sum(macs.values()),
         tokens_pre=cfg.n_image_tokens * t,
-        tokens_post=reg_tokens,
+        tokens_post=cfg.registers * t,
     )
+
+
+def run_macs(
+    cfg: EncoderConfig, n_tiles: int, thumbnail: bool = True, d_llm: int | None = None
+) -> dict[str, int]:
+    """The multiply-adds ``encode`` runs on ``count_flops``' arguments, per
+    component and in total: the patch embedding, and a last layer that
+    computes only the M register rows of each state."""
+    macs = _macs(cfg, n_tiles, thumbnail, d_llm, cfg.registers)
+    return {**macs, "total": sum(macs.values())}
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,21 @@ class TestEncode:
         assert payload["dry_run"] and payload["out"] is None
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("project", [[], ["--project", "--d-llm", "6"]],
+                             ids=["no-project", "project"])
+    def test_dry_run_counts_what_the_run_counts(self, capsys, small_ppm, tmp_path, project):
+        argv = ["encode", small_ppm, "--preset", "tiny", *project]
+        _, dry = run(capsys, *argv, "--dry-run")
+        _, real = run(capsys, *argv, "--out", str(tmp_path / "o.falt"))
+        dry, real = json.loads(dry), json.loads(real)
+        validate_schema(dry, "encode")
+        validate_schema(real, "encode")
+        assert (dry["flops"], dry["run_macs"]) == (real["flops"], real["run_macs"])
+        d_llm = 6 if project else None
+        cfg = encoder.PRESETS["tiny"]
+        assert real["run_macs"] == oracle.run_macs(cfg, real["n_tiles"], d_llm=d_llm)
+        assert (real["run_macs"]["projector"] > 0) == bool(project)
+
     def test_env_seed_overrides_flag(self, capsys, small_ppm, tmp_path, monkeypatch):
         a, b = tmp_path / "a.falt", tmp_path / "b.falt"
         run(capsys, "encode", small_ppm, "--preset", "tiny", "--seed", "1", "--out", str(a))

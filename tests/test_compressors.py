@@ -9,6 +9,7 @@ from falcon import encoder as enc
 from falcon import falt
 from falcon.errors import ShapeError
 from falcon.numerics import SplitMix64, gelu, init_uniform, layer_norm, softmax_rows
+from falcon.oracle import attention_macs, ffn_macs, run_macs
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -267,6 +268,38 @@ class TestComparisonRows:
         row = cmp.comparison_row("registers", paper_cfg, thumbnail=True)
         assert paper_cfg.max_tiles == 16
         assert row["reatten_flops_total"] == count_flops(paper_cfg, 16, thumbnail=True).reatten
+
+    def test_flops_match_executed_shapes(self, monkeypatch):
+        # The abstractor row's flops_per_tile is the multiply-adds of the
+        # attention steps and FFNs one abstractor_compress runs, from the
+        # shapes of their arguments; the registers row's exchange total is
+        # run_macs' with the exchange on.
+        cfg = enc.config_with_overrides(enc.PRESETS["tiny"], tile=96, reatten_enabled=False)
+        d, n = cfg.width, cfg.n_image_tokens
+        macs = []
+        attention, ffn_block = cmp._attention, cmp.ffn_block
+
+        def attention_spy(q, weights, heads, collect=None, rows=slice(None), kv=None):
+            macs.append(attention_macs(q.shape[0], kv.shape[0], q.shape[1]))
+            return attention(q, weights, heads, collect, rows, kv)
+
+        def ffn_spy(x, blk, cfg_):
+            macs.append(ffn_macs(x.shape[0], x.shape[1]))
+            return ffn_block(x, blk, cfg_)
+
+        monkeypatch.setattr(cmp, "_attention", attention_spy)
+        monkeypatch.setattr(cmp, "ffn_block", ffn_spy)
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(n, d)).astype(np.float32)
+        queries = rng.normal(size=(cmp.BASELINE_TOKENS, d)).astype(np.float32)
+        cmp.abstractor_compress(feats, queries, cmp.init_abstractor(d, SplitMix64(3)), cfg.heads)
+        assert len(macs) == 2 * cmp.ABSTRACTOR_DEPTH
+        assert sum(macs) == cmp.comparison_row("abstractor", cfg)["flops_per_tile"] == 164_864
+        for thumbnail in (True, False):
+            row = cmp.comparison_row("registers", cfg, thumbnail)
+            on = enc.config_with_overrides(cfg, reatten_enabled=True)
+            expected = run_macs(on, cfg.max_tiles, thumbnail)["reatten"]
+            assert row["reatten_flops_total"] == expected > 0
 
     def test_abstractor_params_count_initialized_tensors(self):
         cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)

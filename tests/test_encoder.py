@@ -245,6 +245,11 @@ print(drawn, faults() - before)
         with pytest.raises(ConfigError, match="one state's FFN hidden array: 76546048 elements"):
             enc.check_budget(wide, 1)
 
+    @pytest.mark.parametrize("d_llm", [-5, 0])
+    def test_budget_refuses_nonpositive_d_llm(self, d_llm):
+        with pytest.raises(ConfigError, match=f"^d_llm must be >= 1, got {d_llm}$"):
+            enc.check_budget(enc.PRESETS["tiny"], 2, d_llm=d_llm)
+
     @pytest.mark.parametrize("thumbnail", [True, False])
     def test_pixel_row_counts_three_channels(self, thumbnail):
         # One 1024-pixel patch per tile leaves the cropped pixels the only row
@@ -350,6 +355,17 @@ class TestEmbedTiles:
         crowded = random_tiles(tiny_cfg, tiny_cfg.max_tiles + 1, seed=0)
         with pytest.raises(ConfigError):
             enc.embed_tiles(crowded, tiny_weights, tiny_cfg)
+
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange-on", "exchange-off"])
+    def test_zero_states_refused_before_reading_weights(self, tiny_cfg, tiny_weights, exchange):
+        # A thumbnail alone, with the thumbnail off, leaves no state to
+        # encode: refused before a weight is read, with the exchange on or off.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=exchange)
+        alone = TileSet(oracle.fixture_tiles(cfg, 1, seed=0).raster[[-1]])
+        w = KeyLog(tiny_weights)
+        with pytest.raises(ConfigError, match="^no state to encode"):
+            enc.encode(alone, w, cfg, thumbnail=False)
+        assert w.read == []
 
     def test_wrong_tile_shape_rejected(self, tiny_cfg, tiny_weights):
         # A raster of the wrong side, and one with the wrong channel count.

@@ -384,6 +384,99 @@ class TestCountFlops:
         assert report.tokens_post == 64 * 17
         assert report.projector == 64 * 17 * (1024 * 128 + 128 * 128)
 
+    @pytest.mark.parametrize("count", [oracle.count_flops, oracle.run_macs])
+    @pytest.mark.parametrize("d_llm", [-5, 0])
+    def test_nonpositive_d_llm_rejected(self, count, d_llm):
+        with pytest.raises(ConfigError, match=f"^d_llm must be >= 1, got {d_llm}$"):
+            count(enc.PRESETS["tiny"], 2, d_llm=d_llm)
+
+
+# A geometry other than tiny's: 9 image tokens of 8 px patches, 3 registers,
+# 3 heads of width 4.
+REDUCED = enc.config_with_overrides(
+    enc.PRESETS["tiny"], width=12, heads=3, patch=8, tile=24, registers=3
+)
+
+
+def executed_macs(monkeypatch, tiles, w, cfg, thumbnail):
+    """The multiply-adds of one ``encode``, from the shapes of the arguments
+    of each attention step, FFN and patch-embedding product it runs."""
+    macs = {"embed": 0, "self_attention": 0, "reatten": 0, "ffn": 0}
+    attention, ffn_block, patchify = enc._attention, enc.ffn_block, enc.patchify
+
+    def attention_spy(x, weights, heads, collect=None, rows=slice(None), kv=None):
+        out = attention(x, weights, heads, collect, rows, kv)
+        # A group of states is (g, N+M, D); the exchange joins all register
+        # rows into one (M*S, D) array.
+        key = "self_attention" if x.ndim == 3 else "reatten"
+        n_q, n_kv = x[..., rows, :].shape[-2], x.shape[-2]
+        macs[key] += np.prod(x.shape[:-2], dtype=int) * oracle.attention_macs(n_q, n_kv, cfg.width)
+        return out
+
+    def ffn_spy(x, lw, cfg_):
+        macs["ffn"] += np.prod(x.shape[:-2], dtype=int) * oracle.ffn_macs(x.shape[-2], cfg.width)
+        return ffn_block(x, lw, cfg_)
+
+    def patchify_spy(pixels, p):
+        tokens = patchify(pixels, p)
+        # Each token row (3 p^2 wide) is multiplied by the (3 p^2, D) embedding.
+        macs["embed"] += tokens.size * w["patch_embed"].shape[1]
+        return tokens
+
+    monkeypatch.setattr(enc, "_attention", attention_spy)
+    monkeypatch.setattr(enc, "ffn_block", ffn_spy)
+    monkeypatch.setattr(enc, "patchify", patchify_spy)
+    enc.encode(tiles, w, cfg, thumbnail=thumbnail)
+    monkeypatch.undo()
+    return macs
+
+
+class TestRunMacs:
+    def test_paper_pinned(self):
+        # Paper geometry at 2 layers, 16 tiles plus the thumbnail, d_llm 2048:
+        # the last layer computes 64 of each state's 640 rows.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=2)
+        run = oracle.run_macs(cfg, 16, d_llm=2048)
+        full = oracle.count_flops(cfg, 16, d_llm=2048)
+        assert run["self_attention"] + run["ffn"] == 186_814_300_160
+        assert full.self_attention + full.ffn == 302_325_432_320
+        assert run["embed"] == 7_700_742_144 == oracle.embed_macs(cfg, 17)
+        assert run["total"] == 215_335_567_360 == sum(v for k, v in run.items() if k != "total")
+        assert (run["reatten"], run["projector"]) == (full.reatten, full.projector)
+
+    @pytest.mark.parametrize("layers", [1, 24, enc.MAX_SIZE])
+    def test_differs_from_count_flops_in_the_last_layer(self, layers):
+        # The two counts differ only in the last layer's query rows, whatever
+        # the depth; closed form, so 2^32 - 1 layers count at once.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=layers)
+        n, m, d = cfg.n_tokens, cfg.registers, cfg.width
+        run = oracle.run_macs(cfg, 4)
+        full = oracle.count_flops(cfg, 4)
+        assert full.total + run["embed"] - run["total"] == 5 * (
+            oracle.block_macs(n, n, d) - oracle.block_macs(m, n, d)
+        )
+
+    @pytest.mark.parametrize("thumbnail", [True, False], ids=["thumbnail", "no-thumbnail"])
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange-on", "exchange-off"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("base", [enc.PRESETS["tiny"], REDUCED], ids=["tiny", "reduced"])
+    def test_equals_executed_shapes(self, monkeypatch, base, layers, exchange, thumbnail):
+        cfg = enc.config_with_overrides(base, layers=layers, reatten_enabled=exchange)
+        tiles = oracle.fixture_tiles(cfg, 3, seed=2)
+        w = enc.init_weights(cfg, seed=2)
+        if base is REDUCED:
+            # One state per group, so every block runs as several calls.
+            monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
+        got = executed_macs(monkeypatch, tiles, w, cfg, thumbnail)
+        run = oracle.run_macs(cfg, 3, thumbnail)
+        assert got == {k: run[k] for k in got}
+        assert run["projector"] == 0 and (run["reatten"] > 0) == exchange
+
+    def test_tiny_values(self, monkeypatch, tiny_cfg):
+        tiles = oracle.fixture_tiles(tiny_cfg, 3, seed=0)
+        got = executed_macs(monkeypatch, tiles, enc.init_weights(tiny_cfg, 0), tiny_cfg, True)
+        assert (got["self_attention"], got["reatten"], got["ffn"]) == (20_480, 16_384, 24_576)
+
 
 class TestGradientCheck:
     def test_requires_float64(self, tiny_cfg, tiny_weights, tiny_tiles):
