@@ -143,8 +143,11 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
     """Per-tile token/parameter/FLOP accounting for one compression route.
 
     FLOP figures are multiply-add counts. For the register route the figure
-    is the marginal per-tile transformer cost of carrying M extra rows
-    through all L layers; the cross-tile exchange cost is reported
+    is the per-tile transformer cost of what ``encode`` runs against a
+    plain ViT on the N image rows: L-1 layers on N+M rows, and a last layer
+    that computes only the M register query rows over all N+M key rows. It
+    can be below zero where the pruned last layer saves more than the M
+    rows of the others cost. The cross-tile exchange cost is reported
     separately (it is shared across tiles, so it is quoted in total for a
     full load of ``cfg.max_tiles`` tiles plus the thumbnail, with the
     exchange on even where ``cfg`` turns it off: the cost of the step, not of
@@ -168,8 +171,9 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
         row["flops_per_tile"] = ABSTRACTOR_DEPTH * block_macs(m, n, d)
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
-        rows = cfg.n_tokens
-        row["flops_per_tile"] = cfg.layers * (block_macs(rows, rows, d) - block_macs(n, n, d))
+        rows, vit = cfg.n_tokens, block_macs(n, n, d)
+        last = block_macs(cfg.registers, rows, d) - vit
+        row["flops_per_tile"] = (cfg.layers - 1) * (block_macs(rows, rows, d) - vit) + last
         with_exchange = replace(cfg, reatten_enabled=True)
         row["reatten_flops_total"] = count_flops(with_exchange, cfg.max_tiles, thumbnail).reatten
     return row

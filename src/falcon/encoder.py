@@ -161,11 +161,20 @@ _VIT_TO_REATTEN = {
 }
 
 
+def attention_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+    """The attention half of ``layer_specs(d)``: the fields in ``_VIT_TO_REATTEN``."""
+    return [spec for spec in layer_specs(d) if spec[0] in _VIT_TO_REATTEN]
+
+
+def ffn_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
+    """The FFN half of ``layer_specs(d)``: the fields not in ``_VIT_TO_REATTEN``."""
+    return [spec for spec in layer_specs(d) if spec[0] not in _VIT_TO_REATTEN]
+
+
 def reatten_specs(d: int) -> list[tuple[str, tuple[int, ...], int, int, str]]:
     """(field, shape, fan_in, fan_out, init) of one exchange block of width d:
-    the attention half of ``layer_specs(d)``, renamed through ``_VIT_TO_REATTEN``."""
-    return [(_VIT_TO_REATTEN[name], *rest) for name, *rest in layer_specs(d)
-            if name in _VIT_TO_REATTEN]
+    ``attention_specs(d)``, renamed through ``_VIT_TO_REATTEN``."""
+    return [(_VIT_TO_REATTEN[name], *rest) for name, *rest in attention_specs(d)]
 
 
 def _stem_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], int, int, str]]:
@@ -262,8 +271,10 @@ def load_weights(path: str, cfg: EncoderConfig, dtype) -> Mapping[str, np.ndarra
 
     Names and shapes are checked against ``cfg`` from the archive's index,
     before any payload is read. Each lookup reads one entry, refuses it if
-    it is not finite and casts it to ``dtype``, so a forward holds only
-    the entries it still uses. ``dict(...)`` reads and checks them all.
+    it is not finite and casts it to ``dtype``, so a forward (``encode``)
+    holds only the entries of the step it runs: a layer's attention half,
+    its exchange block or its FFN half. ``dict(...)`` reads and checks them
+    all.
     """
     index = falt.index(path)
     _check_names_and_shapes({name: entry.dims for name, entry in index.items()}, cfg)
@@ -413,7 +424,8 @@ def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
 def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None, rows=slice(None)):
     """The layer's attention step (``_attention``) over all N+M rows of each
     state jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D)
-    group, ``lw`` the layer's ``block_weights``. Only the query rows ``rows``
+    group, ``lw`` a block dict (``block_weights``) holding at least the
+    layer's attention half (``attention_specs``). Only the query rows ``rows``
     are computed and returned, each attending over all N+M rows."""
     return _attention(x, [lw[f] for f in _VIT_TO_REATTEN], cfg.heads, collect, rows)
 
@@ -435,6 +447,7 @@ def reatten(states, rw: dict, cfg: EncoderConfig, *, collect=None):
 def ffn_block(x, lw: dict, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise to the
     (rows, D) rows of one state or the (g, rows, D) rows of a group.
+    ``lw`` is a block dict holding at least the FFN half (``ffn_specs``).
     ``cfg`` is not read; the abstractor's blocks pass None."""
     normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
     hidden = normed @ lw["w1"]
@@ -480,8 +493,13 @@ def encode(
     Image-token outputs are discarded. The S tile states are one
     (S, N+M, D) array. Each block runs on groups of consecutive states
     (``_groups``); the exchange step joins all S once per layer. ``w``
-    is the canonical name -> tensor mapping; each entry is looked up once,
-    when its layer runs, and no ``reatten.*`` entry with the exchange off.
+    is the canonical name -> tensor mapping. Each entry is looked up once,
+    just before the step that reads it, and released when that step ends:
+    a layer's attention half (``attention_specs``) around its
+    self-attention, its exchange block around the exchange step (never with
+    the exchange off), its FFN half (``ffn_specs``) around its FFN. So
+    ``load_weights``' mapping holds one step's weights at a time: 16 MiB,
+    16 MiB and 32 MiB per paper layer in float32.
 
     Nothing reads the last layer's image rows, so its self-attention and
     FFN compute only the register rows; their keys and values still span
@@ -509,21 +527,23 @@ def encode(
     # Freed at once, it would leave a block's temporaries on top of the heap,
     # where glibc's malloc returns them to the OS, and every group would
     # fault them in again: ten times the page faults of a 16-tile paper
-    # encode, which ran 8% slower. A layer's weights are released before the
-    # next layer's are read, so a mapping that reads on access
-    # (``load_weights``) holds one layer at a time.
+    # encode, which ran 8% slower.
+    d = cfg.width
+    attention, exchange, ffn = attention_specs(d), reatten_specs(d), ffn_specs(d)
     for layer in range(cfg.layers):
-        lw = block_weights(layer_specs(cfg.width), w, f"layers.{layer}")
         rows = register_rows if layer == cfg.layers - 1 else slice(None)
+        lw = block_weights(attention, w, f"layers.{layer}")
         for grp in groups:
             out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start), rows)
             states = ad.put(states, (grp, rows), out)
+        del lw
         if cfg.reatten_enabled:
-            rw = block_weights(reatten_specs(cfg.width), w, f"reatten.{layer}")
+            rw = block_weights(exchange, w, f"reatten.{layer}")
             regs = reatten(states, rw, cfg, collect=_at(collect, layer))
             del rw
             states = ad.put(states, registers, regs.reshape(-1, cfg.registers, cfg.width))
             del regs
+        lw = block_weights(ffn, w, f"layers.{layer}")
         for grp in groups:
             out = ffn_block(states[grp, rows], lw, cfg)
             states = ad.put(states, (grp, rows), out)

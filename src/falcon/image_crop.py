@@ -200,7 +200,10 @@ def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
     y0, y1, fy = ys
     x0, x1, fx = xs
     fy = fy.reshape((-1,) + (1,) * (img.ndim - 1))
+    # Each column weight repeated over a pixel's channels, contiguous: against
+    # a (W_out, 1) column numpy runs the products in inner loops of C elements.
     fx = fx.reshape((-1,) + (1,) * (img.ndim - 2))
+    fx = np.broadcast_to(fx, fx.shape[:1] + img.shape[2:]).copy()
     # The source rows in use and each one's slot among them. A mask, not
     # np.unique: a sort would page numpy's sort kernels into the RSS.
     used = np.zeros(img.shape[0], dtype=bool)

@@ -657,6 +657,57 @@ class TestEncode:
             assert code == 0
         assert abs(peaks[6] - peaks[1]) < layer_bytes, peaks
 
+    @pytest.mark.parametrize("reatten", ["on", "off"])
+    @pytest.mark.parametrize("command", ["encode", "attn-map"])
+    def test_holds_one_steps_weights_at_a_time(
+        self, capsys, small_ppm, tmp_path, monkeypatch, command, reatten
+    ):
+        # Every lookup returns a fresh copy. While a step of layer l runs,
+        # the copies alive are exactly that step's own: layer l's attention
+        # half in its self-attention, its exchange block in the exchange, its
+        # FFN half in its FFN. So no other step's copy of that layer (or of
+        # any other) is alive.
+        copies = {}  # name -> weakref to the copy handed out
+
+        class Fresh(dict):
+            def __getitem__(self, name):
+                tensor = super().__getitem__(name).copy()
+                copies[name] = weakref.ref(tensor)
+                return tensor
+
+        d = encoder.PRESETS["tiny"].width
+        steps = []  # (step, layer) of each call, in order
+
+        def watch(step, prefix, specs, fn):
+            fields = {field for field, *_ in specs}
+
+            def wrapper(*args, **kwargs):
+                alive = {name for name, ref in copies.items() if ref() is not None}
+                layers = {name.split(".")[1] for name in alive}
+                assert len(layers) == 1, f"{step}: copies of {sorted(alive)} alive"
+                layer = layers.pop()
+                assert alive == {f"{prefix}.{layer}.{field}" for field in fields}, step
+                steps.append((step, int(layer)))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        weights = cli._weights
+        monkeypatch.setattr(cli, "_weights", lambda *args: Fresh(weights(*args)))
+        for step, prefix, specs in (
+            ("self_attention_block", "layers", encoder.attention_specs(d)),
+            ("reatten", "reatten", encoder.reatten_specs(d)),
+            ("ffn_block", "layers", encoder.ffn_specs(d)),
+        ):
+            monkeypatch.setattr(encoder, step, watch(step, prefix, specs, getattr(encoder, step)))
+        extra = ["--layer", "1", "--head", "0", "--register", "0"] if command == "attn-map" else []
+        code, _ = run(capsys, command, small_ppm, "--preset", "tiny", "--reatten", reatten,
+                      "--out", str(tmp_path / "o"), *extra)
+        assert code == 0
+        # All 7 tiny states run as one group, so each block is one call.
+        per_layer = ["self_attention_block", *(["reatten"] if reatten == "on" else []), "ffn_block"]
+        assert steps == [(step, layer) for layer in (0, 1) for step in per_layer]
+
     def test_loaded_weights_match_seeded(self, capsys, small_ppm, tmp_path):
         cfg = encoder.PRESETS["tiny"]
         wpath = tmp_path / "w.falt"
@@ -1012,10 +1063,24 @@ class TestCompare:
         assert rows["abstractor"]["params"] > rows["pool"]["params"]
         assert "reatten_flops_total" in rows["registers"]
 
+    def test_negative_registers_figure_fits_schema(self, capsys):
+        # At one paper layer the register route runs fewer multiply-adds
+        # per tile than a plain ViT; only that row may go below zero.
+        code, out = run(capsys, "compare", "--preset", "paper", "--layers", "1")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["compressors"][0]["flops_per_tile"] == -5_830_082_560
+        validate_schema(payload, "compare")
+        payload["compressors"][1]["flops_per_tile"] = -1
+        with pytest.raises(jsonschema.ValidationError):
+            validate_schema(payload, "compare")
+
     def test_output_matches_golden_bytes(self, capsys):
         # Recorded from the release before the MAC formulas moved into
-        # oracle.attention_macs/ffn_macs. With --reatten off the exchange
-        # total stays nonzero: it quotes the cost of the step, not this run.
+        # oracle.attention_macs/ffn_macs; the registers rows' flops_per_tile
+        # since, with a last layer that computes only the register rows.
+        # With --reatten off the exchange total stays nonzero: it quotes the
+        # cost of the step, not this run.
         golden = json.loads((GOLDEN_DIR / "compare.json").read_text())
         assert len(golden) == 8
         for flags, expected in golden.items():

@@ -9,7 +9,9 @@ from falcon import encoder as enc
 from falcon import falt
 from falcon.errors import ShapeError
 from falcon.numerics import SplitMix64, gelu, init_uniform, layer_norm, softmax_rows
-from falcon.oracle import attention_macs, ffn_macs, run_macs
+from falcon.oracle import attention_macs, block_macs, ffn_macs, run_macs
+
+from conftest import random_tiles
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -300,6 +302,36 @@ class TestComparisonRows:
             on = enc.config_with_overrides(cfg, reatten_enabled=True)
             expected = run_macs(on, cfg.max_tiles, thumbnail)["reatten"]
             assert row["reatten_flops_total"] == expected > 0
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_registers_flops_match_executed_shapes(self, monkeypatch, layers):
+        # The registers row's flops_per_tile is, per state, the multiply-adds
+        # of the self-attention and FFN calls encode runs, from the shapes of
+        # their arguments, less a plain ViT's L blocks on the N image rows.
+        # At tile 64 (N = 16, M = 4) one layer's pruned last layer saves more
+        # than the M rows cost, so that figure is below zero.
+        cfg = enc.config_with_overrides(enc.PRESETS["tiny"], tile=64, layers=layers)
+        n, d = cfg.n_image_tokens, cfg.width
+        macs = []
+        attention_block, ffn_block = enc.self_attention_block, enc.ffn_block
+
+        def attention_spy(x, lw, cfg_, collect=None, rows=slice(None)):
+            states, n_kv = x.shape[:2]
+            macs.append(states * attention_macs(len(range(n_kv)[rows]), n_kv, x.shape[2]))
+            return attention_block(x, lw, cfg_, collect, rows)
+
+        def ffn_spy(x, lw, cfg_):
+            macs.append(x.shape[0] * ffn_macs(x.shape[1], x.shape[2]))
+            return ffn_block(x, lw, cfg_)
+
+        monkeypatch.setattr(enc, "self_attention_block", attention_spy)
+        monkeypatch.setattr(enc, "ffn_block", ffn_spy)
+        enc.encode(random_tiles(cfg, 2, seed=0), enc.init_weights(cfg, seed=0), cfg)
+        per_state, rest = divmod(sum(macs), 3)
+        assert rest == 0 and len(macs) == 2 * layers
+        figure = per_state - layers * block_macs(n, n, d)
+        assert cmp.comparison_row("registers", cfg)["flops_per_tile"] == figure
+        assert (figure < 0) == (layers == 1)
 
     def test_abstractor_params_count_initialized_tensors(self):
         cfg = enc.config_with_overrides(enc.PRESETS["tiny"], width=12, heads=3)

@@ -527,12 +527,14 @@ class TestEncode:
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
         cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
         w = enc.init_weights(cfg, seed=0, dtype=dtype)
+        # Each layer tensor's layer, by identity: ``w`` keeps every tensor alive.
+        layer_of = {id(t): int(n.split(".")[1]) for n, t in w.items() if n.startswith("layers.")}
         inputs = {}  # (block, layer) -> weakrefs to that loop's inputs so far
         bases = []  # the array each input is a view of
 
         def watch(block, fn):
             def wrapper(x, lw, cfg, *rest):
-                layer = next(i for i in range(cfg.layers) if lw["wq"] is w[f"layers.{i}.wq"])
+                layer = layer_of[id(next(iter(lw.values())))]
                 earlier = inputs.setdefault((block, layer), [])
                 alive = [k for k, ref in enumerate(earlier) if ref() is not None]
                 assert not alive, f"{block} layer {layer}: inputs of states {alive} still alive"

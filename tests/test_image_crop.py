@@ -519,12 +519,18 @@ class TestFourTapReference:
 
     @pytest.mark.parametrize(
         "shape, out",
-        [((1, 1), (5, 3)), ((7, 300), (2, 19)), ((300, 7), (19, 2)), ((40, 60), (41, 59))],
+        [((1, 1), (5, 3)), ((7, 300), (2, 19)), ((300, 7), (19, 2)), ((40, 60), (41, 59)),
+         ((97, 211), (64, 512))],
     )
     def test_resize_2d_and_3d(self, shape, out):
+        # The blend's column weights span a pixel's channels, and a 2-D image
+        # has none: at 3 channels, none and 1 it keeps the four-tap bytes.
         rng = np.random.default_rng(shape[0] + 31 * shape[1])
-        for img in (rng.random(shape, dtype=np.float32), rng.random(shape + (3,), dtype=np.float32)):
-            assert np.array_equal(ic.resize_bilinear(img, *out), _four_tap_resize(img, *out))
+        for channels in ((), (3,), (1,)):
+            img = rng.random(shape + channels, dtype=np.float32)
+            got = ic.resize_bilinear(img, *out)
+            assert got.shape == out + channels
+            assert got.tobytes() == _four_tap_resize(img, *out).tobytes()
 
 
 class TestPatchify:
