@@ -20,7 +20,7 @@ from .encoder import (
 )
 from .errors import ShapeError
 from .numerics import SplitMix64, gelu
-from .oracle import block_macs, count_flops
+from .oracle import block_macs, run_macs
 
 COMPRESSOR_KINDS = ("registers", "pool", "pixel_shuffle", "abstractor")
 
@@ -143,15 +143,15 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
     """Per-tile token/parameter/FLOP accounting for one compression route.
 
     FLOP figures are multiply-add counts. For the register route the figure
-    is the per-tile transformer cost of what ``encode`` runs against a
-    plain ViT on the N image rows: L-1 layers on N+M rows, and a last layer
-    that computes only the M register query rows over all N+M key rows. It
-    can be below zero where the pruned last layer saves more than the M
-    rows of the others cost. The cross-tile exchange cost is reported
-    separately (it is shared across tiles, so it is quoted in total for a
-    full load of ``cfg.max_tiles`` tiles plus the thumbnail, with the
-    exchange on even where ``cfg`` turns it off: the cost of the step, not of
-    one run).
+    is the per-tile transformer cost of what ``encode`` runs (``run_macs``
+    of one state: L-1 layers on N+M rows, and a last layer that computes
+    only the M register query rows over all N+M key rows) against a plain
+    ViT's L layers on the N image rows. It can be below zero where the
+    pruned last layer saves more than the M rows of the others cost. The
+    cross-tile exchange cost is reported separately (it is shared across
+    tiles, so it is quoted in total for a full load of ``cfg.max_tiles``
+    tiles plus the thumbnail, with the exchange on even where ``cfg`` turns
+    it off: the cost of the step, not of one run).
     """
     if kind not in COMPRESSOR_KINDS:
         raise ShapeError(f"unknown compressor kind {kind!r}")
@@ -171,9 +171,9 @@ def comparison_row(kind: str, cfg: EncoderConfig, thumbnail: bool = True) -> dic
         row["flops_per_tile"] = ABSTRACTOR_DEPTH * block_macs(m, n, d)
     else:  # registers
         row["params"] = cfg.registers * d + cfg.layers * element_count(reatten_specs(d))
-        rows, vit = cfg.n_tokens, block_macs(n, n, d)
-        last = block_macs(cfg.registers, rows, d) - vit
-        row["flops_per_tile"] = (cfg.layers - 1) * (block_macs(rows, rows, d) - vit) + last
+        one = run_macs(replace(cfg, reatten_enabled=False), 1, thumbnail=False)
+        vit = cfg.layers * block_macs(n, n, d)
+        row["flops_per_tile"] = one["self_attention"] + one["ffn"] - vit
         with_exchange = replace(cfg, reatten_enabled=True)
-        row["reatten_flops_total"] = count_flops(with_exchange, cfg.max_tiles, thumbnail).reatten
+        row["reatten_flops_total"] = run_macs(with_exchange, cfg.max_tiles, thumbnail)["reatten"]
     return row

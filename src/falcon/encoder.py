@@ -16,7 +16,9 @@ Registers carry no positional embedding, and no positional information
 crosses tiles, which makes the encoder equivariant under tile permutation.
 
 The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
-tile states a single (S, N+M, D) array, thumbnail last in both. The patch
+tile states a single (*lead, S, N+M, D) array, thumbnail last in both;
+``lead`` is empty but for weight sets stacked along leading axes
+(``encode``). The patch
 embedding and each block run on groups of consecutive states, as many as
 keep each array a state adds to a group (``state_elements``) within
 ``numerics._BLOCK_BYTES``: the tiny preset runs all its float32 states in one
@@ -356,7 +358,9 @@ def check_budget(
 
 
 def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
-    """Layer-0 token states: one (S, N+M, D) array, one state per tile.
+    """Layer-0 token states: one (*lead, S, N+M, D) array, one state per
+    tile, ``lead`` the leading axes of a stacked ``patch_embed`` (its
+    ``shape[:-3]``; none for a single weight set).
 
     The tiles are ``tiles.raster``, the thumbnail last and treated exactly
     like a tile, or ``tiles.tiles`` with it off. Image rows are
@@ -372,26 +376,27 @@ def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool 
     if raster.shape[1:] != (cfg.tile, cfg.tile, 3):
         raise ConfigError(f"tile shape {raster.shape[1:]} does not match config tile {cfg.tile}")
     patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]
-    dtype = np.asarray(ad.value_of(patch_embed)).dtype
+    embed = np.asarray(ad.value_of(patch_embed))
+    lead, dtype = embed.shape[:-3], embed.dtype
     n = cfg.n_image_tokens
-    states = np.empty((len(raster), cfg.n_tokens, cfg.width), dtype)
+    states = np.empty((*lead, len(raster), cfg.n_tokens, cfg.width), dtype)
     for grp in _groups(states, cfg):
         tokens = patchify(normalize_pixels(raster[grp].astype(dtype, copy=False)), cfg.patch)
         image_rows = tokens @ patch_embed
         image_rows += pos_embed
-        states = ad.put(states, (grp, slice(None, n)), image_rows)
-    return ad.put(states, (slice(None), slice(n, None)), registers)
+        states = ad.put(states, (..., grp, slice(None, n), slice(None)), image_rows)
+    return ad.put(states, (..., slice(n, None), slice(None)), registers)
 
 
 def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
     """The attention step: layer norm, multi-head softmax attention of the
     normed query rows ``rows`` over all normed rows of ``x``, or over the raw
     rows ``kv`` when given, the output projection and the residual on
-    ``x[..., rows, :]``. ``x`` and ``kv`` are (rows, D), or (g, rows, D) for
-    a group of states that each attend within themselves; ``weights`` are six
+    ``x[..., rows, :]``. ``x`` and ``kv`` are (rows, D), or (..., rows, D)
+    for states that each attend within themselves; ``weights`` are six
     tensors in ``_VIT_TO_REATTEN``'s order (ln gamma, ln beta, wq, wk, wv,
-    wo). ``collect(head, attn)`` sees each head's (query rows, key rows)
-    softmax matrix, or the group's (g, query rows, key rows) stack of them.
+    wo), each broadcast over the leading axes. ``collect(head, attn)`` sees
+    each head's (..., query rows, key rows) softmax matrices.
 
     Each head's output fills its columns of one array. On the plain path
     the logits, their softmax and that array are written in place; on a
@@ -423,7 +428,7 @@ def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
 
 def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None, rows=slice(None)):
     """The layer's attention step (``_attention``) over all N+M rows of each
-    state jointly, unmasked; ``x`` is one (N+M, D) state or a (g, N+M, D)
+    state jointly, unmasked; ``x`` is one (N+M, D) state or a (..., g, N+M, D)
     group, ``lw`` a block dict (``block_weights``) holding at least the
     layer's attention half (``attention_specs``). Only the query rows ``rows``
     are computed and returned, each attending over all N+M rows."""
@@ -433,20 +438,22 @@ def self_attention_block(x, lw: dict, cfg: EncoderConfig, collect=None, rows=sli
 def reatten(states, rw: dict, cfg: EncoderConfig, *, collect=None):
     """Cross-tile register exchange; returns the new register rows only.
 
-    ``states`` is the (S, N+M, D) state array. Its register rows are joined
-    in state order and passed through the attention step (``_attention``)
-    with the exchange block's weights, which ``_VIT_TO_REATTEN`` maps onto a
-    layer's. The result is one (M*S, D) array, state k's rows at
-    [k*M, (k+1)*M). ``states`` is not modified: putting the rows back next
-    to each state's image rows is the caller's job.
+    ``states`` is the (*lead, S, N+M, D) state array. The register rows of
+    each leading index are joined in state order and passed through the
+    attention step (``_attention``) with the exchange block's weights, which
+    ``_VIT_TO_REATTEN`` maps onto a layer's. The result is one
+    (*lead, M*S, D) array, state k's rows at [k*M, (k+1)*M). ``states`` is
+    not modified: putting the rows back next to each state's image rows is
+    the caller's job.
     """
-    regs = states[:, cfg.n_image_tokens :].reshape(-1, cfg.width)
+    lead = ad.value_of(states).shape[:-3]
+    regs = states[..., cfg.n_image_tokens :, :].reshape(*lead, -1, cfg.width)
     return _attention(regs, [rw[f] for f in _VIT_TO_REATTEN.values()], cfg.heads, collect)
 
 
 def ffn_block(x, lw: dict, cfg: EncoderConfig):
     """Residual pre-norm two-layer GeLU MLP, applied row-wise to the
-    (rows, D) rows of one state or the (g, rows, D) rows of a group.
+    (rows, D) rows of one state or the (..., g, rows, D) rows of a group.
     ``lw`` is a block dict holding at least the FFN half (``ffn_specs``).
     ``cfg`` is not read; the abstractor's blocks pass None."""
     normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
@@ -457,28 +464,31 @@ def ffn_block(x, lw: dict, cfg: EncoderConfig):
 
 
 def _groups(states, cfg: EncoderConfig) -> list[slice]:
-    """The groups of the (S, N+M, D) state array, in state order: slices of
-    g consecutive states, 1 <= g <= S, the last one possibly partial. g keeps
-    the largest array of ``state_elements``, at the states' itemsize, within
-    ``numerics._BLOCK_BYTES`` for the whole group."""
+    """The groups of the (*lead, S, N+M, D) state array, in state order:
+    slices of g consecutive states along axis -3, 1 <= g <= S, the last one
+    possibly partial. g keeps the largest array of ``state_elements``, at the
+    states' itemsize, within ``numerics._BLOCK_BYTES`` for the whole group,
+    its states at every leading index counted."""
     value = ad.value_of(states)
-    per_state = max(state_elements(cfg)) * value.itemsize
-    g = max(1, min(len(value), numerics._BLOCK_BYTES // per_state))
-    return [slice(lo, lo + g) for lo in range(0, len(value), g)]
+    *lead, s = value.shape[:-2]
+    per_state = max(state_elements(cfg)) * value.itemsize * math.prod(lead)
+    g = max(1, min(s, numerics._BLOCK_BYTES // per_state))
+    return [slice(lo, lo + g) for lo in range(0, s, g)]
 
 
 def _at(collect, layer: int, first: int | None = None):
     """``collect`` for one attention call of ``layer``: with ``first``, a
-    group's softmax stacks, split per state from state ``first`` on; without
-    it, the exchange step's matrix (``tile=None``). None stays None."""
+    group's softmax stacks, split per state along axis -3 from state
+    ``first`` on; without it, the exchange step's matrix (``tile=None``).
+    None stays None."""
     if collect is None:
         return None
     if first is None:
         return partial(collect, layer, None)
 
     def per_state(head, attn):
-        for k, state_attn in enumerate(attn):
-            collect(layer, first + k, head, state_attn)
+        for k in range(attn.shape[-3]):
+            collect(layer, first + k, head, attn[..., k, :, :])
 
     return per_state
 
@@ -491,7 +501,7 @@ def encode(
     The output stacks each tile's M register rows in tile order, thumbnail
     last: M * (n_tiles + 1) rows in total when the thumbnail is included.
     Image-token outputs are discarded. The S tile states are one
-    (S, N+M, D) array. Each block runs on groups of consecutive states
+    (*lead, S, N+M, D) array. Each block runs on groups of consecutive states
     (``_groups``); the exchange step joins all S once per layer. ``w``
     is the canonical name -> tensor mapping. Each entry is looked up once,
     just before the step that reads it, and released when that step ends:
@@ -512,6 +522,14 @@ def encode(
     layer's groups run in state order; within a group the head is the outer
     loop and the state the inner one, so each (layer, head) sees the states
     in ascending order. ``attn`` is the working array; copy what you keep.
+
+    Weight sets stacked along leading axes ``lead`` encode in one call, each
+    set to its single encode's bytes; the output is then (*lead, S*M, D) and
+    each ``attn`` carries ``lead`` in front. A stacked weight puts ``lead``
+    in front of the axes its step batches over: a stem or layer tensor is
+    (*lead, 1, r, c) and a layer vector (*lead, 1, 1, D); an exchange tensor
+    is (*lead, r, c) and its vector (*lead, 1, D), as the exchange runs on
+    the joined rows. Any of them may be an ``np.broadcast_to`` view.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
     # The callee's frame owns its arguments (CPython >= 3.11): when the
@@ -519,8 +537,9 @@ def encode(
     # its pixels are freed here, before layer 0.
     del tiles
     groups = _groups(states, cfg)
+    shape = ad.value_of(states).shape
     register_rows = slice(cfg.n_image_tokens, None)
-    registers = (slice(None), register_rows)
+    registers = (..., register_rows, slice(None))
     # On the plain path each result is written over its input in the one
     # state array, so only one generation of tile states is alive at a time.
     # ``out`` holds the last group's result until the next one replaces it.
@@ -534,21 +553,23 @@ def encode(
         rows = register_rows if layer == cfg.layers - 1 else slice(None)
         lw = block_weights(attention, w, f"layers.{layer}")
         for grp in groups:
-            out = self_attention_block(states[grp], lw, cfg, _at(collect, layer, grp.start), rows)
-            states = ad.put(states, (grp, rows), out)
+            at = _at(collect, layer, grp.start)
+            out = self_attention_block(states[..., grp, :, :], lw, cfg, at, rows)
+            states = ad.put(states, (..., grp, rows, slice(None)), out)
         del lw
         if cfg.reatten_enabled:
             rw = block_weights(exchange, w, f"reatten.{layer}")
             regs = reatten(states, rw, cfg, collect=_at(collect, layer))
             del rw
-            states = ad.put(states, registers, regs.reshape(-1, cfg.registers, cfg.width))
+            states = ad.put(states, registers, regs.reshape(*shape[:-2], cfg.registers, cfg.width))
             del regs
         lw = block_weights(ffn, w, f"layers.{layer}")
         for grp in groups:
-            out = ffn_block(states[grp, rows], lw, cfg)
-            states = ad.put(states, (grp, rows), out)
+            key = (..., grp, rows, slice(None))
+            out = ffn_block(states[key], lw, cfg)
+            states = ad.put(states, key, out)
         del lw
-    return states[registers].reshape(-1, cfg.width)
+    return states[registers].reshape(*shape[:-3], -1, cfg.width)
 
 
 def parameter_gradients(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
@@ -557,6 +578,8 @@ def parameter_gradients(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnai
     Returns (loss value, canonical name -> gradient array), in ``w``'s order.
     Runs ``encode`` with the weights wrapped as autodiff variables; a tensor
     the forward never read (``reatten.*`` with the exchange off) gets no entry.
+    The weights are one set, not a stack: ``autodiff.layer_norm`` sums its
+    gamma and beta gradients over all rows into a 1-D gamma and beta.
     """
     params = {name: ad.Var(tensor) for name, tensor in w.items()}
     loss = ad.total(encode(tiles, params, cfg, thumbnail=thumbnail))

@@ -1129,6 +1129,33 @@ class TestSelftest:
         assert any(c["name"] == "gradient_check" for c in payload["checks"])
         assert elapsed < 60.0
 
+    def test_verify_stdout_is_pinned(self, verify_selftest):
+        # The default selftest's stdout, byte for byte: ``_emit``'s JSON of
+        # the payload, which the parsed payload reproduces.
+        _, payload, _ = verify_selftest
+        stdout = json.dumps(payload, indent=2) + "\n"
+        digest = "4ca473a7a9276739d177806c2c589530dac6c949dc3c4c78cda5defbcf719370"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    def test_solo_encode_mismatch_fails_the_suite(self, capsys, monkeypatch):
+        # With the exchange off a tile's encode alone must equal its rows of
+        # the joint one; a solo encode that differs fails that check, and the
+        # CLI exits 1.
+        encode = encoder.encode
+
+        def solo_differs(tiles, w, cfg, **kwargs):
+            out = encode(tiles, w, cfg, **kwargs)
+            if not cfg.reatten_enabled and len(tiles.tiles) == 1:
+                out[0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(encoder, "encode", solo_differs)
+        code, out = run(capsys, "selftest", "--verify-mode", "off")
+        payload = json.loads(out)
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert code == 1 and payload["passed"] is False
+        assert failed == ["reatten_off_independence"]
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         from falcon import cli
 
@@ -1275,6 +1302,16 @@ class TestParser:
         assert parameters(encoder.self_attention_block) == [
             "x", "lw", "cfg", "collect=None", "rows=slice(None, None, None)"
         ]
+        # It also reads these positionally: the block's x and cfg, the
+        # forwards' tiles, cfg and thumbnail, the projector's f and pw, and
+        # count_flops' arguments, as it calls them.
+        assert parameters(encoder.ffn_block) == ["x", "lw", "cfg"]
+        assert parameters(encoder.encode) == [
+            "tiles", "w", "cfg", "*", "thumbnail=True", "collect=None"
+        ]
+        assert parameters(encoder.parameter_gradients) == ["tiles", "w", "cfg", "thumbnail=True"]
+        assert parameters(compressors.mlp_project) == ["f", "pw"]
+        assert parameters(oracle.count_flops) == ["cfg", "n_tiles", "thumbnail=True", "d_llm=None"]
         assert parameters(numerics.layer_norm) == ["x", "gamma", "beta"]
         assert parameters(autodiff.layer_norm) == ["x", "gamma", "beta"]
         assert parameters(compressors.comparison_row) == ["kind", "cfg", "thumbnail=True"]

@@ -554,6 +554,33 @@ class TestEncode:
         }
         assert all(b is bases[0] and b.shape[0] == n_states for b in bases)
 
+    def test_holds_each_block_result_until_the_next(
+        self, tiny_cfg, tiny_weights, tiny_tiles, monkeypatch
+    ):
+        # With groups of one state, each block's result stays bound until
+        # the next block call replaces it. Freed at once, a block's
+        # temporaries would sit on top of the heap, go back to the OS and
+        # fault in again at every group: ten times the page faults of a
+        # 16-tile paper encode.
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 1)
+        results, freed = [], []
+
+        def watch(fn):
+            def wrapper(*args):
+                if results and results[-1]() is None:
+                    freed.append(len(results))
+                out = fn(*args)
+                results.append(weakref.ref(out))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(enc, "self_attention_block", watch(enc.self_attention_block))
+        monkeypatch.setattr(enc, "ffn_block", watch(enc.ffn_block))
+        enc.encode(tiny_tiles, tiny_weights, tiny_cfg)
+        assert len(results) == 2 * tiny_cfg.layers * len(tiny_tiles.raster) == 12
+        assert not freed, f"results freed before block calls {freed}"
+
     def test_reads_weights_one_layer_at_a_time(self, tiny_cfg, tiny_weights, tiny_tiles):
         # A mapping that reads its entries on demand (``load_weights``)
         # serves a forward that holds one layer's weights at a time, and
@@ -739,6 +766,83 @@ class TestGroups:
         whole = enc.encode(tiles, w, cfg)
         force_group_size(monkeypatch, cfg, np.float32, 1)
         assert enc.encode(tiles, w, cfg).tobytes() == whole.tobytes()
+
+
+def stack_weights(sets):
+    """``sets`` as one weights mapping, stacked along a leading axis of
+    len(sets) in front of the axes each step batches over: a stem or layer
+    tensor (B, 1, r, c), a layer vector (B, 1, 1, D), an exchange tensor
+    (B, r, c), an exchange vector (B, 1, D). A tensor every set shares is a
+    broadcast view."""
+    out = {}
+    for name in sets[0]:
+        tensors = [w[name] for w in sets]
+        ndim = 3 if name.startswith("reatten.") else 4
+        shape = (len(sets), *[1] * (ndim - 1 - tensors[0].ndim), *tensors[0].shape)
+        if all(t is tensors[0] for t in tensors):
+            out[name] = np.broadcast_to(tensors[0], shape)
+        else:
+            out[name] = np.stack(tensors).reshape(shape)
+    return out
+
+
+def encode_with_softmax(tiles, w, cfg, thumbnail):
+    """One encode's output, and every softmax matrix it shows ``collect``."""
+    seen = {}
+
+    def collect(layer, tile, head, attn):
+        seen[(layer, tile, head)] = attn.copy()
+
+    return enc.encode(tiles, w, cfg, thumbnail=thumbnail, collect=collect), seen
+
+
+class TestStackedWeights:
+    # A stack of weight sets encodes in one call: each set's output and
+    # softmax matrices are its single encode's, byte for byte.
+    GEOMETRIES = {"tiny": {}, "gradient": dict(layers=1, width=4, patch=4, tile=8)}
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_each_set_keeps_its_bytes(
+        self, tiny_cfg, monkeypatch, geometry, dtype, reatten_on, thumbnail, g
+    ):
+        cfg = enc.config_with_overrides(
+            tiny_cfg, reatten_enabled=reatten_on, **self.GEOMETRIES[geometry]
+        )
+        sets = [enc.init_weights(cfg, seed, dtype) for seed in (1, 2, 3)]
+        tiles = random_tiles(cfg, 3, seed=5)
+        # Groups count the states of every set: g states of 3 sets each.
+        force_group_size(monkeypatch, cfg, dtype, 3 * g)
+        w = stack_weights(sets)
+        states = enc.embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
+        n_states = 3 + thumbnail
+        assert states.shape == (3, n_states, cfg.n_tokens, cfg.width)
+        assert enc._groups(states, cfg)[0] == slice(0, g)
+        f_hr, seen = encode_with_softmax(tiles, w, cfg, thumbnail)
+        assert f_hr.dtype == dtype and f_hr.shape == (3, n_states * cfg.registers, cfg.width)
+        for k, single in enumerate(sets):
+            want, want_seen = encode_with_softmax(tiles, single, cfg, thumbnail)
+            assert f_hr[k].tobytes() == want.tobytes(), k
+            assert seen.keys() == want_seen.keys()
+            assert all(seen[key][k].tobytes() == m.tobytes() for key, m in want_seen.items()), k
+
+    def test_paper_width_sets_keep_their_bytes(self):
+        # At paper geometry (one layer, one tile) the sets share the layer
+        # and exchange tensors as broadcast views and differ in their stem.
+        cfg = enc.config_with_overrides(enc.PRESETS["paper"], layers=1)
+        base = enc.init_weights(cfg, seed=0)
+        sets = [
+            {**base, **enc.init_tensors(enc._stem_specs(cfg), SplitMix64(seed), np.float32)}
+            for seed in (1, 2, 3)
+        ]
+        tiles = random_tiles(cfg, 1, seed=0)
+        f_hr = enc.encode(tiles, stack_weights(sets), cfg)
+        assert f_hr.shape == (3, 2 * cfg.registers, cfg.width)
+        for k, single in enumerate(sets):
+            assert f_hr[k].tobytes() == enc.encode(tiles, single, cfg).tobytes(), k
 
 
 def assert_matches_central_differences(loss, params, tol=1e-8):

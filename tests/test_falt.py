@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -288,3 +289,18 @@ def test_index_reads_no_payload(tmp_path, monkeypatch):
         offset, dims, dtype = index[name]
         assert dims == t.shape and dtype == t.dtype.newbyteorder("<")
         assert data[offset : offset + t.nbytes] == t.tobytes()
+
+
+@pytest.mark.parametrize("stored", [">f4", ">f8", "<f4", "<f8"])
+def test_read_entry_returns_native_arrays(stored):
+    # An entry stored in either byte order reads back as a native array of
+    # the stored values: the byteswap that a big-endian host runs on every
+    # entry, reached here through an Entry that names a big-endian dtype.
+    values = np.array([[1.5, -2.25, 3.0], [0.0, 1e-3, -7.0]])
+    payload = values.astype(stored).tobytes()
+    entry = falt.Entry(4, values.shape, np.dtype(stored))
+    got = falt._read_entry(io.BytesIO(b"head" + payload), entry)
+    assert got.dtype.isnative and got.dtype == np.dtype(stored).newbyteorder("=")
+    assert np.array_equal(got, values.astype(stored))
+    with pytest.raises(ArchiveError, match="truncated archive"):
+        falt._read_entry(io.BytesIO(b"head" + payload[:-1]), entry)
