@@ -122,13 +122,15 @@ def encoder_config(rc: RunConfig) -> encoder.EncoderConfig:
 
 
 def _plan(cfg: encoder.EncoderConfig, path: str):
-    """The image at ``path`` and its crop plan."""
+    """A list holding the image at ``path`` as its only item, and the image's
+    crop plan. ``_forward`` pops the image into the crop, so no frame holds
+    it once the crop returns."""
     try:
         with open(path, "rb") as f:
             img = image_crop.load_ppm(f)
     except OSError as exc:
         raise ImageError(f"cannot read image {path!r}: {exc}") from exc
-    return img, image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
+    return [img], image_crop.plan_crop(img.shape[0], img.shape[1], cfg.tile, cfg.max_tiles)
 
 
 def _weights(rc: RunConfig, args, cfg, dtype):
@@ -138,18 +140,20 @@ def _weights(rc: RunConfig, args, cfg, dtype):
     return encoder.init_weights(cfg, rc.seed, dtype)
 
 
-def _forward(rc: RunConfig, args, cfg, img, plan, d_llm=None, layers=None, collect=None):
+def _forward(rc: RunConfig, args, cfg, image, plan, d_llm=None, layers=None, collect=None):
     """The run budget, the weights of the full ``cfg`` (an archive of every
     layer serves a run of the first ``layers``, which reads only theirs) and
     the forward, in the working dtype whatever the archive's.
 
     The crop reads the loader's uint8 image as it is, with no float copy of
-    it. The tiles go to ``encode`` as a temporary, so it frees them before
-    layer 0.
+    it. The image, popped from ``_plan``'s list ``image``, goes to the crop
+    as a temporary, so it is freed when the crop returns; the tiles go to
+    ``encode`` as one, so it frees them before layer 0. (A callee's frame
+    owns its arguments in CPython >= 3.11.)
     """
     encoder.check_budget(cfg, plan.n_tiles, rc.thumbnail, d_llm)
     return encoder.encode(
-        image_crop.crop_tiles(img, plan),
+        image_crop.crop_tiles(image.pop(), plan),
         _weights(rc, args, cfg, np.float64 if rc.verify_mode else np.float32),
         encoder.config_with_overrides(cfg, layers=layers),
         thumbnail=rc.thumbnail,
@@ -167,7 +171,7 @@ def _emit(obj) -> None:
 
 
 def cmd_plan_crop(rc: RunConfig, args) -> int:
-    img, plan = _plan(encoder_config(rc), args.image)
+    (img,), plan = _plan(encoder_config(rc), args.image)
     _emit(
         {
             "h": img.shape[0],
@@ -184,7 +188,7 @@ def cmd_plan_crop(rc: RunConfig, args) -> int:
 
 def cmd_encode(rc: RunConfig, args) -> int:
     cfg = encoder_config(rc)
-    img, plan = _plan(cfg, args.image)
+    image, plan = _plan(cfg, args.image)
     d_llm = rc.d_llm if rc.project else None
     report = oracle.count_flops(cfg, plan.n_tiles, thumbnail=rc.thumbnail, d_llm=d_llm)
     summary = {
@@ -197,7 +201,7 @@ def cmd_encode(rc: RunConfig, args) -> int:
         "out": None,
     }
     if not args.dry_run:
-        f_hr = _forward(rc, args, cfg, img, plan, d_llm)
+        f_hr = _forward(rc, args, cfg, image, plan, d_llm)
         entries = {"f_hr": f_hr}
         if rc.project:
             pw = compressors.init_projector(
@@ -216,7 +220,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
     for name, n in (("layer", cfg.layers), ("head", cfg.heads), ("register", cfg.registers)):
         if not 0 <= getattr(args, name) < n:
             raise BoundsError(f"{name} {getattr(args, name)} out of range [0, {n})")
-    img, plan = _plan(cfg, args.image)
+    image, plan = _plan(cfg, args.image)
     n = cfg.n_image_tokens
     tile_rows = []
 
@@ -225,7 +229,7 @@ def cmd_attn_map(rc: RunConfig, args) -> int:
             tile_rows.append(attn[-cfg.registers :, :n].copy())
 
     # Layers after --layer cannot change its attention, so they are not run.
-    _forward(rc, args, cfg, img, plan, layers=args.layer + 1, collect=collect)
+    _forward(rc, args, cfg, image, plan, layers=args.layer + 1, collect=collect)
     heat = encoder.extract_register_attention(tile_rows, args.register, plan)
     out = rc.out or "heatmap.pgm"
     with open(out, "wb") as f:

@@ -400,7 +400,10 @@ def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
 
     Each head's output fills its columns of one array. On the plain path
     the logits, their softmax and that array are written in place; on a
-    ``Var`` the same lines build new nodes.
+    ``Var`` the same lines build new nodes. Each transient is dropped after
+    its last use: the normed rows once K and V exist, a head's softmax
+    matrix at the end of its head, Q, K and V before the output projection.
+    So the step holds one softmax matrix at a time.
     """
     ln_gamma, ln_beta, wq, wk, wv, wo = weights
     normed = ad.layer_norm(x, ln_gamma, ln_beta)
@@ -409,6 +412,7 @@ def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
     q = normed[..., rows, :] @ wq
     k = kv @ wk
     v = kv @ wv
+    del normed, kv
     width = ad.value_of(q).shape[-1]
     dk = width // heads
     scale = 1.0 / math.sqrt(dk)
@@ -421,6 +425,8 @@ def _attention(x, weights, heads: int, collect=None, rows=slice(None), kv=None):
         if collect is not None:
             collect(h, ad.value_of(attn))
         out = ad.put(out, cols, attn @ v[cols])
+        del logits, attn
+    del q, k, v
     out = out @ wo
     out += x[..., rows, :]
     return out
@@ -456,8 +462,7 @@ def ffn_block(x, lw: dict, cfg: EncoderConfig):
     (rows, D) rows of one state or the (..., g, rows, D) rows of a group.
     ``lw`` is a block dict holding at least the FFN half (``ffn_specs``).
     ``cfg`` is not read; the abstractor's blocks pass None."""
-    normed = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"])
-    hidden = normed @ lw["w1"]
+    hidden = ad.layer_norm(x, lw["ln2_gamma"], lw["ln2_beta"]) @ lw["w1"]
     out = ad.gelu(hidden, out=hidden) @ lw["w2"]
     out += x
     return out

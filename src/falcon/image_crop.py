@@ -4,25 +4,30 @@ Images move through the pipeline as numpy arrays: uint8 (H, W, 3) straight
 from the loader, float32 in [0, 1] everywhere else. ``crop_tiles`` and
 ``resize_bilinear`` accept the loader's uint8 array as it is: they gather
 the pixels each output needs and read those as ``to_float`` values, so no
-float copy of the whole image is made. ``normalize_pixels`` applies the
-fixed per-channel affine (mean 0.5, std 0.5) expected by the encoder just
-before patchification. ``crop_tiles`` returns one raster, thumbnail last.
+float copy of the whole image is made. Both blend bands of output rows
+sized, with the source rows they gather, by ``numerics._BLOCK_BYTES``, so
+beyond its output a resize holds one band at a time, whatever the grid's
+shape. ``normalize_pixels`` applies the fixed per-channel affine (mean
+0.5, std 0.5) expected by the encoder just before patchification.
+``crop_tiles`` returns one raster, thumbnail last.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, ImageError, ShapeError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# Largest image ``load_ppm`` accepts. ``cli._forward`` holds the uint8
-# image through the crop, 3 bytes per pixel (192 MiB at this cap), plus the
-# source rows of one band of tiles.
+# Largest image ``load_ppm`` accepts. The uint8 image lives until the crop
+# returns, 3 bytes per pixel (192 MiB at this cap); the crop adds its raster
+# and the source rows of one band (``numerics._BLOCK_BYTES``) of output rows.
 MAX_PIXELS = 1 << 26
 
 # ``load_ppm`` reads a file's header, comments included, in one read of this
@@ -188,46 +193,69 @@ def _pixels(img) -> np.ndarray:
     return img if img.dtype == np.uint8 else img.astype(np.float32, copy=False)
 
 
-def _blend(img: np.ndarray, ys, xs) -> np.ndarray:
-    """Bilinear blend of ``img`` at the (i0, i1, w) taps ``ys``, ``xs``.
+def _bands(img: np.ndarray, ys, xs):
+    """Bilinear blend of ``img`` at the (i0, i1, w) taps ``ys``, ``xs``, as
+    (first output row, rows) pairs, one per band of consecutive output rows.
 
     ``img`` is float32, or uint8 read as ``to_float`` pixels: only the
-    gathered taps are converted. Separable: each source row the output needs
-    is interpolated across once, at the output columns only, then pairs of
-    those rows are blended down. The float32 expressions are those of the
-    four-tap form, so the bytes are too.
+    gathered taps are converted. A band holds as many output rows as keep
+    them and the source rows they gather, min(2, in/out) per output row,
+    within ``numerics._BLOCK_BYTES``, and at least one. Separable: each source
+    row a band needs is interpolated across once, at the output columns
+    only, then pairs of those rows are blended down. The float32 expressions
+    are those of the four-tap form, so the bytes are too, whatever the band.
     """
-    y0, y1, fy = ys
     x0, x1, fx = xs
-    fy = fy.reshape((-1,) + (1,) * (img.ndim - 1))
     # Each column weight repeated over a pixel's channels, contiguous: against
     # a (W_out, 1) column numpy runs the products in inner loops of C elements.
     fx = fx.reshape((-1,) + (1,) * (img.ndim - 2))
     fx = np.broadcast_to(fx, fx.shape[:1] + img.shape[2:]).copy()
-    # The source rows in use and each one's slot among them. A mask, not
-    # np.unique: a sort would page numpy's sort kernels into the RSS.
-    used = np.zeros(img.shape[0], dtype=bool)
-    used[y0] = used[y1] = True
-    slot = np.cumsum(used) - 1
-    src = img.take(np.flatnonzero(used), 0)
-    left, right = src.take(x0, 1), src.take(x1, 1)
-    if img.dtype == np.uint8:
-        left, right = to_float(left), to_float(right)
-    across = left * (1.0 - fx) + right * fx
-    return across[slot[y0]] * (1.0 - fy) + across[slot[y1]] * fy
+    gx = 1.0 - fx
+    n_out, (n_in, in_w), pixel = len(ys[0]), img.shape[:2], math.prod(img.shape[2:])
+    out_row, src_row = 4 * len(x0) * pixel, img.itemsize * in_w * pixel
+    step = max(1, int(numerics._BLOCK_BYTES // (out_row + min(2.0, n_in / n_out) * src_row)))
+    for start in range(0, n_out, step):
+        y0, y1, fy = (a[start : start + step] for a in ys)
+        fy = fy.reshape((-1,) + (1,) * (img.ndim - 1))
+        # The taps ascend, so the band's source rows lie in [y0[0], y1[-1]]:
+        # the rows in use there and each one's slot among them. A mask, not
+        # np.unique: a sort would page numpy's sort kernels into the RSS.
+        lo = y0[0]
+        y0, y1 = y0 - lo, y1 - lo
+        used = np.zeros(y1[-1] + 1, dtype=bool)
+        used[y0] = used[y1] = True
+        slot = np.cumsum(used) - 1
+        src = img[lo : lo + len(used)].take(np.flatnonzero(used), 0)
+        left, right = src.take(x0, 1), src.take(x1, 1)
+        if img.dtype == np.uint8:
+            left, right = to_float(left), to_float(right)
+        # left * (1 - fx) + right * fx, then top * (1 - fy) + bottom * fy, each
+        # product and sum written over a fresh array: fewer pages to fault in.
+        left *= gx
+        right *= fx
+        left += right
+        top, bottom = left[slot[y0]], left[slot[y1]]
+        top *= 1.0 - fy
+        bottom *= fy
+        top += bottom
+        yield start, top
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with half-pixel-center source coordinates.
 
     src = (dst + 0.5) * (in / out) - 0.5, clamped to [0, in - 1]; the blend
-    itself runs in float32. A uint8 ``img`` is read as ``to_float`` pixels.
+    itself runs in float32, band by band (``_bands``). A uint8 ``img`` is
+    read as ``to_float`` pixels.
     """
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output dimensions must be >= 1, got {out_h}x{out_w}")
     img = _pixels(img)
     in_h, in_w = img.shape[:2]
-    return _blend(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w))
+    out = np.empty((out_h, out_w, *img.shape[2:]), np.float32)
+    for y, rows in _bands(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w)):
+        out[y : y + len(rows)] = rows
+    return out
 
 
 def plan_crop(h: int, w: int, tile: int, max_tiles: int) -> CropPlan:
@@ -272,22 +300,30 @@ def plan_crop(h: int, w: int, tile: int, max_tiles: int) -> CropPlan:
 def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
     """Resize the image to the grid and split it into row-major tiles.
 
-    Every band (row of tiles) is blended from its slice of the full-grid
-    source coordinates, so the tiles are exactly those of one whole-grid
-    resize, without seams. Each band's tiles, then the global thumbnail
-    (made for every input, 1x1 plans included), are written straight into
-    the raster. A uint8 ``img``, as ``load_ppm`` returns it, is read as
+    The resized grid is blended band by band (``_bands``), every band from
+    its slice of the full-grid source coordinates, so the tiles are exactly
+    those of one whole-grid resize, without seams. A band may start or end
+    inside a row of tiles; its rows go straight into the tiles of the
+    raster, so the crop holds the raster, one band and that band's source
+    rows. The global thumbnail (made for every input, 1x1 plans included)
+    comes last. A uint8 ``img``, as ``load_ppm`` returns it, is read as
     ``to_float`` pixels; the raster is float32 either way.
     """
     img = _pixels(img)
     in_h, in_w = img.shape[:2]
     t, cols, channels = plan.tile, plan.cols, img.shape[2:]
+    raster = np.empty((plan.n_tiles + 1, t, t, *channels), np.float32)
+    # Pixel (y, x) of the resized grid is grid[y // t, y % t, x // t, x % t].
+    grid = raster[:-1].reshape(plan.rows, cols, t, t, *channels).swapaxes(1, 2)
     ys = _source_coords(plan.resize_h, in_h)
     xs = _source_coords(plan.resize_w, in_w)
-    raster = np.empty((plan.n_tiles + 1, t, t, *channels), np.float32)
-    for r in range(plan.rows):
-        band = _blend(img, tuple(a[r * t : (r + 1) * t] for a in ys), xs)
-        raster[r * cols : (r + 1) * cols] = band.reshape(t, cols, t, *channels).swapaxes(0, 1)
+    for y, band in _bands(img, ys, xs):
+        band = band.reshape(len(band), cols, t, *channels)
+        while len(band):
+            r, top = divmod(y, t)
+            n = min(len(band), t - top)
+            grid[r, top : top + n] = band[:n]
+            y, band = y + n, band[n:]
     raster[-1] = resize_bilinear(img, t, t)
     return TileSet(raster)
 

@@ -634,6 +634,39 @@ class TestEncode:
             assert len(refs) == 1, command  # the raster of 6 tiles and the thumbnail
             assert alive_at_first_block == [0], command
 
+    def test_image_freed_at_crop(self, capsys, small_ppm, tmp_path, monkeypatch):
+        # The loader's uint8 image goes to crop_tiles as a temporary, so it is
+        # gone by the first block, for encode and attn-map alike.
+        refs = []
+        load_ppm = image_crop.load_ppm
+
+        def load_and_watch(f):
+            img = load_ppm(f)
+            refs.append(weakref.ref(img))
+            return img
+
+        alive_at_first_block = []
+        block = encoder.self_attention_block
+
+        def first_block(x, lw, cfg, *rest):
+            if not alive_at_first_block:
+                alive_at_first_block.append(sum(ref() is not None for ref in refs))
+            return block(x, lw, cfg, *rest)
+
+        monkeypatch.setattr(image_crop, "load_ppm", load_and_watch)
+        monkeypatch.setattr(encoder, "self_attention_block", first_block)
+        for command, extra in (
+            ("encode", []),
+            ("attn-map", ["--layer", "1", "--head", "0", "--register", "0"]),
+        ):
+            refs.clear()
+            alive_at_first_block.clear()
+            out = tmp_path / command
+            code, _ = run(capsys, command, small_ppm, "--preset", "tiny", "--out", str(out), *extra)
+            assert code == 0 and out.exists(), command
+            assert len(refs) == 1, command
+            assert alive_at_first_block == [0], command
+
     def test_weights_peak_memory_flat_in_depth(self, capsys, small_ppm, tmp_path):
         # encode --weights holds the weights of one layer at a time, so five
         # more layers add less than one layer's bytes to the traced peak.

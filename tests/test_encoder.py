@@ -479,6 +479,23 @@ class TestReatten:
             want = base[old_pos * m : (old_pos + 1) * m]
             assert np.abs(got - want).max() < 1e-5
 
+    def test_exchange_temporaries_bounded(self):
+        # 17 states of 64 registers at width 512 and 8 heads: the exchange
+        # holds the joined rows, Q, K, V and the head outputs (five arrays of
+        # 1088 x 512), one head's softmax matrix at a time, and no normed rows
+        # past K and V. It held seven row arrays and two matrices before.
+        cfg = enc.EncoderConfig(layers=1, width=512, heads=8, patch=16, tile=16, registers=64)
+        states = np.random.default_rng(3).standard_normal((17, cfg.n_tokens, 512), np.float32)
+        rw = enc.block_weights(enc.reatten_specs(512), enc.init_weights(cfg, 0), "reatten.0")
+        rows = 17 * cfg.registers
+        tracemalloc.start()
+        try:
+            enc.reatten(states, rw, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (5 * rows * 512 + rows * rows) + 2**20, peak
+
 
 class TestFfn:
     def test_zero_w1_is_exact_identity(self, tiny_cfg, tiny_weights):

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falcon import image_crop as ic
+from falcon import numerics
 from falcon.errors import ConfigError, ImageError, ShapeError
 
 
@@ -516,6 +517,43 @@ class TestFourTapReference:
         finally:
             tracemalloc.stop()
         assert peak < 2000 * 2000
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30], ids=["row-bands", "one-band"])
+    @pytest.mark.parametrize("shape", [(30, 520), (520, 30), (130, 120)], ids=["1x16", "16x1", "4x4"])
+    @pytest.mark.parametrize("channels", [(3,), ()], ids=["rgb", "2d"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_bytes_do_not_depend_on_band_size(self, monkeypatch, budget, shape, channels, dtype):
+        # One output row per band, or the whole grid in one band: the raster
+        # is the four-tap resize of the to_float pixels either way.
+        rng = np.random.default_rng(shape[0])
+        img = rng.integers(0, 256, size=shape + channels, dtype=np.uint8)
+        pixels = ic.to_float(img)
+        plan = ic.plan_crop(*shape, 32, 16)
+        assert (plan.rows * plan.cols, plan.resize_h * plan.resize_w) == (16, 16 * 32 * 32)
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", budget)
+        got = ic.crop_tiles(img if dtype == np.uint8 else pixels, plan).raster
+        t = plan.tile
+        grid = _four_tap_resize(pixels, plan.resize_h, plan.resize_w)
+        tiles = grid.reshape(plan.rows, t, plan.cols, t, *channels).swapaxes(1, 2)
+        want = np.concatenate([tiles.reshape(-1, t, t, *channels), [_four_tap_resize(pixels, t, t)]])
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(400, 6100), (6100, 400)])
+    def test_crop_peak_is_the_raster_and_one_band(self, shape):
+        # A 1x16 or 16x1 plan of 384-pixel tiles: the crop holds its raster,
+        # the thumbnail and one band of rows at a time, not a whole row of
+        # tiles with its temporaries (201.2 and 46.7 MiB when it did).
+        img = np.random.default_rng(1).integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        plan = ic.plan_crop(*shape, 384, 16)
+        assert plan.n_tiles == 16
+        raster_bytes = (plan.n_tiles + 1) * 384 * 384 * 3 * 4
+        tracemalloc.start()
+        try:
+            ic.crop_tiles(img, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raster_bytes + 4 * 2**20, peak
 
     @pytest.mark.parametrize(
         "shape, out",
