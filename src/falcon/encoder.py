@@ -15,14 +15,14 @@ self-attention, the exchange and the abstractor baseline
 Registers carry no positional embedding, and no positional information
 crosses tiles, which makes the encoder equivariant under tile permutation.
 
-The pixels of one image are a single (n_tiles + 1, T, T, 3) raster and its
-tile states a single (*lead, S, N+M, D) array, thumbnail last in both;
-``lead`` is empty but for weight sets stacked along leading axes
-(``encode``). The patch
-embedding and each block run on groups of consecutive states, as many as
-keep each array a state adds to a group (``state_elements``) within
-``numerics._BLOCK_BYTES``: the tiny preset runs all its float32 states in one
-group, the paper preset one state per group.
+The pixels are one (*lead, n_tiles + 1, T, T, 3) raster and the tile states
+one (*lead, S, N+M, D) array, thumbnail last in both, each indexed from the
+end; ``lead`` is empty but for images or weight sets stacked along leading
+axes, which broadcast (``encode``). The patch embedding and each block run
+on groups of consecutive states, as many as keep each array a state adds to
+a group (``state_elements``) within ``numerics._BLOCK_BYTES``: the tiny
+preset runs all its float32 states in one group, the paper preset one state
+per group.
 Every matrix product of a group is one batched ``matmul``, which runs each
 state's GEMM just as a lone state's, so the bytes do not depend on the group
 size. (One 2-D GEMM over all of a group's rows would not keep them: past a
@@ -360,28 +360,29 @@ def check_budget(
 def embed_tiles(tiles: TileSet, w: Weights, cfg: EncoderConfig, thumbnail: bool = True):
     """Layer-0 token states: one (*lead, S, N+M, D) array, one state per
     tile, ``lead`` the leading axes of a stacked ``patch_embed`` (its
-    ``shape[:-3]``; none for a single weight set).
+    ``shape[:-3]``) broadcast with a stacked raster's (its ``shape[:-4]``).
 
     The tiles are ``tiles.raster``, the thumbnail last and treated exactly
     like a tile, or ``tiles.tiles`` with it off. Image rows are
     patchify(normalized tile) @ patch_embed + pos_embed, one normalize,
     patchify and batched product per group (``_groups``); register rows are
-    the single shared register tensor.
+    the single shared register tensor. ``max_tiles`` bounds each image's tiles.
     """
-    if len(tiles.tiles) > cfg.max_tiles:
-        raise ConfigError(f"{len(tiles.tiles)} tiles exceed max_tiles={cfg.max_tiles}")
+    if tiles.raster.ndim < 4 or tiles.raster.shape[-3:] != (cfg.tile, cfg.tile, 3):
+        raise ConfigError(f"raster {tiles.raster.shape} is not (..., S, {cfg.tile}, {cfg.tile}, 3)")
+    if tiles.tiles.shape[-4] > cfg.max_tiles:
+        raise ConfigError(f"{tiles.tiles.shape[-4]} tiles exceed max_tiles={cfg.max_tiles}")
     raster = tiles.raster if thumbnail else tiles.tiles
-    if len(raster) == 0:
+    if raster.shape[-4] == 0:
         raise ConfigError("no state to encode: no tile, and the thumbnail is off")
-    if raster.shape[1:] != (cfg.tile, cfg.tile, 3):
-        raise ConfigError(f"tile shape {raster.shape[1:]} does not match config tile {cfg.tile}")
     patch_embed, pos_embed, registers = w["patch_embed"], w["pos_embed"], w["registers"]
     embed = np.asarray(ad.value_of(patch_embed))
-    lead, dtype = embed.shape[:-3], embed.dtype
+    lead, dtype = np.broadcast_shapes(embed.shape[:-3], raster.shape[:-4]), embed.dtype
     n = cfg.n_image_tokens
-    states = np.empty((*lead, len(raster), cfg.n_tokens, cfg.width), dtype)
+    states = np.empty((*lead, raster.shape[-4], cfg.n_tokens, cfg.width), dtype)
     for grp in _groups(states, cfg):
-        tokens = patchify(normalize_pixels(raster[grp].astype(dtype, copy=False)), cfg.patch)
+        pixels = raster[..., grp, :, :, :].astype(dtype, copy=False)
+        tokens = patchify(normalize_pixels(pixels), cfg.patch)
         image_rows = tokens @ patch_embed
         image_rows += pos_embed
         states = ad.put(states, (..., grp, slice(None, n), slice(None)), image_rows)
@@ -528,13 +529,14 @@ def encode(
     loop and the state the inner one, so each (layer, head) sees the states
     in ascending order. ``attn`` is the working array; copy what you keep.
 
-    Weight sets stacked along leading axes ``lead`` encode in one call, each
-    set to its single encode's bytes; the output is then (*lead, S*M, D) and
-    each ``attn`` carries ``lead`` in front. A stacked weight puts ``lead``
-    in front of the axes its step batches over: a stem or layer tensor is
-    (*lead, 1, r, c) and a layer vector (*lead, 1, 1, D); an exchange tensor
-    is (*lead, r, c) and its vector (*lead, 1, D), as the exchange runs on
-    the joined rows. Any of them may be an ``np.broadcast_to`` view.
+    Images and weight sets stacked along leading axes ``lead`` encode in one
+    call, each image under each set to its single encode's bytes; the images
+    are one (*lead, n_tiles + 1, T, T, 3) raster. The output is then
+    (*lead, S*M, D) and each ``attn`` carries ``lead`` in front. A stacked
+    weight puts ``lead`` before the axes its step batches over: a stem or
+    layer tensor is (*lead, 1, r, c), a layer vector (*lead, 1, 1, D), an
+    exchange tensor (*lead, r, c) and its vector (*lead, 1, D), as the
+    exchange runs on the joined rows. Any may be an ``np.broadcast_to`` view.
     """
     states = embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
     # The callee's frame owns its arguments (CPython >= 3.11): when the

@@ -2,20 +2,19 @@
 
 Images move through the pipeline as numpy arrays: uint8 (H, W, 3) straight
 from the loader, float32 in [0, 1] everywhere else. ``crop_tiles`` and
-``resize_bilinear`` accept the loader's uint8 array as it is: they gather
-the pixels each output needs and read those as ``to_float`` values, so no
-float copy of the whole image is made. Both blend bands of output rows
-sized, with the source rows they gather, by ``numerics._BLOCK_BYTES``, so
-beyond its output a resize holds one band at a time, whatever the grid's
-shape. ``normalize_pixels`` applies the fixed per-channel affine (mean
-0.5, std 0.5) expected by the encoder just before patchification.
-``crop_tiles`` returns one raster, thumbnail last.
+``resize_bilinear`` take RGB (H, W, 3) images only, else raise ``ShapeError``,
+and the loader's uint8 array as it is: they gather the pixels each output
+needs and read those as ``to_float`` values, so no float copy of the whole
+image is made. Both blend bands of output rows sized, with the source rows
+they gather, by ``numerics._BLOCK_BYTES``, so beyond its output a resize holds
+one band at a time, whatever the grid's shape. ``normalize_pixels`` applies
+the fixed per-channel affine (mean 0.5, std 0.5) expected by the encoder just
+before patchification. ``crop_tiles`` returns one raster, thumbnail last.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +49,16 @@ class CropPlan:
 
 @dataclass
 class TileSet:
-    """One (n_tiles + 1, T, T, 3) raster: the row-major tiles, then the
-    whole image resized to a single tile, the thumbnail."""
+    """One (*lead, n_tiles + 1, T, T, 3) raster: the row-major tiles, then
+    the whole image resized to a single tile, the thumbnail. ``lead`` is
+    empty but for images stacked along leading axes (``encoder.encode``)."""
 
     raster: np.ndarray
 
     @property
     def tiles(self) -> np.ndarray:
         """The tiles without the thumbnail, a view of the raster."""
-        return self.raster[:-1]
+        return self.raster[..., :-1, :, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,10 @@ def _source_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _pixels(img) -> np.ndarray:
-    """``img`` as the blend reads it: uint8 as it is, any other dtype cast to float32."""
+    """RGB ``img`` as the blend reads it: uint8 as it is, any other dtype cast to float32."""
     img = np.asarray(img)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ShapeError(f"expected an (H, W, 3) RGB image, got shape {img.shape}")
     return img if img.dtype == np.uint8 else img.astype(np.float32, copy=False)
 
 
@@ -207,16 +209,15 @@ def _bands(img: np.ndarray, ys, xs):
     """
     x0, x1, fx = xs
     # Each column weight repeated over a pixel's channels, contiguous: against
-    # a (W_out, 1) column numpy runs the products in inner loops of C elements.
-    fx = fx.reshape((-1,) + (1,) * (img.ndim - 2))
-    fx = np.broadcast_to(fx, fx.shape[:1] + img.shape[2:]).copy()
+    # a (W_out, 1) column numpy runs the products in inner loops of 3 elements.
+    fx = np.repeat(fx[:, None], 3, axis=1)
     gx = 1.0 - fx
-    n_out, (n_in, in_w), pixel = len(ys[0]), img.shape[:2], math.prod(img.shape[2:])
-    out_row, src_row = 4 * len(x0) * pixel, img.itemsize * in_w * pixel
+    n_out, (n_in, in_w) = len(ys[0]), img.shape[:2]
+    out_row, src_row = 4 * len(x0) * 3, img.itemsize * in_w * 3
     step = max(1, int(numerics._BLOCK_BYTES // (out_row + min(2.0, n_in / n_out) * src_row)))
     for start in range(0, n_out, step):
         y0, y1, fy = (a[start : start + step] for a in ys)
-        fy = fy.reshape((-1,) + (1,) * (img.ndim - 1))
+        fy = fy[:, None, None]
         # The taps ascend, so the band's source rows lie in [y0[0], y1[-1]]:
         # the rows in use there and each one's slot among them. A mask, not
         # np.unique: a sort would page numpy's sort kernels into the RSS.
@@ -252,7 +253,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ShapeError(f"output dimensions must be >= 1, got {out_h}x{out_w}")
     img = _pixels(img)
     in_h, in_w = img.shape[:2]
-    out = np.empty((out_h, out_w, *img.shape[2:]), np.float32)
+    out = np.empty((out_h, out_w, 3), np.float32)
     for y, rows in _bands(img, _source_coords(out_h, in_h), _source_coords(out_w, in_w)):
         out[y : y + len(rows)] = rows
     return out
@@ -311,14 +312,14 @@ def crop_tiles(img: np.ndarray, plan: CropPlan) -> TileSet:
     """
     img = _pixels(img)
     in_h, in_w = img.shape[:2]
-    t, cols, channels = plan.tile, plan.cols, img.shape[2:]
-    raster = np.empty((plan.n_tiles + 1, t, t, *channels), np.float32)
+    t, cols = plan.tile, plan.cols
+    raster = np.empty((plan.n_tiles + 1, t, t, 3), np.float32)
     # Pixel (y, x) of the resized grid is grid[y // t, y % t, x // t, x % t].
-    grid = raster[:-1].reshape(plan.rows, cols, t, t, *channels).swapaxes(1, 2)
+    grid = raster[:-1].reshape(plan.rows, cols, t, t, 3).swapaxes(1, 2)
     ys = _source_coords(plan.resize_h, in_h)
     xs = _source_coords(plan.resize_w, in_w)
     for y, band in _bands(img, ys, xs):
-        band = band.reshape(len(band), cols, t, *channels)
+        band = band.reshape(len(band), cols, t, 3)
         while len(band):
             r, top = divmod(y, t)
             n = min(len(band), t - top)

@@ -161,8 +161,10 @@ def encode_reference(
     """Loop-based re-implementation of the full forward, float64 throughout.
 
     Returns (register outputs, multiply-add counts per component). Refuses
-    inputs over ``_check_reference``'s caps before it reads ``w``.
+    stacked images and inputs over ``_check_reference``'s caps before it reads ``w``.
     """
+    if tiles.raster.ndim != 4:
+        raise ConfigError(f"reference forward encodes one image, got raster {tiles.raster.shape}")
     raster = tiles.raster if thumbnail else tiles.tiles
     _check_reference(cfg, len(raster))
     wd = {name: np.asarray(t, dtype=np.float64).tolist() for name, t in w.items()}

@@ -356,6 +356,16 @@ class TestEmbedTiles:
         with pytest.raises(ConfigError):
             enc.embed_tiles(crowded, tiny_weights, tiny_cfg)
 
+        # max_tiles counts the tiles of each image: two images of 17 tiles
+        # each are refused at 16, two of 16 admitted, though they hold 32.
+        def stack(n_states):
+            return TileSet(np.zeros((2, n_states, tiny_cfg.tile, tiny_cfg.tile, 3), np.float32))
+
+        with pytest.raises(ConfigError, match="^17 tiles exceed max_tiles=16$"):
+            enc.embed_tiles(stack(18), tiny_weights, tiny_cfg)
+        states = enc.embed_tiles(stack(17), tiny_weights, tiny_cfg)
+        assert states.shape == (2, 17, tiny_cfg.n_tokens, tiny_cfg.width)
+
     @pytest.mark.parametrize("exchange", [True, False], ids=["exchange-on", "exchange-off"])
     def test_zero_states_refused_before_reading_weights(self, tiny_cfg, tiny_weights, exchange):
         # A thumbnail alone, with the thumbnail off, leaves no state to
@@ -368,9 +378,10 @@ class TestEmbedTiles:
         assert w.read == []
 
     def test_wrong_tile_shape_rejected(self, tiny_cfg, tiny_weights):
-        # A raster of the wrong side, and one with the wrong channel count.
-        for shape in ((2, 16, 16, 3), (2, 32, 32, 1)):
-            with pytest.raises(ConfigError):
+        # A raster of the wrong side, one with the wrong channel count, and a
+        # bare tile with no state axis.
+        for shape in ((2, 16, 16, 3), (2, 32, 32, 1), (32, 32, 3)):
+            with pytest.raises(ConfigError, match=r"^raster \(.*\) is not \(\.\.\., S, 32, 32"):
                 enc.embed_tiles(TileSet(np.zeros(shape, np.float32)), tiny_weights, tiny_cfg)
 
 
@@ -860,6 +871,83 @@ class TestStackedWeights:
         assert f_hr.shape == (3, 2 * cfg.registers, cfg.width)
         for k, single in enumerate(sets):
             assert f_hr[k].tobytes() == enc.encode(tiles, single, cfg).tobytes(), k
+
+
+def stack_images(images, lead):
+    """The rasters of ``images``, all of one tile count, as one TileSet
+    stacked along leading axes ``lead``."""
+    raster = np.stack([image.raster for image in images])
+    return TileSet(raster.reshape(*lead, *raster.shape[1:]))
+
+
+class TestStackedImages:
+    # A stack of images encodes in one call: each image's output and softmax
+    # matrices are its single encode's, byte for byte, as for weight sets.
+    GEOMETRIES = TestStackedWeights.GEOMETRIES
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_each_image_keeps_its_bytes(
+        self, tiny_cfg, monkeypatch, geometry, dtype, reatten_on, thumbnail, g
+    ):
+        cfg = enc.config_with_overrides(
+            tiny_cfg, reatten_enabled=reatten_on, **self.GEOMETRIES[geometry]
+        )
+        w = enc.init_weights(cfg, seed=1, dtype=dtype)
+        images = [random_tiles(cfg, 3, seed) for seed in range(6)]
+        tiles = stack_images(images, (2, 3))
+        # Groups count the states of every image: g states of 6 images each.
+        force_group_size(monkeypatch, cfg, dtype, 6 * g)
+        states = enc.embed_tiles(tiles, w, cfg, thumbnail=thumbnail)
+        n_states = 3 + thumbnail
+        assert states.shape == (2, 3, n_states, cfg.n_tokens, cfg.width)
+        assert enc._groups(states, cfg)[0] == slice(0, g)
+        f_hr, seen = encode_with_softmax(tiles, w, cfg, thumbnail)
+        assert f_hr.dtype == dtype and f_hr.shape == (2, 3, n_states * cfg.registers, cfg.width)
+        for k, image in enumerate(images):
+            at = divmod(k, 3)
+            want, want_seen = encode_with_softmax(image, w, cfg, thumbnail)
+            assert f_hr[at].tobytes() == want.tobytes(), k
+            assert seen.keys() == want_seen.keys()
+            assert all(seen[key][at].tobytes() == m.tobytes() for key, m in want_seen.items()), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reatten_on", [True, False])
+    def test_images_broadcast_with_weight_sets(self, tiny_cfg, dtype, reatten_on):
+        # Two images on a (2, 1) lead under three weight sets on a (3,) lead:
+        # the output's (2, 3) lead holds every image under every set.
+        cfg = enc.config_with_overrides(tiny_cfg, reatten_enabled=reatten_on)
+        sets = [enc.init_weights(cfg, seed, dtype) for seed in (1, 2, 3)]
+        images = [random_tiles(cfg, 2, seed) for seed in (4, 5)]
+        tiles, w = stack_images(images, (2, 1)), stack_weights(sets)
+        f_hr, seen = encode_with_softmax(tiles, w, cfg, True)
+        assert f_hr.shape == (2, 3, 3 * cfg.registers, cfg.width)
+        for i, image in enumerate(images):
+            for k, single in enumerate(sets):
+                want, want_seen = encode_with_softmax(image, single, cfg, True)
+                assert f_hr[i, k].tobytes() == want.tobytes(), (i, k)
+                assert seen.keys() == want_seen.keys()
+                assert all(
+                    seen[key][i, k].tobytes() == m.tobytes() for key, m in want_seen.items()
+                ), (i, k)
+
+    def test_gradients_sum_over_images(self, tiny_cfg):
+        # The loss of a stack is the sum of its images' losses, and so is
+        # each gradient.
+        cfg = enc.config_with_overrides(tiny_cfg, **self.GEOMETRIES["gradient"])
+        w = enc.init_weights(cfg, seed=4, dtype=np.float64)
+        images = [random_tiles(cfg, 2, seed) for seed in range(4)]
+        loss, grads = enc.parameter_gradients(stack_images(images, (4,)), w, cfg)
+        singles = [enc.parameter_gradients(image, w, cfg) for image in images]
+        assert loss == pytest.approx(sum(single for single, _ in singles), rel=1e-12)
+        assert list(grads) == list(singles[0][1])
+        for name, grad in grads.items():
+            want = sum(single[name] for _, single in singles)
+            assert grad.shape == want.shape
+            assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def assert_matches_central_differences(loss, params, tol=1e-8):

@@ -291,10 +291,14 @@ class TestResizeBilinear:
         )
         assert np.abs(out - expected).max() < 1e-6
 
-    def test_grayscale_supported(self):
-        img = np.arange(12, dtype=np.float32).reshape(3, 4)
-        out = ic.resize_bilinear(img, 6, 8)
-        assert out.shape == (6, 8)
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 1), (3, 4, 4)], ids=["2d", "1ch", "4ch"])
+    def test_other_pixel_layouts_refused(self, shape):
+        # The crop serves one pixel layout, RGB: any other is refused.
+        img = np.zeros(shape, np.float32)
+        with pytest.raises(ShapeError, match=r"^expected an \(H, W, 3\) RGB image"):
+            ic.resize_bilinear(img, 6, 8)
+        with pytest.raises(ShapeError, match=r"^expected an \(H, W, 3\) RGB image"):
+            ic.crop_tiles(img, ic.plan_crop(3, 4, 32, 16))
 
     def test_zero_rows_rejected(self):
         with pytest.raises(ShapeError):
@@ -414,12 +418,8 @@ def _four_tap_resize(img, out_h, out_w):
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (ys - y0).astype(np.float32)
     fx = (xs - x0).astype(np.float32)
-    if img.ndim == 3:
-        fy = fy[:, None, None]
-        fx = fx[None, :, None]
-    else:
-        fy = fy[:, None]
-        fx = fx[None, :]
+    fy = fy[:, None, None]
+    fx = fx[None, :, None]
     v00 = img[y0[:, None], x0[None, :]]
     v01 = img[y0[:, None], x1[None, :]]
     v10 = img[y1[:, None], x0[None, :]]
@@ -467,7 +467,7 @@ class TestFourTapReference:
             (384, 384, 384, 16),  # identity scale
         ],
     )
-    @pytest.mark.parametrize("channels", [(3,), ()], ids=["rgb", "2d"])
+    @pytest.mark.parametrize("channels", [(3,)], ids=["rgb"])
     def test_tiles_and_thumbnail_match(self, h, w, tile, max_tiles, channels):
         rng = np.random.default_rng(h * 7919 + w)
         img = rng.random((h, w) + channels, dtype=np.float32)
@@ -492,16 +492,15 @@ class TestFourTapReference:
             lambda h: st.tuples(st.just(h), st.integers(1, min(3000, 3_000_000 // h)))
         ),
         st.sampled_from([32, 384]),
-        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    @example((1, 1), 32, True, 0)
-    @example((1, 3000), 384, True, 1)
-    @example((3000, 1), 32, False, 2)
-    @example((1000, 3000), 384, True, 3)
-    def test_uint8_input_property(self, shape, tile, rgb, seed):
+    @example((1, 1), 32, 0)
+    @example((1, 3000), 384, 1)
+    @example((3000, 1), 32, 2)
+    @example((1000, 3000), 384, 3)
+    def test_uint8_input_property(self, shape, tile, seed):
         rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, size=shape + ((3,) if rgb else ()), dtype=np.uint8)
+        img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
         _assert_uint8_crop_is_float_crop(img, tile)
 
     def test_uint8_crop_holds_no_float_image(self):
@@ -520,7 +519,7 @@ class TestFourTapReference:
 
     @pytest.mark.parametrize("budget", [1, 1 << 30], ids=["row-bands", "one-band"])
     @pytest.mark.parametrize("shape", [(30, 520), (520, 30), (130, 120)], ids=["1x16", "16x1", "4x4"])
-    @pytest.mark.parametrize("channels", [(3,), ()], ids=["rgb", "2d"])
+    @pytest.mark.parametrize("channels", [(3,)], ids=["rgb"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     def test_bytes_do_not_depend_on_band_size(self, monkeypatch, budget, shape, channels, dtype):
         # One output row per band, or the whole grid in one band: the raster
@@ -561,14 +560,13 @@ class TestFourTapReference:
          ((97, 211), (64, 512))],
     )
     def test_resize_2d_and_3d(self, shape, out):
-        # The blend's column weights span a pixel's channels, and a 2-D image
-        # has none: at 3 channels, none and 1 it keeps the four-tap bytes.
+        # The blend's column weights span a pixel's 3 channels: up or down,
+        # along either axis, the resize keeps the four-tap bytes.
         rng = np.random.default_rng(shape[0] + 31 * shape[1])
-        for channels in ((), (3,), (1,)):
-            img = rng.random(shape + channels, dtype=np.float32)
-            got = ic.resize_bilinear(img, *out)
-            assert got.shape == out + channels
-            assert got.tobytes() == _four_tap_resize(img, *out).tobytes()
+        img = rng.random(shape + (3,), dtype=np.float32)
+        got = ic.resize_bilinear(img, *out)
+        assert got.shape == out + (3,)
+        assert got.tobytes() == _four_tap_resize(img, *out).tobytes()
 
 
 class TestPatchify:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from falcon import encoder as enc
 from falcon import numerics, oracle
 from falcon.errors import ConfigError, NumericError
+from falcon.image_crop import TileSet
 
 
 class TestBruteForceAttention:
@@ -112,6 +113,15 @@ class TestEncodeReference:
         tiles = oracle.fixture_tiles(cfg, 2, seed=0)
         with pytest.raises(ConfigError, match="capped at 16777216 multiply-adds, got 83436503040$"):
             oracle.encode_reference(tiles, {}, cfg)
+
+    @pytest.mark.parametrize("thumbnail", [True, False])
+    def test_one_image_only(self, tiny_cfg, thumbnail):
+        # A stack of two images, or a bare tile, is refused before any weight
+        # is looked up, so an empty mapping serves.
+        raster = oracle.fixture_tiles(tiny_cfg, 2, seed=0).raster
+        for bad in (np.stack([raster, raster]), raster[0]):
+            with pytest.raises(ConfigError, match="^reference forward encodes one image"):
+                oracle.encode_reference(TileSet(bad), {}, tiny_cfg, thumbnail)
 
 
 def drawn_layer_norm_weights(cfg, seed):
